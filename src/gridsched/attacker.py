@@ -11,10 +11,11 @@ A budget-limited attacker alters at most floor(beta * n) jobs.  The
 greedy strategy reuses the unlimited partition, picks whole cliques by
 fractional knapsack and spends the leftover budget on the highest-energy
 members of the next clique, unless spending the whole budget inside that
-clique is worth more; it reports the cost of the compressed components
-only, a certified lower bound.  A second dynamic program estimates an
-upper bound by optimizing the attack against a controller that serves
-demands inelastically at their arrival slots.
+clique, whose members already pinned at its slot join for free, is worth
+more; it reports the cost of the compressed components only, a certified
+lower bound.  A second dynamic program estimates an upper bound by
+optimizing the attack against a controller that serves demands
+inelastically at their arrival slots.
 """
 
 from __future__ import annotations
@@ -221,9 +222,11 @@ def limited_greedy_from_partition(
     clique.  Two selections are compared: (a) those whole cliques plus the
     highest-energy members of the next clique that the leftover budget
     pays for, and (b) the whole budget spent inside the next clique on its
-    highest-energy members.  The better of the two is adopted (ties to
-    (a)), and only the compressed components are counted, so the reported
-    value is a lower bound on what the attack actually forces.
+    highest-energy members whose window changes, together with its members
+    already pinned at the clique slot, which compressing does not alter.
+    The better of the two is adopted (ties to (a)), and only the
+    compressed components are counted, so the reported value is a lower
+    bound on what the attack actually forces.
     """
     budget = attack_budget(beta, instance.n)
     blocks = partition.blocks
@@ -240,13 +243,18 @@ def limited_greedy_from_partition(
     leftover = budget - sum(len(block.members) for block in whole_blocks)
 
     ranked: list[int] = []
+    pinned: list[int] = []
     next_slot = 0
     if clique_pick.chosen_count < len(blocks):
         nxt = blocks[clique_pick.order[clique_pick.chosen_count]]
         next_slot = nxt.slot
         ranked = sorted(nxt.members, key=lambda jid: (-instance.job(jid).energy, jid))
+        # members whose window already is [next_slot, next_slot]: compressing them alters nothing
+        pinned = [
+            jid for jid in ranked if instance.job(jid).arrival == instance.job(jid).deadline == next_slot
+        ]
     top_up = ranked[:leftover]
-    inside = ranked[:budget]
+    inside = pinned + [jid for jid in ranked if jid not in pinned][:budget]
 
     def members_cost(job_ids: list[int]) -> float:
         return float(cost(sum(instance.job(jid).energy for jid in job_ids)))
@@ -292,12 +300,37 @@ def realized_attack_cost(instance: Instance, plan: AttackPlan, cost: CostModel) 
     return evaluate_cost(schedule_optimal_offline(altered, cost), cost)
 
 
-def _maxplus_machinery(cap: int):
-    """Index machinery to max-plus convolve saturating (cap+1)-vectors."""
-    grid = np.add.outer(np.arange(cap + 1), np.arange(cap + 1)).ravel()
-    order = np.argsort(grid, kind="stable")
-    starts = np.searchsorted(grid[order], np.arange(2 * cap + 1))
-    return order, starts
+def _maxplus_columns(left: np.ndarray, right: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Column-wise max-plus convolution of (C, rows) arrays, truncated to C entries.
+
+    out[k, r] = max over s + t = k of left[s, r] + right[t, r], for k < C.
+    Columns come sorted by non-increasing ``reach``; column r of ``left`` is
+    constant from entry reach[r] on and column r of ``right`` is
+    non-decreasing, so no shift s > reach[r] can win and each shift only
+    visits the columns that still reach it.
+    """
+    width = left.shape[0]
+    active = np.searchsorted(-reach, -np.arange(width), side="right")
+    out = left[0] + right
+    scratch = np.empty_like(out)
+    for shift in range(1, min(width, int(reach[0]) + 1)):
+        cut = active[shift]
+        term = np.add(left[shift, :cut], right[: width - shift, :cut], out=scratch[: width - shift, :cut])
+        np.maximum(out[shift:, :cut], term, out=out[shift:, :cut])
+    return out
+
+
+def _flat_prefix(terms: np.ndarray, listed: np.ndarray, span: int) -> np.ndarray:
+    """Row-wise prefix sums 0, t0, t0 + t1, ... of the listed terms, held flat after them.
+
+    ``listed`` marks a leading run of each row; the sums run left to right
+    and fill ``span`` columns.
+    """
+    out = np.zeros((terms.shape[0], span))
+    width = terms.shape[1]
+    np.cumsum(np.where(listed, terms, 0.0), axis=1, out=out[:, 1 : width + 1])
+    out[:, width + 1 :] = out[:, width : width + 1]
+    return out
 
 
 def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -> np.ndarray:
@@ -313,10 +346,16 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     budget splits freely between the two sub-intervals.  Entry 0 equals
     the inelastic baseline cost.
 
-    Budget vectors are non-decreasing and saturate once every contained
-    job can be altered, so each subproblem is solved only up to its own
-    job count and empty anchors repeated inside one endpoint gap are
-    collapsed.
+    The DP runs width by width.  Each width is evaluated in a few array
+    operations over every interval that contains a job and every kept
+    anchor of it; an anchor is kept when it has clique members or is the
+    first of a run of memberless anchors, which all split alike.  Budget
+    vectors are non-decreasing and saturate once every contained job can
+    be altered, so a width is solved only up to its largest contained job
+    count, each interval's vector is held flat beyond its own count, and
+    the max-plus convolutions over the budget stop shifting a vector once
+    it has gone flat.  Sums are formed in the same order as a per-anchor
+    evaluation would, so the result does not depend on the batching.
     """
     if max_budget < 0:
         raise ValueError("budget must be non-negative")
@@ -338,69 +377,88 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     cnt = np.zeros((q + 1, q + 1), dtype=np.int64)
     cnt[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
 
-    # jobs covering each endpoint, pre-sorted by energy desc (ties by id)
-    cover_order: list[np.ndarray] = []
-    for z in range(q):
-        cov = np.flatnonzero((a_idx <= z) & (d_idx >= z))
-        cover_order.append(cov[np.lexsort((job_ids[cov], -energy[cov]))])
-    arrival_at = np.full(q, -1, dtype=np.int64)
-    for idx, ai in enumerate(a_idx):
-        arrival_at[ai] = idx
+    # cover[z]: jobs covering endpoint z except the one arriving there, sorted by
+    # energy desc (ties by id) and padded with the sentinel job n, which no interval contains
+    by_energy = np.lexsort((job_ids, -energy))
+    ends = np.arange(q)[:, None]
+    covers = (a_idx[by_energy] <= ends) & (d_idx[by_energy] >= ends) & (a_idx[by_energy] != ends)
+    width_k = max(1, int(covers.sum(axis=1).max()))
+    packed = np.argsort(~covers, axis=1, kind="stable")[:, :width_k]
+    cover = np.where(np.take_along_axis(covers, packed, axis=1), by_energy[packed], n)
+    a_ext = np.append(a_idx, -1)
+    d_ext = np.append(d_idx, q)
+    energy_ext = np.append(energy, 0.0)
+    single_ext = np.append(single_cost, 0.0)
+    # energy of the job arriving at each endpoint; it joins its anchor's clique for free
+    arrival_energy = np.zeros(q)
+    arrival_energy[a_idx] = energy
+    arrival_deadline = np.full(q, q, dtype=np.int64)
+    arrival_deadline[a_idx] = d_idx
 
-    machinery: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def convolve_rows(left: np.ndarray, right: np.ndarray, cap: int) -> np.ndarray:
-        order, starts = machinery.setdefault(cap, _maxplus_machinery(cap))
-        stacked = (left[:, :, None] + right[:, None, :]).reshape(left.shape[0], -1)
-        return np.maximum.reduceat(stacked[:, order], starts, axis=1)[:, : cap + 1]
-
+    # table[i + 1, j + 1] is the budget vector of [i, j], zero when [i, j]
+    # contains no job.  Every vector is exactly non-decreasing and constant
+    # beyond its own cap, and a gains column is constant beyond its member
+    # count, which is what lets _maxplus_columns skip shifts.
     table = np.zeros((q + 2, q + 2, budget + 1))
     for width in range(q):
-        for i in range(q - width):
-            j = i + width
-            contained = int(cnt[q, j + 1] - cnt[i, j + 1])
-            if contained == 0:
-                continue
-            cap = min(budget, contained)
-            cols = cap + 1
-            z_all = np.arange(i, j + 1, dtype=np.int64)
-            member_counts = (
-                cnt[z_all + 1, j + 1] - cnt[i, j + 1] - cnt[z_all + 1, z_all] + cnt[i, z_all]
-            )
-            has_members = member_counts > 0
-            # consecutive memberless anchors split identically; keep the first of each run
-            keep = has_members.copy()
-            keep[0] = True
-            keep[1:] |= has_members[:-1]
-            z_vec = z_all[keep]
-            kept_members = has_members[keep]
+        i = np.arange(q - width, dtype=np.int64)
+        j = i + width
+        contained = cnt[q, j + 1] - cnt[i, j + 1]
+        live = contained > 0
+        if not live.any():
+            continue
+        i, j, contained = i[live], j[live], contained[live]
+        caps = np.minimum(budget, contained)
+        cols = int(caps.max()) + 1
 
-            left = table[i + 1, z_vec, :cols]
-            right = table[z_vec + 2, j + 1, :cols]
-            split = convolve_rows(left, right, cap)
+        z = i[:, None] + np.arange(width + 1, dtype=np.int64)[None, :]
+        ii, jj = i[:, None], (j + 1)[:, None]
+        has_members = (cnt[z + 1, jj] - cnt[ii, jj] - cnt[z + 1, z] + cnt[ii, z]) > 0
+        keep = has_members.copy()
+        keep[:, 0] = True
+        keep[:, 1:] |= has_members[:, :-1]
+        cell, offset = np.nonzero(keep)
+        ci, cj = i[cell], j[cell]
+        cz = ci + offset
 
-            gains = np.zeros((z_vec.size, cols))
-            budget_axis = np.arange(cols)
-            for row, z in enumerate(z_vec):
-                if not kept_members[row]:
-                    continue
-                cov = cover_order[z]
-                members = cov[(a_idx[cov] >= i) & (d_idx[cov] <= j)]
-                anchor = arrival_at[z]
-                anchor_energy = 0.0
-                if anchor >= 0 and a_idx[anchor] >= i and d_idx[anchor] <= j:
-                    anchor_energy = float(energy[anchor])
-                    members = members[members != anchor]
-                picked_energy = np.concatenate(([0.0], np.cumsum(energy[members])))
-                picked_single = np.concatenate(([0.0], np.cumsum(single_cost[members])))
-                values = np.asarray(cost(anchor_energy + picked_energy), dtype=np.float64)
-                values += picked_single[-1] - picked_single
-                gains[row] = values[np.minimum(budget_axis, members.size)]
-            best = convolve_rows(gains, split, cap).max(axis=0)
-            cell = table[i + 1, j + 1]
-            cell[:cols] = best
-            if cols <= budget:
-                cell[cols:] = best[-1]
+        # split: the best use of each budget on [i, z-1] and [z+1, j] together;
+        # addition commutes exactly, so shift whichever side saturates first
+        left_cap = np.minimum(budget, cnt[q, cz] - cnt[ci, cz])
+        right_cap = np.minimum(budget, cnt[q, cj + 1] - cnt[cz + 1, cj + 1])
+        swap = right_cap < left_cap
+        reach = np.minimum(left_cap, right_cap)
+        by_reach = np.argsort(-reach, kind="stable")
+        lx, ly = np.where(swap, cz + 2, ci + 1)[by_reach], np.where(swap, cj + 1, cz)[by_reach]
+        rx, ry = np.where(swap, ci + 1, cz + 2)[by_reach], np.where(swap, cz, cj + 1)[by_reach]
+        split = _maxplus_columns(table[lx, ly, :cols].T, table[rx, ry, :cols].T.copy(), reach[by_reach])
+
+        # gains: the clique anchored at z with its first m members, by member count
+        anchored = arrival_deadline[cz] <= cj
+        member_count = cnt[cz + 1, cj + 1] - cnt[ci, cj + 1] - cnt[cz + 1, cz] + cnt[ci, cz] - anchored
+        by_count = np.argsort(-member_count, kind="stable")
+        gi, gj, gz, count = ci[by_count], cj[by_count], cz[by_count], member_count[by_count]
+        members = cover[gz]
+        inside = (a_ext[members] >= gi[:, None]) & (d_ext[members] <= gj[:, None])
+        # stable compaction keeps the energy order, so each cumsum adds the same terms in turn;
+        # zeroing the non-members behind them holds every prefix flat from the member count on
+        members = np.take_along_axis(members, np.argsort(~inside, axis=1, kind="stable"), axis=1)
+        listed = np.arange(width_k) < count[:, None]
+        span = max(width_k, cols - 1) + 1
+        anchor_energy = np.where(anchored[by_count], arrival_energy[gz], 0.0)[:, None]
+        picked = _flat_prefix(energy_ext[members], listed, span)[:, :cols] + anchor_energy
+        gains = np.asarray(cost(picked), dtype=np.float64)
+        # members covering z but left out are charged as singletons
+        picked = _flat_prefix(single_ext[members], listed, span)
+        gains += picked[:, -1:] - picked[:, :cols]
+        del picked
+
+        split = split[:, np.argsort(by_reach)[by_count]]
+        value = _maxplus_columns(gains.T, split, count)
+        del gains, split  # keeps the peak at a few (budget, rows) arrays
+        # back to rows grouped by interval, then the best anchor of each
+        best = np.maximum.reduceat(value[:, np.argsort(by_count)], np.flatnonzero(offset == 0), axis=1)
+        saturate = np.minimum(np.arange(budget + 1)[:, None], caps)
+        table[i + 1, j + 1] = np.take_along_axis(best, saturate, axis=0).T
 
     curve = table[1, q].copy()
     if max_budget > budget:

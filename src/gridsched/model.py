@@ -19,7 +19,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 ENERGY_TOL = 1e-9
-"""Absolute tolerance for energy-conservation checks on real-valued schedules."""
+"""Relative tolerance for energy-conservation checks on real-valued schedules.
+
+A job's allocations must sum to its energy within ENERGY_TOL * max(1, energy),
+so the check scales with the data and is absolute for energies below 1.
+"""
 
 INSTANCE_CSV_HEADER = ("id", "arrival", "deadline", "energy")
 
@@ -159,7 +163,7 @@ class Schedule:
 
     Invariants enforced at construction: allocations are non-negative,
     stay inside each job's window, and sum to each job's energy within
-    ENERGY_TOL.  Zero entries are dropped.
+    ENERGY_TOL * max(1, energy).  Zero entries are dropped.
     """
 
     instance: Instance
@@ -183,7 +187,7 @@ class Schedule:
             cleaned[(job_id, slot)] = cleaned.get((job_id, slot), 0.0) + amount
             totals[job_id] += amount
         for job in instance.jobs:
-            if abs(totals[job.id] - job.energy) > ENERGY_TOL:
+            if abs(totals[job.id] - job.energy) > ENERGY_TOL * max(1.0, job.energy):
                 raise ValueError(
                     f"job {job.id}: allocated {totals[job.id]!r} does not conserve energy {job.energy!r}"
                 )

@@ -18,7 +18,7 @@ from gridsched.model import AttackPlan, CostModel, Instance, Job, baseline_cost
 from gridsched.oracle import brute_force_max_cost, exact_limited_attack_curve
 from gridsched.scheduler import min_cost
 
-from helpers import random_instance
+from helpers import random_instance, reference_limited_attack_curve
 
 QUAD = CostModel(2.0)
 
@@ -226,6 +226,14 @@ class TestLimitedGreedyAttack:
         assert plan.compressed == {i: 5 for i in range(1, 11)}
         self._check_plan(inst, plan, value, 10)
 
+    def test_members_already_pinned_cost_no_budget(self):
+        # job 0 already sits on [1, 1]: compressing both jobs at slot 1 alters only job 1
+        inst = Instance([Job(0, 1, 1, 1.0), Job(1, 1, 3, 5.0)])
+        plan, value = limited_greedy_attack(inst, 0.5, QUAD)
+        assert value == pytest.approx(36.0, abs=1e-9)
+        assert plan.size == 1
+        self._check_plan(inst, plan, value, 1)
+
     @staticmethod
     def _check_plan(inst, plan, value, budget):
         plan.validate(inst)
@@ -287,6 +295,36 @@ class TestLimitedAttackDp:
         inst = two_job_instance()
         curve = limited_attack_curve(inst, QUAD, 5)
         assert curve[2] == curve[3] == curve[4] == curve[5]
+
+    def test_curve_matches_reference_exactly(self):
+        rng = np.random.default_rng(55)
+        for exponent in (1.0, 1.5, 2.0, 3.0):
+            cost = CostModel(exponent)
+            instances = [random_instance(rng, max_jobs=9, max_gap=2, max_window=6) for _ in range(8)]
+            instances.append(make_identical_instance(8, 5.0, 4, 1))  # energy ties everywhere
+            for inst in instances:
+                for max_budget in (0, inst.n // 2, inst.n, inst.n + 2):
+                    expected = reference_limited_attack_curve(inst, cost, max_budget)
+                    assert np.array_equal(limited_attack_curve(inst, cost, max_budget), expected)
+
+    def test_curve_exact_values_pinned(self):
+        # exact float equality: the evaluation order of the recursion is part of the contract
+        assert limited_attack_curve(two_job_instance(), QUAD, 2).tolist() == [8.0, 16.0, 16.0]
+        assert limited_attack_curve(make_identical_instance(12, 5.0, 6, 2), QUAD, 12).tolist() == [
+            300.0, 350.0, 450.0, 600.0, 650.0, 750.0, 900.0, 950.0, 1050.0, 1200.0, 1200.0, 1200.0, 1200.0,
+        ]
+        inst = random_instance(np.random.default_rng(53), max_jobs=9, min_jobs=8, max_gap=2, max_window=7)
+        cubic = CostModel(3.0)
+        assert limited_attack_curve(inst, cubic, inst.n).tolist() == [
+            514.5494496042471, 951.610473935051, 1941.309755446665, 3020.291157265676,
+            3457.35218159648, 3457.35218159648, 3457.35218159648, 3457.35218159648,
+            3457.35218159648, 3457.35218159648,
+        ]
+        assert limited_attack_curve(inst, cubic, 0).tolist() == [514.5494496042471]
+        assert limited_attack_curve(two_job_instance(), QUAD, 5).tolist() == [8.0] + [16.0] * 5
+        single = Instance([Job(0, 3, 6, 2.5)])
+        assert limited_attack_curve(single, QUAD, 3).tolist() == [6.25, 6.25, 6.25, 6.25]
+        assert limited_attack_curve(single, QUAD, 0).tolist() == [6.25]
 
 
 class TestAttackOrderingChain:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridsched.harness import GenParams, generate_instance
 from gridsched.model import CostModel, Instance, Job, baseline_cost, evaluate_cost
 from gridsched.oracle import check_min_optimality
 from gridsched.scheduler import (
@@ -155,6 +156,14 @@ class TestScheduleOptimalOffline:
             inst = random_instance(rng, max_jobs=9)
             levels = [level for _, level in optimal_load_segments(inst)]
             assert all(levels[i] >= levels[i + 1] - 1e-9 for i in range(len(levels) - 1))
+
+    @pytest.mark.parametrize("low, high", [(1e5, 1e6), (1e7, 1e8), (1e11, 1e12)])
+    def test_large_energies_conserve_within_relative_tolerance(self, low, high):
+        # float error in the EDF fill grows with the energy scale; conservation is checked relative to it
+        for seed in range(2):
+            inst = generate_instance(GenParams(200, 2.0, 40.0, low, high, seed))
+            sched = schedule_optimal_offline(inst, QUAD)
+            assert evaluate_cost(sched, QUAD) <= baseline_cost(inst, QUAD) * (1 + 1e-12)
 
     def test_certified_optimal_on_randoms(self):
         rng = np.random.default_rng(9)
