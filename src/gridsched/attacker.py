@@ -11,10 +11,10 @@ A budget-limited attacker alters at most floor(beta * n) jobs.  The
 greedy strategy reuses the unlimited partition, picks whole cliques by
 fractional knapsack and spends the leftover budget on the highest-energy
 members of the next clique, unless spending the whole budget inside that
-clique, whose members already pinned at its slot join for free, is worth
-more; it reports the cost of the compressed components only, a certified
-lower bound.  A second dynamic program estimates an upper bound by
-optimizing the attack against a controller that serves demands
+clique is worth more; members already pinned at their clique's slot join
+for free.  It reports the cost of the compressed components only, a
+certified lower bound.  A second dynamic program estimates an upper
+bound by optimizing the attack against a controller that serves demands
 inelastically at their arrival slots.
 """
 
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     AttackPlan,
@@ -125,6 +126,18 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     contained jobs covering z) and recurses on [k, z-1] and [z+1, l].
     Returns the full-compression plan, the achieving partition, and the
     maximum cost.  Ties prefer the smallest anchor slot.
+
+    Clique energies come from 2-D prefix sums by inclusion-exclusion.  For
+    a fixed width w every operand is affine in the interval start i and
+    the anchor offset k (z = i + k, j = i + w), so each is stored once in
+    a skewed table, indexed by start or by end, and a whole width is
+    evaluated on basic slices of those tables, in the same operation order
+    and with the same first-maximum tie rule as an anchor-by-anchor loop.
+    The rounding residue of the inclusion-exclusion can leave a clique that
+    contains no job a slightly negative energy, whose cost a non-integer
+    exponent makes NaN; such a cost counts as zero.  Integer exponents
+    keep the residue's own cost, so their results stay bit for bit those
+    of the plain evaluation.
     """
     if instance.n == 0:
         return AttackPlan.empty(), CliquePartition(()), 0.0
@@ -136,24 +149,43 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     weights = np.bincount(a_idx * q + d_idx, weights=energies, minlength=q * q).reshape(q, q)
     prefix = np.zeros((q + 1, q + 1))
     prefix[1:, 1:] = weights.cumsum(axis=0).cumsum(axis=1)
+    del weights  # the loop below holds six q-by-q tables; a seventh would only raise the peak
 
-    table = np.zeros((q + 2, q + 2))
-    anchor = np.zeros((q, q), dtype=np.int64)
-    for width in range(q):
-        i = np.arange(q - width, dtype=np.int64)
-        j = i + width
-        z = i[:, None] + np.arange(width + 1, dtype=np.int64)[None, :]
-        jj = (j + 1)[:, None]
-        ii = i[:, None]
-        # clique energy: jobs with arrival index in [i, z] and deadline index in [z, j]
-        clique = prefix[z + 1, jj] - prefix[ii, jj] - prefix[z + 1, z] + prefix[ii, z]
-        left = table[ii + 1, z]
-        right = table[z + 2, jj]
-        combined = cost(clique) + left + right
-        table[i + 1, j + 1] = combined.max(axis=1)
-        anchor[i, j] = i + combined.argmax(axis=1)
-    c_max = float(table[1, q])
+    # skewed copies of prefix, so that every operand of a width is a basic slice:
+    # by_start[i, m] = prefix[i, i+m], by_end[j, q-m] = prefix[j+1-m, j+1] and
+    # diag[i, m] = prefix[i+m+1, i+m]; entries past the table edge are never read
+    by_start = np.zeros((q, q + 1))
+    by_end = np.zeros((q, q + 1))
+    for row in range(q):
+        by_start[row, : q + 1 - row] = prefix[row, row:]
+        by_end[row, q - row - 1 :] = prefix[: row + 2, row + 1]
+    diag = sliding_window_view(np.append(np.diagonal(prefix, -1), np.zeros(q)), q + 1)
 
+    # lefts[i, k]: value of [i, i+k-1]; rights[j, q-m]: value of [j-m+1, j]
+    lefts = np.zeros((q, q + 1))
+    rights = np.zeros((q, q + 1))
+    offset = np.zeros((q, q), dtype=np.int64)  # offset[i, j]: best anchor of [i, j] minus i
+    diagonals = offset.ravel()  # diagonals[w :: q+1] runs along the intervals of width w
+    with np.errstate(invalid="ignore"):
+        for width in range(q):
+            count = q - width
+            # clique energy: jobs with arrival index in [i, z] and deadline index in [z, j]
+            clique = np.subtract(by_end[width:, q - width :], by_start[:count, width + 1 : width + 2])
+            clique -= diag[:count, : width + 1]
+            clique += by_start[:count, : width + 1]
+            combined = cost(clique)
+            # a clique with no job may carry a rounding residue just below zero, which a
+            # non-integer exponent turns into NaN; such a clique costs nothing
+            np.copyto(combined, 0.0, where=np.isnan(combined))
+            combined += lefts[:count, : width + 1]
+            combined += rights[width:, q - width :]
+            diagonals[width :: q + 1][:count] = combined.argmax(axis=1)
+            value = combined.max(axis=1)
+            lefts[:count, width + 1] = value
+            rights[width:, q - width - 1] = value
+    c_max = float(lefts[0, q])
+
+    job_ids = np.array([job.id for job in instance.jobs], dtype=np.int64)
     blocks: list[CliqueBlock] = []
     stack = [(0, q - 1)]
     while stack:
@@ -162,14 +194,10 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
             continue
         if prefix[q, j + 1] - prefix[i, j + 1] == 0.0:
             continue  # no contained jobs
-        z = int(anchor[i, j])
-        members = frozenset(
-            job.id
-            for job, ai, di in zip(instance.jobs, a_idx, d_idx)
-            if i <= ai <= z <= di <= j
-        )
-        if members:
-            blocks.append(CliqueBlock(int(points[z]), members))
+        z = i + int(offset[i, j])
+        members = job_ids[(a_idx >= i) & (a_idx <= z) & (d_idx >= z) & (d_idx <= j)]
+        if members.size:
+            blocks.append(CliqueBlock(int(points[z]), frozenset(members.tolist())))
         stack.append((i, z - 1))
         stack.append((z + 1, j))
     blocks.sort(key=lambda block: block.slot)
@@ -222,11 +250,13 @@ def limited_greedy_from_partition(
     clique.  Two selections are compared: (a) those whole cliques plus the
     highest-energy members of the next clique that the leftover budget
     pays for, and (b) the whole budget spent inside the next clique on its
-    highest-energy members whose window changes, together with its members
-    already pinned at the clique slot, which compressing does not alter.
-    The better of the two is adopted (ties to (a)), and only the
-    compressed components are counted, so the reported value is a lower
-    bound on what the attack actually forces.
+    highest-energy members.  A member already pinned at its clique's slot
+    (window [slot, slot]) is not altered by compressing it, so it uses no
+    budget: the leftover of (a) counts only the altered members of the
+    whole cliques, and both (a) and (b) take every pinned member of the
+    next clique.  The better of the two is adopted (ties to (a)), and only
+    the compressed components are counted, so the reported value is a
+    lower bound on what the attack actually forces.
     """
     budget = attack_budget(beta, instance.n)
     blocks = partition.blocks
@@ -240,7 +270,14 @@ def limited_greedy_from_partition(
         min(1.0, budget / sum(block_size)),
     )
     whole_blocks = [blocks[idx] for idx in clique_pick.order[: clique_pick.chosen_count]]
-    leftover = budget - sum(len(block.members) for block in whole_blocks)
+
+    def is_pinned(jid: int, slot: int) -> bool:
+        job = instance.job(jid)
+        return job.arrival == job.deadline == slot
+
+    leftover = budget - sum(
+        not is_pinned(jid, block.slot) for block in whole_blocks for jid in block.members
+    )
 
     ranked: list[int] = []
     pinned: list[int] = []
@@ -249,12 +286,10 @@ def limited_greedy_from_partition(
         nxt = blocks[clique_pick.order[clique_pick.chosen_count]]
         next_slot = nxt.slot
         ranked = sorted(nxt.members, key=lambda jid: (-instance.job(jid).energy, jid))
-        # members whose window already is [next_slot, next_slot]: compressing them alters nothing
-        pinned = [
-            jid for jid in ranked if instance.job(jid).arrival == instance.job(jid).deadline == next_slot
-        ]
-    top_up = ranked[:leftover]
-    inside = pinned + [jid for jid in ranked if jid not in pinned][:budget]
+        pinned = [jid for jid in ranked if is_pinned(jid, next_slot)]
+    altered = [jid for jid in ranked if jid not in pinned]
+    top_up = pinned + altered[:leftover]
+    inside = pinned + altered[:budget]
 
     def members_cost(job_ids: list[int]) -> float:
         return float(cost(sum(instance.job(jid).energy for jid in job_ids)))

@@ -94,3 +94,62 @@ def reference_limited_attack_curve(instance: Instance, cost, max_budget: int) ->
             table[i + 1, j + 1, cols:] = best[-1]
     curve = table[1, q]
     return np.concatenate([curve, np.full(max_budget - budget, curve[-1])])
+
+
+def reference_full_attack_dp(instance: Instance, cost) -> tuple[float, list[tuple[int, frozenset[int]]]]:
+    """Interval-by-interval, anchor-by-anchor evaluation of full_attack_dp's recursion.
+
+    Builds the same 2-D prefix sums, forms every sum in the same order and
+    lets the first best anchor win ties, so the two agree exactly.  Returns
+    the value and the partition as (slot, members) pairs sorted by slot.
+    """
+    if instance.n == 0:
+        return 0.0, []
+    points = sorted(instance.endpoints())
+    q = len(points)
+    a_idx = [points.index(j.arrival) for j in instance.jobs]
+    d_idx = [points.index(j.deadline) for j in instance.jobs]
+    weights = [[0.0] * q for _ in range(q)]
+    for job, a, d in zip(instance.jobs, a_idx, d_idx):
+        weights[a][d] += job.energy
+    column = [[0.0] * q for _ in range(q)]  # cumulative sums down each column
+    prefix = [[0.0] * (q + 1) for _ in range(q + 1)]
+    for r in range(q):
+        for c in range(q):
+            column[r][c] = weights[r][c] if r == 0 else column[r - 1][c] + weights[r][c]
+            prefix[r + 1][c + 1] = column[r][c] if c == 0 else prefix[r + 1][c] + column[r][c]
+
+    value = [[0.0] * (q + 1) for _ in range(q + 1)]  # value[i][j + 1] of [i, j]; empty is 0
+    anchor = [[0] * q for _ in range(q)]
+    for width in range(q):
+        for i in range(q - width):
+            j = i + width
+            cliques = [
+                prefix[z + 1][j + 1] - prefix[i][j + 1] - prefix[z + 1][z] + prefix[i][z]
+                for z in range(i, j + 1)
+            ]
+            with np.errstate(invalid="ignore"):
+                costs = np.asarray(cost(np.array(cliques)), dtype=np.float64)
+            best, best_z = -np.inf, i
+            for z, clique_cost in zip(range(i, j + 1), costs.tolist()):
+                total = (0.0 if np.isnan(clique_cost) else clique_cost) + value[i][z] + value[z + 1][j + 1]
+                if total > best:
+                    best, best_z = total, z
+            value[i][j + 1] = best
+            anchor[i][j] = best_z
+
+    blocks = []
+    stack = [(0, q - 1)]
+    while stack:
+        i, j = stack.pop()
+        if i > j or not any(i <= a and d <= j for a, d in zip(a_idx, d_idx)):
+            continue
+        z = anchor[i][j]
+        members = frozenset(
+            job.id for job, a, d in zip(instance.jobs, a_idx, d_idx) if i <= a <= z <= d <= j
+        )
+        if members:
+            blocks.append((points[z], members))
+        stack.append((i, z - 1))
+        stack.append((z + 1, j))
+    return value[0][q], sorted(blocks, key=lambda block: block[0])

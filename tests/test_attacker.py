@@ -13,12 +13,17 @@ from gridsched.attacker import (
     online_edf_attack,
     realized_attack_cost,
 )
-from gridsched.harness import make_identical_instance
+from gridsched.harness import GenParams, generate_instance, make_identical_instance
 from gridsched.model import AttackPlan, CostModel, Instance, Job, baseline_cost
 from gridsched.oracle import brute_force_max_cost, exact_limited_attack_curve
 from gridsched.scheduler import min_cost
 
-from helpers import random_instance, reference_limited_attack_curve
+from helpers import (
+    random_instance,
+    random_instance_in_horizon,
+    reference_full_attack_dp,
+    reference_limited_attack_curve,
+)
 
 QUAD = CostModel(2.0)
 
@@ -86,6 +91,54 @@ class TestFullAttackDp:
                 QUAD(partition.block_energy(inst, block)) for block in partition.blocks
             )
             assert recomputed == pytest.approx(value, rel=1e-12)
+
+    def test_matches_reference_exactly(self):
+        rng = np.random.default_rng(56)
+        for exponent in (1.0, 2.0, 3.0):
+            cost = CostModel(exponent)
+            instances = [random_instance(rng, max_jobs=10, max_gap=2, max_window=6) for _ in range(10)]
+            # colliding arrivals and shared windows
+            instances += [random_instance_in_horizon(rng, 12, 8, max_window=6) for _ in range(10)]
+            instances.append(make_identical_instance(8, 5.0, 4, 1))
+            for inst in instances:
+                _, partition, value = full_attack_dp(inst, cost)
+                expected_value, expected_blocks = reference_full_attack_dp(inst, cost)
+                assert value == expected_value
+                assert [(block.slot, block.members) for block in partition.blocks] == expected_blocks
+
+    def test_exact_values_pinned(self):
+        # exact float equality: the evaluation order of the recursion is part of the contract
+        assert full_attack_dp(two_job_instance(), QUAD)[2] == 16.0
+        _, partition, value = full_attack_dp(make_identical_instance(12, 5.0, 6, 2), QUAD)
+        assert value == 1200.0
+        assert [(b.slot, sorted(b.members)) for b in partition.blocks] == [
+            (7, [0, 1, 2, 3]), (15, [4, 5, 6, 7]), (23, [8, 9, 10, 11]),
+        ]
+        draw = generate_instance(GenParams(100, 5.0, 25.0, 1.0, 5.0, 11))
+        assert full_attack_dp(draw, CostModel(1.0))[2] == 294.9028890816086
+        assert full_attack_dp(draw, QUAD)[2] == 6097.429246557941
+        assert full_attack_dp(draw, CostModel(3.0))[2] == 178980.3489693882
+
+    def test_non_integer_exponent_is_finite(self):
+        # cliques without jobs carry rounding residues just below zero, which
+        # a fractional power would turn into NaN
+        draw = generate_instance(GenParams(100, 5.0, 25.0, 1.0, 5.0, 11))
+        cost = CostModel(1.5)
+        _, partition, value = full_attack_dp(draw, cost)
+        assert np.isfinite(value)
+        partition.validate(draw)
+        recomputed = sum(cost(partition.block_energy(draw, block)) for block in partition.blocks)
+        assert recomputed == pytest.approx(value, rel=1e-12)
+
+    def test_non_integer_exponent_matches_brute_force(self):
+        rng = np.random.default_rng(57)
+        for exponent in (1.5, 2.5):
+            cost = CostModel(exponent)
+            for _ in range(40):
+                inst = random_instance(rng, max_jobs=7)
+                _, partition, value = full_attack_dp(inst, cost)
+                partition.validate(inst)
+                assert value == pytest.approx(brute_force_max_cost(inst, cost), rel=1e-9)
 
 
 class TestOnlineEdfAttack:
@@ -219,7 +272,7 @@ class TestLimitedGreedyAttack:
     def test_whole_budget_inside_next_clique_still_wins(self):
         # whole cliques plus top-up give 1 + 2.7^2 = 8.29; ten members of the
         # larger clique give 3^2 = 9
-        jobs = [Job(0, 1, 1, 1.0)] + [Job(i, 5, 5, 0.3) for i in range(1, 11)]
+        jobs = [Job(0, 1, 2, 1.0)] + [Job(i, 5, 6, 0.3) for i in range(1, 11)]
         inst = Instance(jobs)
         plan, value = limited_greedy_attack(inst, 10 / 11, QUAD)
         assert value == pytest.approx(9.0, abs=1e-9)
@@ -233,6 +286,18 @@ class TestLimitedGreedyAttack:
         assert value == pytest.approx(36.0, abs=1e-9)
         assert plan.size == 1
         self._check_plan(inst, plan, value, 1)
+
+    def test_pinned_members_of_whole_cliques_cost_no_budget(self):
+        # every job already sits on [1, 1] or [5, 5]: the whole partition is
+        # compressed without altering anything, so the budget of 10 reaches c_max
+        jobs = [Job(0, 1, 1, 1.0)] + [Job(i, 5, 5, 0.3) for i in range(1, 11)]
+        inst = Instance(jobs)
+        _, _, c_max = full_attack_dp(inst, QUAD)
+        plan, value = limited_greedy_attack(inst, 10 / 11, QUAD)
+        assert value == pytest.approx(c_max, abs=1e-9)
+        assert value == pytest.approx(10.0, abs=1e-9)
+        assert plan.size == 0
+        self._check_plan(inst, plan, value, 10)
 
     @staticmethod
     def _check_plan(inst, plan, value, budget):

@@ -124,6 +124,14 @@ class TestRunExperimentFig3:
             assert row["c_max_online"] <= row["c_max_offline"] + 1e-9
             assert row["max_offline_over_base"] == pytest.approx(row["c_max_offline"] / row["c_base"])
 
+    def test_non_integer_exponent_gives_finite_rows(self):
+        result = run_experiment(ExperimentConfig.default(Experiment.FIG3_COSTS, seed=7, trials=1, exponent=1.5))
+        assert len(result.rows) == 10
+        assert "nan" not in result.to_csv_text()
+        for row in result.rows_as_dicts():
+            assert all(np.isfinite(value) for value in row.values())
+            assert row["c_max_online"] <= row["c_max_offline"] + 1e-9 * row["c_max_offline"]
+
 
 class TestRunExperimentFig4:
     def test_rows_and_bound_order(self):

@@ -1,0 +1,93 @@
+"""Metamorphic properties of the attack DP, the peel and the budgeted attacks."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridsched.attacker import (
+    full_attack_dp,
+    limited_attack_curve,
+    limited_greedy_from_partition,
+)
+from gridsched.model import CostModel, Instance, Job
+from gridsched.scheduler import min_cost
+
+EXPONENTS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+
+# (arrival, allowance, energy) per job; arrivals may collide
+JOB_SPECS = st.lists(
+    st.tuples(
+        st.integers(1, 10),
+        st.integers(0, 5),
+        st.floats(0.5, 8.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+def build(specs, ids=None, shift=0, scale=1.0) -> Instance:
+    ids = range(len(specs)) if ids is None else ids
+    return Instance(
+        Job(jid, arrival + shift, arrival + allowance + shift, energy * scale)
+        for jid, (arrival, allowance, energy) in zip(ids, specs)
+    )
+
+
+def attack_and_peel(instance: Instance, cost: CostModel) -> tuple[float, float]:
+    return full_attack_dp(instance, cost)[2], min_cost(instance, cost)
+
+
+@settings(max_examples=40)
+@given(JOB_SPECS, st.integers(1, 50), EXPONENTS)
+def test_shifting_every_slot_changes_nothing(specs, shift, exponent):
+    cost = CostModel(exponent)
+    # both work on the order of the window endpoints only
+    assert attack_and_peel(build(specs, shift=shift), cost) == attack_and_peel(build(specs), cost)
+
+
+@settings(max_examples=40)
+@given(JOB_SPECS, st.randoms(use_true_random=False), EXPONENTS)
+def test_permuting_job_ids_changes_nothing(specs, random, exponent):
+    cost = CostModel(exponent)
+    ids = list(range(len(specs)))
+    random.shuffle(ids)
+    # jobs sharing an arrival are ordered by id, so energies may be summed in another order
+    permuted = attack_and_peel(build(specs, ids=ids), cost)
+    assert permuted == pytest.approx(attack_and_peel(build(specs), cost), rel=1e-12)
+
+
+@settings(max_examples=40)
+@given(JOB_SPECS, st.floats(0.01, 100.0), EXPONENTS)
+def test_scaling_energies_scales_costs_by_power(specs, scale, exponent):
+    cost = CostModel(exponent)
+    scaled = attack_and_peel(build(specs, scale=scale), cost)
+    expected = [value * scale**exponent for value in attack_and_peel(build(specs), cost)]
+    assert scaled == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=40)
+@given(JOB_SPECS, EXPONENTS)
+def test_full_budget_greedy_equals_optimal_attack(specs, exponent):
+    cost = CostModel(exponent)
+    inst = build(specs)
+    _, partition, c_max = full_attack_dp(inst, cost)
+    _, value = limited_greedy_from_partition(inst, partition, 1.0, cost)
+    assert value == pytest.approx(c_max, rel=1e-12)
+
+
+@settings(max_examples=30)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 4), st.floats(0.5, 8.0)), min_size=1, max_size=6),
+    EXPONENTS,
+)
+def test_budget_curve_is_monotone(gaps, exponent):
+    # the upper-bound recursion needs at most one arrival per slot
+    arrivals = np.cumsum([gap for gap, _, _ in gaps]).tolist()
+    inst = Instance(
+        Job(idx, arrival, arrival + allowance, energy)
+        for idx, (arrival, (_, allowance, energy)) in enumerate(zip(arrivals, gaps))
+    )
+    curve = limited_attack_curve(inst, CostModel(exponent), inst.n + 1)
+    assert all(curve[m] <= curve[m + 1] for m in range(inst.n + 1))
