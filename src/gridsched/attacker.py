@@ -8,20 +8,21 @@ interval dynamic program over endpoint pairs solves this exactly; a
 single-pass EDF grouping gives an online alternative.
 
 A budget-limited attacker alters at most floor(beta * n) jobs.  The
-greedy strategy reuses the unlimited partition, picks whole cliques by
-fractional knapsack and spends the leftover budget on the highest-energy
-members of the next clique, unless spending the whole budget inside that
-clique is worth more; members already pinned at their clique's slot join
-for free.  It reports the cost of the compressed components only, a
-certified lower bound.  A second dynamic program estimates an upper
-bound by optimizing the attack against a controller that serves demands
+greedy strategy (``limited_greedy_from_partition``) reuses the unlimited
+partition of ``full_attack_dp``, picks whole cliques by cost per member
+and spends the leftover budget on the highest-energy members of the next
+clique, unless spending the whole budget inside that clique is worth
+more; members already pinned at their clique's slot, and cliques pinned
+whole, join for free.  It reports the cost of the compressed components
+only, a certified lower bound.  A second dynamic program
+(``limited_attack_curve``) estimates an upper bound for every budget at
+once by optimizing the attack against a controller that serves demands
 inelastically at their arrival slots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .model import (
     CliquePartition,
     CostModel,
     Instance,
+    _job_arrays,
     apply_attack,
     evaluate_cost,
 )
@@ -48,39 +50,20 @@ def attack_budget(beta: float, n: int) -> int:
     return int(math.floor(beta * n + _BUDGET_EPS))
 
 
-@dataclass(frozen=True)
-class KnapsackResult:
-    """Greedy fractional-knapsack selection.
+def _knapsack_select(
+    items: Sequence[tuple[float, float]], budget_fraction: float
+) -> tuple[tuple[int, ...], int, float]:
+    """Greedy fractional-knapsack selection for a weight budget of ``budget_fraction`` times the total weight.
 
-    ``order`` permutes the input items by non-increasing value/weight
-    ratio (ties by larger value, then input position).  The first
-    ``chosen_count`` items of that order fit the weight budget whole;
-    ``fraction`` of the next item's weight would exhaust it exactly.
-    ``chosen_value`` sums the whole items only.
-    """
-
-    chosen_count: int
-    fraction: float
-    chosen_value: float
-    order: tuple[int, ...]
-
-
-def fractional_knapsack(items: Sequence[tuple[float, float]], budget_fraction: float) -> KnapsackResult:
-    """Greedy solution for a weight budget of ``budget_fraction`` times the total weight.
-
-    Items are (value >= 0, weight > 0) pairs.  Comparisons against the
+    Items are (value >= 0, weight > 0) pairs.  Returns (order, count, value):
+    ``order`` permutes the items by non-increasing value/weight ratio (ties
+    by larger value, then input position), its first ``count`` items fit
+    the budget whole and ``value`` sums them.  Comparisons against the
     budget carry a relative 1e-9 slack so that budgets meant to be whole
     numbers of unit-weight items are not lost to float rounding.
     """
     if not items:
         raise ValueError("fractional knapsack needs at least one item")
-    if not 0.0 <= budget_fraction <= 1.0:
-        raise ValueError(f"budget fraction must lie in [0, 1], got {budget_fraction!r}")
-    for value, weight in items:
-        if weight <= 0.0:
-            raise ValueError(f"item weights must be positive, got {weight!r}")
-        if value < 0.0:
-            raise ValueError(f"item values must be non-negative, got {value!r}")
 
     order = sorted(
         range(len(items)),
@@ -95,27 +78,18 @@ def fractional_knapsack(items: Sequence[tuple[float, float]], budget_fraction: f
     value_sum = 0.0
     for idx in order:
         value, weight = items[idx]
-        if used + weight <= budget + slack:
-            used += weight
-            value_sum += value
-            chosen += 1
-        else:
+        if used + weight > budget + slack:
             break
-    if chosen < len(items):
-        next_weight = items[order[chosen]][1]
-        fraction = min(1.0, max(0.0, (budget - used) / next_weight))
-    else:
-        fraction = 0.0
-    return KnapsackResult(chosen, fraction, value_sum, tuple(order))
+        used += weight
+        value_sum += value
+        chosen += 1
+    return tuple(order), chosen, value_sum
 
 
-def _endpoint_index(instance: Instance):
-    points = np.array(instance.endpoints(), dtype=np.int64)
-    arrivals = np.array([j.arrival for j in instance.jobs], dtype=np.int64)
-    deadlines = np.array([j.deadline for j in instance.jobs], dtype=np.int64)
-    a_idx = np.searchsorted(points, arrivals)
-    d_idx = np.searchsorted(points, deadlines)
-    return points, a_idx, d_idx
+def _endpoint_index(arrivals: np.ndarray, deadlines: np.ndarray):
+    """Sorted endpoint slots and each job's arrival and deadline position among them."""
+    points = np.unique(np.concatenate((arrivals, deadlines)))
+    return points, np.searchsorted(points, arrivals), np.searchsorted(points, deadlines)
 
 
 def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
@@ -142,9 +116,9 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     if instance.n == 0:
         return AttackPlan.empty(), CliquePartition(()), 0.0
 
-    points, a_idx, d_idx = _endpoint_index(instance)
+    job_ids, arrivals, deadlines, energies = _job_arrays(instance)
+    points, a_idx, d_idx = _endpoint_index(arrivals, deadlines)
     q = points.size
-    energies = np.array([j.energy for j in instance.jobs], dtype=np.float64)
 
     weights = np.bincount(a_idx * q + d_idx, weights=energies, minlength=q * q).reshape(q, q)
     prefix = np.zeros((q + 1, q + 1))
@@ -185,7 +159,6 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
             rights[width:, q - width - 1] = value
     c_max = float(lefts[0, q])
 
-    job_ids = np.array([job.id for job in instance.jobs], dtype=np.int64)
     blocks: list[CliqueBlock] = []
     stack = [(0, q - 1)]
     while stack:
@@ -254,22 +227,25 @@ def limited_greedy_from_partition(
     (window [slot, slot]) is not altered by compressing it, so it uses no
     budget: the leftover of (a) counts only the altered members of the
     whole cliques, and both (a) and (b) take every pinned member of the
-    next clique.  The better of the two is adopted (ties to (a)), and only
-    the compressed components are counted, so the reported value is a
-    lower bound on what the attack actually forces.
+    next clique.  The better of the two is adopted (ties to (a)).  Every
+    other clique whose members are all pinned is then compressed too, for
+    free.  Only the compressed components are counted, so the reported
+    value is a lower bound on what the attack actually forces.  With
+    beta = 1 the whole partition is compressed and the value equals the
+    optimal unlimited attack.
     """
     budget = attack_budget(beta, instance.n)
     blocks = partition.blocks
     if not blocks:
         return AttackPlan.empty(), 0.0
 
-    block_energy = [partition.block_energy(instance, block) for block in blocks]
+    block_value = [float(cost(partition.block_energy(instance, block))) for block in blocks]
     block_size = [len(block.members) for block in blocks]
-    clique_pick = fractional_knapsack(
-        [(float(cost(energy)), float(size)) for energy, size in zip(block_energy, block_size)],
+    order, chosen, chosen_value = _knapsack_select(
+        [(value, float(size)) for value, size in zip(block_value, block_size)],
         min(1.0, budget / sum(block_size)),
     )
-    whole_blocks = [blocks[idx] for idx in clique_pick.order[: clique_pick.chosen_count]]
+    whole_blocks = [blocks[idx] for idx in order[:chosen]]
 
     def is_pinned(jid: int, slot: int) -> bool:
         job = instance.job(jid)
@@ -282,8 +258,8 @@ def limited_greedy_from_partition(
     ranked: list[int] = []
     pinned: list[int] = []
     next_slot = 0
-    if clique_pick.chosen_count < len(blocks):
-        nxt = blocks[clique_pick.order[clique_pick.chosen_count]]
+    if chosen < len(blocks):
+        nxt = blocks[order[chosen]]
         next_slot = nxt.slot
         ranked = sorted(nxt.members, key=lambda jid: (-instance.job(jid).energy, jid))
         pinned = [jid for jid in ranked if is_pinned(jid, next_slot)]
@@ -294,10 +270,14 @@ def limited_greedy_from_partition(
     def members_cost(job_ids: list[int]) -> float:
         return float(cost(sum(instance.job(jid).energy for jid in job_ids)))
 
-    value_whole = clique_pick.chosen_value + members_cost(top_up)
+    value_whole = chosen_value + members_cost(top_up)
     value_inside = members_cost(inside)
+    # cliques beyond the next one whose members all sit at their slot already
+    free = [
+        idx for idx in order[chosen + 1 :] if all(is_pinned(jid, blocks[idx].slot) for jid in blocks[idx].members)
+    ]
 
-    slots: dict[int, int] = {}
+    slots = {jid: blocks[idx].slot for idx in free for jid in blocks[idx].members}
     if value_whole >= value_inside:
         for block in whole_blocks:
             for jid in block.members:
@@ -308,21 +288,7 @@ def limited_greedy_from_partition(
     for jid in picked:
         slots[jid] = next_slot
     plan = AttackPlan.from_compression(instance, slots)
-    return plan, max(value_whole, value_inside)
-
-
-def limited_greedy_attack(instance: Instance, beta: float, cost: CostModel) -> tuple[AttackPlan, float]:
-    """Budgeted greedy attack: optimal partition first, then knapsack selection.
-
-    With beta = 1 the whole partition is compressed and the value equals
-    the optimal unlimited attack exactly.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    if instance.n == 0:
-        return AttackPlan.empty(), 0.0
-    _, partition, _ = full_attack_dp(instance, cost)
-    return limited_greedy_from_partition(instance, partition, beta, cost)
+    return plan, max(value_whole, value_inside) + sum(block_value[idx] for idx in free)
 
 
 def realized_attack_cost(instance: Instance, plan: AttackPlan, cost: CostModel) -> float:
@@ -394,18 +360,16 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     """
     if max_budget < 0:
         raise ValueError("budget must be non-negative")
-    arrivals = [j.arrival for j in instance.jobs]
-    if len(set(arrivals)) != len(arrivals):
+    job_ids, arrivals, deadlines, energy = _job_arrays(instance)
+    if np.unique(arrivals).size != arrivals.size:
         raise ValueError("upper-bound recursion requires at most one arrival per slot")
     n = instance.n
     if n == 0:
         return np.zeros(max_budget + 1)
 
     budget = min(max_budget, n)
-    points, a_idx, d_idx = _endpoint_index(instance)
+    points, a_idx, d_idx = _endpoint_index(arrivals, deadlines)
     q = points.size
-    energy = np.array([j.energy for j in instance.jobs], dtype=np.float64)
-    job_ids = np.array([j.id for j in instance.jobs], dtype=np.int64)
     single_cost = np.asarray(cost(energy), dtype=np.float64)
 
     counts = np.bincount(a_idx * q + d_idx, minlength=q * q).reshape(q, q)
@@ -499,16 +463,3 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     if max_budget > budget:
         curve = np.concatenate([curve, np.full(max_budget - budget, curve[-1])])
     return curve
-
-
-def limited_attack_dp(instance: Instance, beta: float, cost: CostModel) -> float:
-    """Upper-bound estimate for the budgeted attack at fraction beta.
-
-    See limited_attack_curve for the recursion; this evaluates it at
-    budget floor(beta * n).  At beta = 0 the value is the inelastic
-    baseline cost.
-    """
-    budget = attack_budget(beta, instance.n)
-    if instance.n == 0:
-        return 0.0
-    return float(limited_attack_curve(instance, cost, budget)[budget])

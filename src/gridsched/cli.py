@@ -14,12 +14,12 @@ from .analysis import bound_report
 from .attacker import (
     attack_budget,
     full_attack_dp,
-    limited_greedy_attack,
+    limited_greedy_from_partition,
     online_edf_attack,
 )
 from .harness import Experiment, ExperimentConfig, run_experiment
 from .model import CostModel, evaluate_cost, read_instance_csv
-from .oracle import brute_force_limited_attack, brute_force_max_cost, check_min_optimality
+from .oracle import brute_force_max_cost, check_min_optimality, exact_limited_attack_curve
 from .scheduler import schedule_optimal_offline
 
 
@@ -68,9 +68,12 @@ def _cmd_attack_online(args) -> int:
 
 def _cmd_attack_limited(args) -> int:
     instance = read_instance_csv(args.instance)
-    plan, value = limited_greedy_attack(instance, args.beta, CostModel(args.b))
+    cost = CostModel(args.b)
+    budget = attack_budget(args.beta, instance.n)
+    _, partition, _ = full_attack_dp(instance, cost)
+    plan, value = limited_greedy_from_partition(instance, partition, args.beta, cost)
     print(f"c_maxmin_lower = {_fmt(value)}")
-    print(f"budget = {attack_budget(args.beta, instance.n)}")
+    print(f"budget = {budget}")
     print(f"altered = {len(plan.altered)}")
     for jid in sorted(plan.compressed):
         print(f"  job {jid} -> slot {plan.compressed[jid]}")
@@ -99,9 +102,9 @@ def _cmd_oracle(args) -> int:
         print(f"c_max_exact = {_fmt(brute_force_max_cost(instance, cost))}")
         return 0
     if args.mode == "maxmin":
-        value = brute_force_limited_attack(instance, args.beta, cost)
-        print(f"c_maxmin_exact = {_fmt(value)}")
-        print(f"budget = {attack_budget(args.beta, instance.n)}")
+        budget = attack_budget(args.beta, instance.n)
+        print(f"c_maxmin_exact = {_fmt(exact_limited_attack_curve(instance, cost, budget)[budget])}")
+        print(f"budget = {budget}")
         return 0
     schedule = schedule_optimal_offline(instance, cost)
     outcome = check_min_optimality(instance, schedule, cost, tol=args.tol)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 ENERGY_TOL = 1e-9
 """Relative tolerance for energy-conservation checks on real-valued schedules.
@@ -114,14 +115,6 @@ class Instance:
         points = {j.arrival for j in self.jobs} | {j.deadline for j in self.jobs}
         return tuple(sorted(points))
 
-    def contained(self, start: int, end: int) -> tuple[Job, ...]:
-        """Jobs whose whole window lies inside [start, end]."""
-        return tuple(j for j in self.jobs if j.arrival >= start and j.deadline <= end)
-
-    def covering(self, slot: int) -> tuple[Job, ...]:
-        """Jobs whose window contains the given slot."""
-        return tuple(j for j in self.jobs if j.covers(slot))
-
     def allowance_range(self) -> tuple[int, int]:
         """(smallest, largest) allowance over the jobs; rejects empty instances."""
         if not self.jobs:
@@ -130,8 +123,15 @@ class Instance:
         return min(allowances), max(allowances)
 
 
-class CostFamily(Enum):
-    POWER = "power"
+def _job_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, arrivals, deadlines and energies of the jobs as numpy arrays, in instance order."""
+    jobs = instance.jobs
+    return (
+        np.array([j.id for j in jobs], dtype=np.int64),
+        np.array([j.arrival for j in jobs], dtype=np.int64),
+        np.array([j.deadline for j in jobs], dtype=np.int64),
+        np.array([j.energy for j in jobs], dtype=np.float64),
+    )
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,11 @@ class CostModel:
     """
 
     exponent: float
-    family: CostFamily = CostFamily.POWER
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponent", float(self.exponent))
         if not math.isfinite(self.exponent) or self.exponent < 1.0:
             raise ValueError(f"cost exponent must be a finite real >= 1, got {self.exponent!r}")
-        if self.family is not CostFamily.POWER:
-            raise ValueError(f"unsupported cost family {self.family!r}")
 
     def __call__(self, load):
         return load ** self.exponent
@@ -201,15 +198,6 @@ class Schedule:
             loads[slot] = loads.get(slot, 0.0) + amount
         return dict(sorted(loads.items()))
 
-    def load(self, slot: int) -> float:
-        return sum(amount for (_, s), amount in self.allocations.items() if s == slot)
-
-    def job_allocation(self, job_id: int) -> dict[int, float]:
-        """Per-slot allocation of one job, ascending by slot."""
-        self.instance.job(job_id)
-        pairs = {slot: amount for (jid, slot), amount in self.allocations.items() if jid == job_id}
-        return dict(sorted(pairs.items()))
-
 
 @dataclass(frozen=True)
 class AttackPlan:
@@ -241,12 +229,7 @@ class AttackPlan:
 
     def validate(self, instance: Instance) -> None:
         """Raise ValueError when the plan is infeasible (hence detectable) for the instance."""
-        altered = set()
-        for jid, slot in self.compressed.items():
-            job = _plan_job(instance, jid)
-            _check_plan_slot(job, slot)
-            if (job.arrival, job.deadline) != (slot, slot):
-                altered.add(jid)
+        altered = set(AttackPlan.from_compression(instance, self.compressed).altered)
         if altered != set(self.altered):
             raise ValueError(f"altered set {set(self.altered)!r} inconsistent with compression {altered!r}")
 

@@ -2,9 +2,11 @@
 
 These are deliberately dumb: the attack maximum is found by enumerating
 every joint slot assignment, the budgeted attack by enumerating every
-altered subset and compression, and schedule optimality is certified via
-residual transfer paths.  Everything is guarded to desk scale and used
-to validate the polynomial algorithms elsewhere in the package.
+altered subset and compression (one peel of the optimal controller per
+enumerated instance, for every budget at once), and schedule optimality
+is certified via residual transfer paths.  Everything is guarded to desk
+scale and used to validate the polynomial algorithms elsewhere in the
+package.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .attacker import attack_budget
-from .model import CostModel, Instance, Schedule
+from .model import CostModel, Instance, Schedule, _job_arrays
 from .scheduler import _min_cost_arrays
 
 ENUMERATION_GUARD = 10_000_000
@@ -83,10 +84,7 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
         return [0.0] * (cap + 1)
     _guarded_product([j.allowance + 2 for j in instance.jobs])
 
-    base_a = np.array([j.arrival for j in instance.jobs], dtype=np.int64)
-    base_d = np.array([j.deadline for j in instance.jobs], dtype=np.int64)
-    base_e = np.array([j.energy for j in instance.jobs], dtype=np.float64)
-
+    _, base_a, base_d, base_e = _job_arrays(instance)
     best = [_min_cost_arrays(base_a, base_d, base_e, cost)]
     work_a = base_a.copy()
     work_d = base_d.copy()
@@ -105,17 +103,6 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
                     top = value
         best.append(top)
     return best
-
-
-def brute_force_limited_attack(instance: Instance, beta: float, cost: CostModel) -> float:
-    """Exact best attack value for alteration fraction beta, against the optimal controller.
-
-    Enumerates altered sets of size <= floor(beta * n) with every
-    compression; the inner minimization uses the certified optimal
-    scheduler.
-    """
-    budget = attack_budget(beta, instance.n)
-    return exact_limited_attack_curve(instance, cost, budget)[budget]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ endpoint interval of maximum energy intensity, serve its contained jobs
 flat at that intensity with EDF, excise the interval from the timeline
 (shifting later slots left and clamping straddling windows to the cut)
 and repeat until no jobs remain.  The resulting flat-by-segment profile
-simultaneously minimizes every non-decreasing convex per-slot cost.
+simultaneously minimizes every non-decreasing convex per-slot cost.  One
+private generator, ``_peel``, runs that loop on numpy arrays; the optimal
+schedule, its load segments and its cost all iterate it.
 
 An online heuristic that spreads each job evenly over its own window is
 provided for comparison; it upper-bounds the offline optimum.
@@ -15,45 +17,11 @@ provided for comparison; it upper-bounds the offline optimum.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .model import CostModel, Instance, Job, Schedule
-
-
-@dataclass(frozen=True)
-class CriticalInterval:
-    """Endpoint interval maximizing energy intensity, with its contained job ids."""
-
-    start: int
-    end: int
-    intensity: float
-    members: frozenset[int]
-
-    @property
-    def width(self) -> int:
-        return self.end - self.start + 1
-
-
-def compute_intensity(instance: Instance, start: int, end: int) -> float:
-    """Energy intensity of [start, end]: contained energy divided by slot count.
-
-    Zero when no job is wholly contained.  Rejects start > end.
-    """
-    if start > end:
-        raise ValueError(f"empty interval: start {start} > end {end}")
-    total = sum(j.energy for j in instance.jobs if j.arrival >= start and j.deadline <= end)
-    return total / (end - start + 1)
-
-
-def _job_arrays(jobs: Iterable[Job]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ids = np.array([j.id for j in jobs], dtype=np.int64)
-    arrivals = np.array([j.arrival for j in jobs], dtype=np.int64)
-    deadlines = np.array([j.deadline for j in jobs], dtype=np.int64)
-    energies = np.array([j.energy for j in jobs], dtype=np.float64)
-    return ids, arrivals, deadlines, energies
+from .model import CostModel, Instance, Job, Schedule, _job_arrays
 
 
 def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -83,39 +51,37 @@ def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.n
 def _excise(arrivals: np.ndarray, deadlines: np.ndarray, start: int, end: int):
     """Relabel windows after cutting slots [start, end] out of the timeline."""
     width = end - start + 1
-    new_a = np.where(arrivals > end, arrivals - width, np.where(arrivals >= start, start, arrivals))
-    new_d = np.where(deadlines > end, deadlines - width, np.where(deadlines >= start, start - 1, deadlines))
+    new_a = np.where(arrivals > end, arrivals - width, np.minimum(arrivals, start))
+    new_d = np.where(deadlines > end, deadlines - width, np.minimum(deadlines, start - 1))
     return new_a, new_d
 
 
-def _peel_segments(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray) -> list[tuple[int, float]]:
-    """(width, intensity) of each extracted critical interval, in extraction order."""
-    a, d, e = arrivals.copy(), deadlines.copy(), energies.copy()
-    segments: list[tuple[int, float]] = []
-    while a.size:
-        start, end, level, mask = _critical_arrays(a, d, e)
-        segments.append((end - start + 1, level))
+def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
+    """Critical intervals in peel order, each cut from the timeline before the next is found.
+
+    Yields (start, end, level, picked, member_arrivals, member_deadlines)
+    per interval: [start, end] and the member windows are in the
+    coordinates of the timeline left by the earlier cuts, and ``picked``
+    indexes the members in the input arrays, in ascending order.  The
+    inputs are not modified; empty arrays peel nothing.
+    """
+    index = np.arange(arrivals.size)
+    while index.size:
+        start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
+        yield start, end, level, index[mask], arrivals[mask], deadlines[mask]
         keep = ~mask
-        a, d = _excise(a[keep], d[keep], start, end)
-        e = e[keep]
-    return segments
+        if not keep.any():
+            return
+        arrivals, deadlines = _excise(arrivals[keep], deadlines[keep], start, end)
+        energies = energies[keep]
+        index = index[keep]
 
 
 def _min_cost_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray, cost: CostModel) -> float:
     total = 0.0
-    for width, level in _peel_segments(arrivals, deadlines, energies):
-        total += width * cost(level)
+    for start, end, level, *_ in _peel(arrivals, deadlines, energies):
+        total += (end - start + 1) * cost(level)
     return float(total)
-
-
-def critical_interval(instance: Instance) -> CriticalInterval:
-    """The intensity-maximizing endpoint interval of a non-empty instance."""
-    if instance.n == 0:
-        raise ValueError("critical interval of an empty instance is undefined")
-    _, arrivals, deadlines, energies = _job_arrays(instance.jobs)
-    start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
-    members = frozenset(j.id for j, hit in zip(instance.jobs, mask) if hit)
-    return CriticalInterval(start, end, level, members)
 
 
 def optimal_load_segments(instance: Instance) -> list[tuple[int, float]]:
@@ -124,15 +90,13 @@ def optimal_load_segments(instance: Instance) -> list[tuple[int, float]]:
     The optimal profile is constant on each extracted interval; successive
     levels are non-increasing.
     """
-    if instance.n == 0:
-        return []
-    _, arrivals, deadlines, energies = _job_arrays(instance.jobs)
-    return _peel_segments(arrivals, deadlines, energies)
+    _, arrivals, deadlines, energies = _job_arrays(instance)
+    return [(end - start + 1, level) for start, end, level, *_ in _peel(arrivals, deadlines, energies)]
 
 
 def min_cost(instance: Instance, cost: CostModel) -> float:
     """Optimal (minimum) total cost without materializing the schedule."""
-    return float(sum(width * cost(level) for width, level in optimal_load_segments(instance)))
+    return _min_cost_arrays(*_job_arrays(instance)[1:], cost)
 
 
 def edf_fill(jobs: Iterable[Job], start: int, end: int, level: float) -> dict[tuple[int, int], float]:
@@ -199,25 +163,17 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     objective and does not influence the schedule.
     """
     del cost
-    if instance.n == 0:
-        return Schedule(instance, {})
-    ids, arrivals, deadlines, energies = _job_arrays(instance.jobs)
+    ids, arrivals, deadlines, energies = _job_arrays(instance)
     slot_map = np.arange(1, instance.horizon + 1, dtype=np.int64)
     allocations: dict[tuple[int, int], float] = {}
-    while arrivals.size:
-        start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
-        picked = np.flatnonzero(mask)
+    for start, end, level, picked, member_arrivals, member_deadlines in _peel(arrivals, deadlines, energies):
         members = [
-            Job(int(ids[t]), int(arrivals[t]), int(deadlines[t]), float(energies[t]))
-            for t in picked
+            Job(int(ids[t]), int(a), int(d), float(energies[t]))
+            for t, a, d in zip(picked, member_arrivals, member_deadlines)
         ]
         fragment = edf_fill(members, start, end, level)
         for (jid, slot), amount in fragment.items():
             allocations[(jid, int(slot_map[slot - 1]))] = amount
-        keep = ~mask
-        arrivals, deadlines = _excise(arrivals[keep], deadlines[keep], start, end)
-        energies = energies[keep]
-        ids = ids[keep]
         slot_map = np.delete(slot_map, np.s_[start - 1 : end])
     return Schedule(instance, allocations)
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from gridsched.model import Instance, Job
+from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
+from gridsched.model import AttackPlan, CostModel, Instance, Job
 
 
 def random_instance(
@@ -47,6 +48,18 @@ def random_instance_in_horizon(
         energy = float(rng.uniform(energy_low, energy_high))
         jobs.append(Job(idx, arrival, deadline, energy))
     return Instance(jobs)
+
+
+def intensity(instance: Instance, start: int, end: int) -> float:
+    """Energy intensity of [start, end]: contained energy divided by slot count, by a plain sum."""
+    total = sum(j.energy for j in instance.jobs if j.arrival >= start and j.deadline <= end)
+    return total / (end - start + 1)
+
+
+def limited_greedy(instance: Instance, beta: float, cost: CostModel) -> tuple[AttackPlan, float]:
+    """The budgeted greedy attack on the optimal partition, as the CLI's attack-limited runs it."""
+    _, partition, _ = full_attack_dp(instance, cost)
+    return limited_greedy_from_partition(instance, partition, beta, cost)
 
 
 def reference_limited_attack_curve(instance: Instance, cost, max_budget: int) -> np.ndarray:

@@ -23,14 +23,13 @@ from gridsched.analysis import (
 )
 from gridsched.attacker import (
     full_attack_dp,
-    limited_attack_dp,
-    limited_greedy_attack,
+    limited_attack_curve,
+    limited_greedy_from_partition,
     online_edf_attack,
 )
 from gridsched.harness import Experiment, ExperimentConfig, run_experiment
 from gridsched.model import CostModel, baseline_cost, evaluate_cost
 from gridsched.oracle import (
-    brute_force_limited_attack,
     brute_force_max_cost,
     check_min_optimality,
     exact_limited_attack_curve,
@@ -84,7 +83,7 @@ def test_criterion_02_controller_optimality():
     for _ in range(100):
         inst = random_instance(rng, max_jobs=5, max_window=4)
         optimal = evaluate_cost(schedule_optimal_offline(inst, QUAD), QUAD)
-        unattacked = brute_force_limited_attack(inst, 0.0, QUAD)
+        unattacked = exact_limited_attack_curve(inst, QUAD, 0)[0]
         if abs(optimal - unattacked) <= 1e-9 * max(1.0, optimal):
             matches += 1
         even = evaluate_cost(schedule_online_even(inst), QUAD)
@@ -139,9 +138,9 @@ def test_criterion_05_budgeted_attack_lower_bound():
     for index in range(200):
         n = int(rng.choice([10, 20, 30]))
         inst = random_instance(rng, max_jobs=n, min_jobs=n, max_gap=4, max_window=8)
-        c_max = full_attack_dp(inst, QUAD)[2]
+        _, partition, c_max = full_attack_dp(inst, QUAD)
         for beta in betas:
-            value = limited_greedy_attack(inst, beta, QUAD)[1]
+            value = limited_greedy_from_partition(inst, partition, beta, QUAD)[1]
             bound = limited_attack_lower_bound(c_max, beta, 2.0)
             if value < bound - REL_TOL * max(1.0, bound):
                 violations += 1
@@ -157,7 +156,7 @@ def test_criterion_06_upper_bound_dominates_exact_maxmin():
         inst = random_instance(rng, max_jobs=6, max_window=4)
         exact = exact_limited_attack_curve(inst, QUAD)
         for budget in range(1, inst.n + 1):
-            estimate = limited_attack_dp(inst, budget / inst.n, QUAD)
+            estimate = limited_attack_curve(inst, QUAD, budget)[budget]
             if estimate < exact[budget] - REL_TOL * max(1.0, exact[budget]):
                 violations += 1
     ok = violations == 0

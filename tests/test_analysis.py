@@ -12,7 +12,7 @@ from gridsched.analysis import (
     max_cost_lower_bound,
     online_attack_factor,
 )
-from gridsched.attacker import full_attack_dp, limited_greedy_attack, online_edf_attack
+from gridsched.attacker import full_attack_dp, limited_greedy_from_partition, online_edf_attack
 from gridsched.model import CostModel, Instance, Job
 
 
@@ -134,10 +134,10 @@ class TestBoundsHoldOnRandoms:
         rng = np.random.default_rng(80)
         for _ in range(30):
             inst = random_instance(rng, max_jobs=12, min_jobs=2, min_window=2)
-            _, _, c_max = full_attack_dp(inst, cost)
+            _, partition, c_max = full_attack_dp(inst, cost)
             for budget in range(inst.n + 1):
                 beta = budget / inst.n
-                _, value = limited_greedy_attack(inst, beta, cost)
+                _, value = limited_greedy_from_partition(inst, partition, beta, cost)
                 bound = limited_attack_lower_bound(c_max, beta, 2.0)
                 assert value >= bound - 1e-9 * max(1.0, bound)
 

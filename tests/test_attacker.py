@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from gridsched.attacker import (
+    _knapsack_select,
     attack_budget,
-    fractional_knapsack,
     full_attack_dp,
     limited_attack_curve,
-    limited_attack_dp,
-    limited_greedy_attack,
     online_edf_attack,
     realized_attack_cost,
 )
@@ -19,6 +17,7 @@ from gridsched.oracle import brute_force_max_cost, exact_limited_attack_curve
 from gridsched.scheduler import min_cost
 
 from helpers import (
+    limited_greedy,
     random_instance,
     random_instance_in_horizon,
     reference_full_attack_dp,
@@ -172,28 +171,24 @@ class TestOnlineEdfAttack:
 
 class TestFractionalKnapsack:
     def test_worked_example(self):
-        result = fractional_knapsack([(6, 2), (5, 1), (4, 4)], 0.5)
-        assert result.order == (1, 0, 2)
-        assert result.chosen_count == 2
-        assert result.fraction == pytest.approx(0.125)
-        assert result.chosen_value == pytest.approx(11.0)
-        assert result.chosen_value + result.fraction * 4 >= 0.5 * 15
+        order, chosen_count, chosen_value = _knapsack_select([(6, 2), (5, 1), (4, 4)], 0.5)
+        assert order == (1, 0, 2)
+        assert chosen_count == 2
+        assert chosen_value == pytest.approx(11.0)
 
     def test_full_budget(self):
-        result = fractional_knapsack([(6, 2), (5, 1), (4, 4)], 1.0)
-        assert result.chosen_count == 3
-        assert result.fraction == 0.0
-        assert result.chosen_value == pytest.approx(15.0)
+        _, chosen_count, chosen_value = _knapsack_select([(6, 2), (5, 1), (4, 4)], 1.0)
+        assert chosen_count == 3
+        assert chosen_value == pytest.approx(15.0)
 
     def test_zero_budget(self):
-        result = fractional_knapsack([(6, 2), (5, 1)], 0.0)
-        assert result.chosen_count == 0
-        assert result.fraction == 0.0
-        assert result.chosen_value == 0.0
+        _, chosen_count, chosen_value = _knapsack_select([(6, 2), (5, 1)], 0.0)
+        assert chosen_count == 0
+        assert chosen_value == 0.0
 
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError):
-            fractional_knapsack([], 0.5)
+            _knapsack_select([], 0.5)
 
     def test_guarantee_on_randoms(self):
         rng = np.random.default_rng(45)
@@ -201,24 +196,25 @@ class TestFractionalKnapsack:
             m = int(rng.integers(1, 9))
             items = [(float(rng.uniform(0, 10)), float(rng.uniform(0.5, 4))) for _ in range(m)]
             frac = float(rng.uniform(0, 1))
-            result = fractional_knapsack(items, frac)
+            order, chosen_count, chosen_value = _knapsack_select(items, frac)
             total_v = sum(v for v, _ in items)
             total_w = sum(w for _, w in items)
-            picked_w = sum(items[idx][1] for idx in result.order[: result.chosen_count])
+            picked_w = sum(items[idx][1] for idx in order[:chosen_count])
             # prefix fits the budget, the next item would not
             assert picked_w <= frac * total_w + 1e-9 * max(1.0, total_w)
-            if result.chosen_count < m:
-                nxt = items[result.order[result.chosen_count]][1]
+            if chosen_count < m:
+                nxt = items[order[chosen_count]][1]
                 assert picked_w + nxt > frac * total_w - 1e-9 * max(1.0, total_w)
-                bonus = result.fraction * items[result.order[result.chosen_count]][0]
+                fraction = min(1.0, max(0.0, (frac * total_w - picked_w) / nxt))
+                bonus = fraction * items[order[chosen_count]][0]
             else:
                 bonus = 0.0
-            assert result.chosen_value + bonus >= frac * total_v - 1e-9 * max(1.0, total_v)
+            assert chosen_value + bonus >= frac * total_v - 1e-9 * max(1.0, total_v)
 
 
 class TestLimitedGreedyAttack:
     def test_two_job_example(self):
-        plan, value = limited_greedy_attack(two_job_instance(), 0.5, QUAD)
+        plan, value = limited_greedy(two_job_instance(), 0.5, QUAD)
         assert value == pytest.approx(4.0)
         assert plan.compressed == {1: 2}
         assert plan.altered == frozenset({1})
@@ -228,7 +224,7 @@ class TestLimitedGreedyAttack:
         for _ in range(40):
             inst = random_instance(rng, max_jobs=10)
             _, _, best = full_attack_dp(inst, QUAD)
-            _, value = limited_greedy_attack(inst, 1.0, QUAD)
+            _, value = limited_greedy(inst, 1.0, QUAD)
             assert value == pytest.approx(best, rel=1e-12)
 
     def test_identical_overlapping_jobs_follow_budget_square(self):
@@ -239,13 +235,13 @@ class TestLimitedGreedyAttack:
         assert c_max == pytest.approx(62500.0)
         for budget in (1, 7, 29, 50):
             beta = budget / 50
-            _, value = limited_greedy_attack(inst, beta, QUAD)
+            _, value = limited_greedy(inst, beta, QUAD)
             assert value == pytest.approx((5.0 * budget) ** 2, abs=1e-9)
             assert value / c_max == pytest.approx(beta**2, abs=1e-9)
 
     def test_beta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            limited_greedy_attack(two_job_instance(), 1.2, QUAD)
+            limited_greedy(two_job_instance(), 1.2, QUAD)
 
     def test_monotone_budget_and_undetectability(self):
         rng = np.random.default_rng(47)
@@ -254,7 +250,7 @@ class TestLimitedGreedyAttack:
             previous = -1.0
             for budget in range(inst.n + 1):
                 beta = budget / inst.n
-                plan, value = limited_greedy_attack(inst, beta, QUAD)
+                plan, value = limited_greedy(inst, beta, QUAD)
                 plan.validate(inst)
                 assert len(plan.altered) <= budget
                 assert value >= previous - 1e-12
@@ -265,7 +261,7 @@ class TestLimitedGreedyAttack:
         # cliques of sizes 6 x 8 and 2; budget 47 takes seven whole 6-cliques
         # and spends the 5 left over inside the next 6-clique
         inst = make_identical_instance(50, 5.0, 50, 10)
-        plan, value = limited_greedy_attack(inst, 47 / 50, QUAD)
+        plan, value = limited_greedy(inst, 47 / 50, QUAD)
         assert value == pytest.approx(7 * 900.0 + 25.0**2, abs=1e-9)
         self._check_plan(inst, plan, value, 47)
 
@@ -274,7 +270,7 @@ class TestLimitedGreedyAttack:
         # larger clique give 3^2 = 9
         jobs = [Job(0, 1, 2, 1.0)] + [Job(i, 5, 6, 0.3) for i in range(1, 11)]
         inst = Instance(jobs)
-        plan, value = limited_greedy_attack(inst, 10 / 11, QUAD)
+        plan, value = limited_greedy(inst, 10 / 11, QUAD)
         assert value == pytest.approx(9.0, abs=1e-9)
         assert plan.compressed == {i: 5 for i in range(1, 11)}
         self._check_plan(inst, plan, value, 10)
@@ -282,7 +278,7 @@ class TestLimitedGreedyAttack:
     def test_members_already_pinned_cost_no_budget(self):
         # job 0 already sits on [1, 1]: compressing both jobs at slot 1 alters only job 1
         inst = Instance([Job(0, 1, 1, 1.0), Job(1, 1, 3, 5.0)])
-        plan, value = limited_greedy_attack(inst, 0.5, QUAD)
+        plan, value = limited_greedy(inst, 0.5, QUAD)
         assert value == pytest.approx(36.0, abs=1e-9)
         assert plan.size == 1
         self._check_plan(inst, plan, value, 1)
@@ -293,11 +289,23 @@ class TestLimitedGreedyAttack:
         jobs = [Job(0, 1, 1, 1.0)] + [Job(i, 5, 5, 0.3) for i in range(1, 11)]
         inst = Instance(jobs)
         _, _, c_max = full_attack_dp(inst, QUAD)
-        plan, value = limited_greedy_attack(inst, 10 / 11, QUAD)
+        plan, value = limited_greedy(inst, 10 / 11, QUAD)
         assert value == pytest.approx(c_max, abs=1e-9)
         assert value == pytest.approx(10.0, abs=1e-9)
         assert plan.size == 0
         self._check_plan(inst, plan, value, 10)
+
+    def test_wholly_pinned_cliques_beyond_the_next_join_for_free(self):
+        # the knapsack takes job 0's clique and the clique at slot 5 comes next with no
+        # budget left; the clique at slot 9 alters nothing, so it joins: 9 + 16 + 16 = c_max
+        jobs = [Job(0, 1, 2, 3.0)] + [Job(i, 5, 5, 1.0) for i in range(1, 5)] + [Job(i, 9, 9, 1.0) for i in range(5, 9)]
+        inst = Instance(jobs)
+        _, _, c_max = full_attack_dp(inst, QUAD)
+        plan, value = limited_greedy(inst, 1 / 9, QUAD)
+        assert value == 41.0
+        assert value == c_max
+        assert plan.size == 1
+        self._check_plan(inst, plan, value, 1)
 
     @staticmethod
     def _check_plan(inst, plan, value, budget):
@@ -324,13 +332,13 @@ class TestRealizedAttackCost:
 
 class TestLimitedAttackDp:
     def test_two_job_example(self):
-        assert limited_attack_dp(two_job_instance(), 0.5, QUAD) == pytest.approx(16.0)
+        assert limited_attack_curve(two_job_instance(), QUAD, 1)[1] == pytest.approx(16.0)
 
     def test_zero_budget_is_baseline(self):
         rng = np.random.default_rng(48)
         for _ in range(30):
             inst = random_instance(rng, max_jobs=8)
-            assert limited_attack_dp(inst, 0.0, QUAD) == pytest.approx(
+            assert limited_attack_curve(inst, QUAD, 0)[0] == pytest.approx(
                 baseline_cost(inst, QUAD), rel=1e-9
             )
 
@@ -339,12 +347,12 @@ class TestLimitedAttackDp:
         for _ in range(30):
             inst = random_instance(rng, max_jobs=8)
             _, _, c_max = full_attack_dp(inst, QUAD)
-            assert limited_attack_dp(inst, 1.0, QUAD) >= c_max - 1e-9
+            assert limited_attack_curve(inst, QUAD, inst.n)[inst.n] >= c_max - 1e-9
 
     def test_simultaneous_arrivals_rejected(self):
         inst = Instance([Job(1, 2, 4, 1.0), Job(2, 2, 5, 1.0)])
         with pytest.raises(ValueError, match="one arrival"):
-            limited_attack_dp(inst, 0.5, QUAD)
+            limited_attack_curve(inst, QUAD, 1)[1]
 
     def test_curve_monotone_and_dominates_exact(self):
         rng = np.random.default_rng(50)
@@ -400,6 +408,6 @@ class TestAttackOrderingChain:
             lo = min_cost(inst, QUAD)
             _, _, hi = full_attack_dp(inst, QUAD)
             for budget in (0, inst.n // 2, inst.n):
-                _, value = limited_greedy_attack(inst, budget / inst.n, QUAD)
+                _, value = limited_greedy(inst, budget / inst.n, QUAD)
                 assert value <= hi + 1e-9
             assert lo <= hi + 1e-9

@@ -93,3 +93,18 @@ def test_missing_file_reports_error(tmp_path, capsys):
 def test_invalid_beta_reports_error(instance_file, capsys):
     assert main(["attack-limited", instance_file, "--beta", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_attack_limited_full_output(instance_file, capsys):
+    assert main(["attack-limited", instance_file, "--beta", "0.5"]) == 0
+    assert capsys.readouterr().out == "c_maxmin_lower = 4\nbudget = 1\naltered = 1\n  job 1 -> slot 2\n"
+
+
+def test_oracle_maxmin_full_output(instance_file, capsys):
+    assert main(["oracle", "maxmin", instance_file, "--beta", "0.5"]) == 0
+    assert capsys.readouterr().out == "c_maxmin_exact = 8\nbudget = 1\n"
+
+
+def test_oracle_maxmin_invalid_beta_reports_error(instance_file, capsys):
+    assert main(["oracle", "maxmin", instance_file, "--beta", "1.5"]) == 2
+    assert "error: beta must lie in [0, 1]" in capsys.readouterr().err

@@ -72,9 +72,6 @@ class TestInstance:
     def test_derived_queries(self):
         inst = two_job_instance()
         assert inst.endpoints() == (1, 2, 3)
-        assert [j.id for j in inst.contained(1, 2)] == [1]
-        assert [j.id for j in inst.contained(1, 3)] == [1, 2]
-        assert [j.id for j in inst.covering(2)] == [1, 2]
         assert inst.allowance_range() == (1, 1)
 
 
@@ -119,8 +116,6 @@ class TestSchedule:
         inst = two_job_instance()
         sched = Schedule(inst, {(1, 1): 1.5, (1, 2): 0.5, (2, 2): 2.0})
         assert sched.slot_loads() == {1: 1.5, 2: 2.5}
-        assert sched.job_allocation(1) == {1: 1.5, 2: 0.5}
-        assert sched.load(2) == 2.5
 
 
 class TestApplyAttack:

@@ -5,7 +5,6 @@ import pytest
 
 from gridsched.model import CostModel, Instance, Job, baseline_schedule, evaluate_cost
 from gridsched.oracle import (
-    brute_force_limited_attack,
     brute_force_max_cost,
     check_min_optimality,
     exact_limited_attack_curve,
@@ -58,13 +57,13 @@ class TestBruteForceMaxCost:
 class TestBruteForceLimitedAttack:
     def test_two_job_example(self):
         inst = two_job_instance()
-        assert brute_force_limited_attack(inst, 0.5, QUAD) == pytest.approx(8.0)
+        assert exact_limited_attack_curve(inst, QUAD, 1)[1] == pytest.approx(8.0)
 
     def test_zero_budget_is_unattacked_minimum(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             inst = random_instance(rng, max_jobs=5, max_window=4)
-            assert brute_force_limited_attack(inst, 0.0, QUAD) == pytest.approx(
+            assert exact_limited_attack_curve(inst, QUAD, 0)[0] == pytest.approx(
                 min_cost(inst, QUAD), rel=1e-12
             )
 
@@ -72,7 +71,7 @@ class TestBruteForceLimitedAttack:
         rng = np.random.default_rng(32)
         for _ in range(20):
             inst = random_instance(rng, max_jobs=5, max_window=4)
-            assert brute_force_limited_attack(inst, 1.0, QUAD) == pytest.approx(
+            assert exact_limited_attack_curve(inst, QUAD, inst.n)[inst.n] == pytest.approx(
                 brute_force_max_cost(inst, QUAD), rel=1e-9
             )
 
@@ -91,7 +90,21 @@ class TestBruteForceLimitedAttack:
     def test_guard_rejects_huge_enumerations(self):
         jobs = [Job(i, 1 + 40 * i, 900 + 40 * i, 1.0) for i in range(4)]
         with pytest.raises(ValueError, match="too large"):
-            brute_force_limited_attack(Instance(jobs), 1.0, QUAD)
+            exact_limited_attack_curve(Instance(jobs), QUAD, 4)
+
+
+class TestExactCurvePinned:
+    def test_desk_instance(self):
+        # exact float equality, recorded once: every entry is a peel of some altered instance
+        inst = random_instance(np.random.default_rng(5), max_jobs=6, min_jobs=6, max_window=3)
+        assert [(j.arrival, j.deadline) for j in inst.jobs] == [(1, 3), (4, 5), (6, 8), (7, 8), (9, 9), (10, 10)]
+        assert exact_limited_attack_curve(inst, QUAD) == [
+            41.58835475366118, 53.5269010426028, 56.741039284692484, 62.725619095435476,
+            65.02228404667032, 65.02228404667032, 65.02228404667032,
+        ]
+        assert exact_limited_attack_curve(inst, CostModel(1.5), 3) == [
+            25.245260134710847, 28.924538330412673, 30.10728628292109, 31.950368311497687,
+        ]
 
 
 class TestCheckMinOptimality:

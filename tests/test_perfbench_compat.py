@@ -1,0 +1,43 @@
+"""The benchmark under perfbench/ finds every gridsched name it times and calls.
+
+The layer tracer reads a name it cannot find as zero, so deleting or
+renaming a traced function would silently drop its layer; these checks
+make that a test failure instead.  perfbench/ is only read as text, never
+imported or modified.
+"""
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import gridsched
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _traced() -> tuple[tuple[str, str], ...]:
+    """layertrace.TRACED, read from the source without running the module."""
+    tree = ast.parse((PERFBENCH / "layertrace.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/layertrace.py defines no TRACED")
+
+
+def test_every_traced_name_exists():
+    traced = _traced()
+    assert traced
+    missing = [f"{mod}.{name}" for mod, name in traced if not hasattr(getattr(gridsched, mod), name)]
+    assert missing == []
+
+
+def test_schedule_takes_allocations_by_name():
+    # the tracer binds Schedule's arguments and counts len(allocations)
+    assert "allocations" in inspect.signature(gridsched.model.Schedule).parameters
+
+
+def test_every_package_name_the_workloads_use_exists():
+    used = set(re.findall(r"\bgs\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
+    assert used
+    assert sorted(name for name in used if not hasattr(gridsched, name)) == []

@@ -1,14 +1,15 @@
-"""Controller strategies: intensity, critical intervals, EDF fill, optimal and even schedules."""
+"""Controller strategies: critical intervals, recorded peel results, EDF fill, optimal and even schedules."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from gridsched.harness import GenParams, generate_instance
-from gridsched.model import CostModel, Instance, Job, baseline_cost, evaluate_cost
+from gridsched.model import CostModel, Instance, Job, _job_arrays, baseline_cost, evaluate_cost
 from gridsched.oracle import check_min_optimality
 from gridsched.scheduler import (
-    compute_intensity,
-    critical_interval,
+    _critical_arrays,
     edf_fill,
     min_cost,
     optimal_load_segments,
@@ -16,7 +17,7 @@ from gridsched.scheduler import (
     schedule_optimal_offline,
 )
 
-from helpers import random_instance, random_instance_in_horizon
+from helpers import intensity, random_instance, random_instance_in_horizon
 
 QUAD = CostModel(2.0)
 
@@ -25,53 +26,48 @@ def two_job_instance() -> Instance:
     return Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0)])
 
 
-class TestComputeIntensity:
-    def test_examples(self):
-        inst = two_job_instance()
-        assert compute_intensity(inst, 1, 3) == pytest.approx(4 / 3)
-        assert compute_intensity(inst, 1, 2) == pytest.approx(1.0)
-        assert compute_intensity(inst, 5, 9) == 0.0
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
-            compute_intensity(two_job_instance(), 3, 1)
+def critical(inst: Instance) -> tuple[int, int, float, frozenset[int]]:
+    """(start, end, level, member ids) of the instance's first critical interval."""
+    ids, arrivals, deadlines, energies = _job_arrays(inst)
+    start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
+    return start, end, level, frozenset(ids[mask].tolist())
 
 
 class TestCriticalInterval:
     def test_two_job_example(self):
-        ci = critical_interval(two_job_instance())
-        assert (ci.start, ci.end) == (1, 3)
-        assert ci.intensity == pytest.approx(4 / 3)
-        assert ci.members == frozenset({1, 2})
-        assert ci.width == 3
+        start, end, level, members = critical(two_job_instance())
+        assert (start, end) == (1, 3)
+        assert level == pytest.approx(4 / 3)
+        assert members == frozenset({1, 2})
+        assert end - start + 1 == 3
 
     def test_single_job(self):
-        ci = critical_interval(Instance([Job(1, 3, 3, 5.0)]))
-        assert (ci.start, ci.end, ci.intensity) == (3, 3, 5.0)
+        start, end, level, _ = critical(Instance([Job(1, 3, 3, 5.0)]))
+        assert (start, end, level) == (3, 3, 5.0)
 
     def test_peak_beats_spread(self):
-        ci = critical_interval(Instance([Job(1, 1, 1, 10.0), Job(2, 5, 9, 1.0)]))
-        assert (ci.start, ci.end) == (1, 1)
-        assert ci.intensity == pytest.approx(10.0)
+        start, end, level, _ = critical(Instance([Job(1, 1, 1, 10.0), Job(2, 5, 9, 1.0)]))
+        assert (start, end) == (1, 1)
+        assert level == pytest.approx(10.0)
 
     def test_empty_instance_rejected(self):
         with pytest.raises(ValueError):
-            critical_interval(Instance([]))
+            critical(Instance([]))
 
     def test_matches_exhaustive_endpoint_search(self):
         rng = np.random.default_rng(21)
         for _ in range(80):
             inst = random_instance(rng, max_jobs=7)
-            ci = critical_interval(inst)
+            start, end, level, _ = critical(inst)
             points = inst.endpoints()
             best = max(
-                (compute_intensity(inst, k, l), -k, -l)
+                (intensity(inst, k, l), -k, -l)
                 for k in points
                 for l in points
                 if k <= l
             )
-            assert ci.intensity == pytest.approx(best[0], abs=1e-12)
-            assert (ci.start, ci.end) == (-best[1], -best[2])
+            assert level == pytest.approx(best[0], abs=1e-12)
+            assert (start, end) == (-best[1], -best[2])
 
 
 class TestEdfFill:
@@ -171,6 +167,44 @@ class TestScheduleOptimalOffline:
             inst = random_instance_in_horizon(rng, max_jobs=10, horizon=15)
             sched = schedule_optimal_offline(inst, QUAD)
             assert check_min_optimality(inst, sched, QUAD, tol=1e-7).optimal
+
+
+def _digest(value) -> str:
+    """sha256 of repr: floats repr exactly, so equal digests mean bit-identical values."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestPeelPinned:
+    """Exact peel results, recorded once; any change to the peel's arithmetic shows here."""
+
+    def test_generated_n100(self):
+        inst = generate_instance(GenParams(100, 3.0, 10.0, 1.0, 5.0, seed=2024))
+        assert min_cost(inst, QUAD) == 376.89563410265936
+        assert min_cost(inst, CostModel(1.5)) == 333.34848025873686
+        segments = optimal_load_segments(inst)
+        assert len(segments) == 35
+        assert _digest(segments) == "f70735cc54c25c518bef9a5596d23f0d5b8a4cd5fc751f8b41263f5b20acdcad"
+        allocations = sorted(schedule_optimal_offline(inst, QUAD).allocations.items())
+        assert len(allocations) == 363
+        assert _digest(allocations) == "735875994b8aca216261d181451abe3e2607314ce50c280638f4df4414254095"
+
+    def test_colliding_arrivals(self):
+        inst = random_instance_in_horizon(np.random.default_rng(7), max_jobs=14, horizon=8, max_window=4)
+        assert [j.arrival for j in inst.jobs] == [1, 1, 1, 2, 3, 3, 3, 5, 6, 7, 7, 8, 8, 8]
+        assert min_cost(inst, QUAD) == 250.61555027105004
+        assert min_cost(inst, CostModel(1.5)) == 102.09693266725608
+        assert optimal_load_segments(inst) == [
+            (1, 9.674459351258083), (1, 5.563860865495217), (6, 4.583736445327035),
+        ]
+        assert sorted(schedule_optimal_offline(inst, QUAD).allocations.items()) == [
+            ((0, 6), 4.1027427609807745), ((1, 8), 1.9008287599623674), ((2, 1), 0.5692755188577672),
+            ((2, 2), 3.9249382627272804), ((3, 8), 4.284913673531065), ((4, 1), 2.871739811374883),
+            ((5, 7), 2.1137024484030933), ((6, 4), 2.7803052235305863), ((7, 3), 3.21398940829797),
+            ((8, 5), 4.170647676855012), ((9, 8), 3.48871691776465), ((10, 4), 0.9671523401241116),
+            ((10, 5), 0.413088768472023), ((10, 6), 0.48099368434626033), ((11, 7), 3.450158417092123),
+            ((12, 1), 1.1427211150943846), ((13, 2), 0.6587981825997544), ((13, 3), 1.369747037029065),
+            ((13, 4), 0.836278881672337),
+        ]
 
 
 class TestScheduleOnlineEven:
