@@ -227,10 +227,11 @@ def limited_greedy_from_partition(
     (window [slot, slot]) is not altered by compressing it, so it uses no
     budget: the leftover of (a) counts only the altered members of the
     whole cliques, and both (a) and (b) take every pinned member of the
-    next clique.  The better of the two is adopted (ties to (a)).  Every
-    other clique whose members are all pinned is then compressed too, for
-    free.  Only the compressed components are counted, so the reported
-    value is a lower bound on what the attack actually forces.  With
+    next clique.  In either selection, the pinned members of every clique
+    it leaves uncompressed join at their slot too, for free.  The better
+    of the two is adopted (ties to (a)).  Only the compressed components
+    are counted, so the reported value is a lower bound on what the
+    attack actually forces.  With
     beta = 1 the whole partition is compressed and the value equals the
     optimal unlimited attack.
     """
@@ -270,25 +271,29 @@ def limited_greedy_from_partition(
     def members_cost(job_ids: list[int]) -> float:
         return float(cost(sum(instance.job(jid).energy for jid in job_ids)))
 
-    value_whole = chosen_value + members_cost(top_up)
-    value_inside = members_cost(inside)
-    # cliques beyond the next one whose members all sit at their slot already
-    free = [
-        idx for idx in order[chosen + 1 :] if all(is_pinned(jid, blocks[idx].slot) for jid in blocks[idx].members)
-    ]
+    def pinned_members(block) -> list[int]:
+        return [jid for jid in block.members if is_pinned(jid, block.slot)]
 
-    slots = {jid: blocks[idx].slot for idx in free for jid in blocks[idx].members}
+    # a clique left uncompressed still has its pinned members at its slot, for free
+    beyond = [blocks[idx] for idx in order[chosen + 1 :]]
+    value_whole = chosen_value + members_cost(top_up)
+    value_inside = members_cost(inside) + sum(members_cost(pinned_members(block)) for block in whole_blocks)
+
+    slots = {jid: block.slot for block in beyond for jid in pinned_members(block)}
     if value_whole >= value_inside:
         for block in whole_blocks:
             for jid in block.members:
                 slots[jid] = block.slot
         picked = top_up
     else:
+        for block in whole_blocks:
+            for jid in pinned_members(block):
+                slots[jid] = block.slot
         picked = inside
     for jid in picked:
         slots[jid] = next_slot
     plan = AttackPlan.from_compression(instance, slots)
-    return plan, max(value_whole, value_inside) + sum(block_value[idx] for idx in free)
+    return plan, max(value_whole, value_inside) + sum(members_cost(pinned_members(block)) for block in beyond)
 
 
 def realized_attack_cost(instance: Instance, plan: AttackPlan, cost: CostModel) -> float:

@@ -164,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("instance", help="instance CSV file (id,arrival,deadline,energy)")
     cmd.add_argument("--beta", type=float, default=1.0, help="alteration fraction (maxmin only)")
     cmd.add_argument("--b", type=float, default=2.0, help="cost exponent (default 2)")
-    cmd.add_argument("--tol", type=float, default=1e-7, help="optimality tolerance (verify-min only)")
+    cmd.add_argument(
+        "--tol", type=float, default=1e-7,
+        help="optimality tolerance, times the largest slot load when above 1 (verify-min only)",
+    )
     cmd.set_defaults(handler=_cmd_oracle)
 
     cmd = sub.add_parser("experiment", help="run an experiment and write CSV")

@@ -132,9 +132,10 @@ def check_min_optimality(
     holds more than ``tol`` energy at t and t' lies inside its window.
     The schedule minimizes every strictly convex separable cost iff no
     slot can reach, along such arcs, a slot whose load is lower by more
-    than ``tol``.  Single swaps are not enough: improving moves may need
-    chains of transfers, hence the path search.  Linear costs (exponent
-    1) make every admissible schedule optimal.
+    than ``tol * max(1, largest slot load)``: the loads carry rounding
+    error in proportion to their size.  Single swaps are not enough:
+    improving moves may need chains of transfers, hence the path search.
+    Linear costs (exponent 1) make every admissible schedule optimal.
     """
     if cost.exponent == 1.0:
         return MinOptimalityResult(True)
@@ -147,6 +148,7 @@ def check_min_optimality(
             movers.setdefault(slot, []).append(jid)
     for jobs_here in movers.values():
         jobs_here.sort()
+    gap_tol = tol * max(1.0, max(loads))
 
     for source in sorted(movers):
         seen = {source}
@@ -162,7 +164,7 @@ def check_min_optimality(
                             continue
                         seen.add(there)
                         parent[there] = (here, jid)
-                        if loads[source] - loads[there] > tol:
+                        if loads[source] - loads[there] > gap_tol:
                             hops: list[tuple[int, int, int]] = []
                             at = there
                             while at != source:

@@ -6,6 +6,7 @@ import numpy as np
 
 from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
 from gridsched.model import AttackPlan, CostModel, Instance, Job
+from gridsched.scheduler import _critical_arrays, _excise
 
 
 def random_instance(
@@ -54,6 +55,20 @@ def intensity(instance: Instance, start: int, end: int) -> float:
     """Energy intensity of [start, end]: contained energy divided by slot count, by a plain sum."""
     total = sum(j.energy for j in instance.jobs if j.arrival >= start and j.deadline <= end)
     return total / (end - start + 1)
+
+
+def reference_peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
+    """The peel with every round rebuilt from scratch by _critical_arrays; yields as _peel does."""
+    index = np.arange(arrivals.size)
+    while index.size:
+        start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
+        yield start, end, level, index[mask], arrivals[mask], deadlines[mask]
+        keep = ~mask
+        if not keep.any():
+            return
+        arrivals, deadlines = _excise(arrivals[keep], deadlines[keep], start, end)
+        energies = energies[keep]
+        index = index[keep]
 
 
 def limited_greedy(instance: Instance, beta: float, cost: CostModel) -> tuple[AttackPlan, float]:

@@ -307,6 +307,22 @@ class TestLimitedGreedyAttack:
         assert plan.size == 1
         self._check_plan(inst, plan, value, 1)
 
+    def test_pinned_members_of_uncompressed_cliques_join_for_free(self):
+        # as above, but job 8 on [8, 9] leaves the slot-9 clique not wholly pinned;
+        # its pinned jobs 5-7 still join at slot 9 without budget: 9 + 16 + 3^2
+        jobs = (
+            [Job(0, 1, 2, 3.0)]
+            + [Job(i, 5, 5, 1.0) for i in range(1, 5)]
+            + [Job(i, 9, 9, 1.0) for i in range(5, 8)]
+            + [Job(8, 8, 9, 1.0)]
+        )
+        inst = Instance(jobs)
+        plan, value = limited_greedy(inst, 1 / 9, QUAD)
+        assert value == 34.0
+        assert plan.size == 1
+        assert {jid: plan.compressed.get(jid) for jid in range(5, 9)} == {5: 9, 6: 9, 7: 9, 8: None}
+        self._check_plan(inst, plan, value, 1)
+
     @staticmethod
     def _check_plan(inst, plan, value, budget):
         plan.validate(inst)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gridsched.model import CostModel, Instance, Job, baseline_schedule, evaluate_cost
+from gridsched.harness import GenParams, generate_instance
+from gridsched.model import CostModel, Instance, Job, Schedule, baseline_schedule, evaluate_cost
 from gridsched.oracle import (
     brute_force_max_cost,
     check_min_optimality,
@@ -136,6 +137,22 @@ class TestCheckMinOptimality:
         inst = two_job_instance()
         result = check_min_optimality(inst, baseline_schedule(inst), CostModel(1.0))
         assert result.optimal
+
+    @pytest.mark.parametrize("low, high", [(1e8, 1e9), (1e11, 1e12)])
+    def test_optimal_schedules_accepted_at_large_energies(self, low, high):
+        # slot loads of one segment differ by rounding error that grows with the energies
+        for seed in range(5):
+            inst = generate_instance(GenParams(40, 2.0, 10.0, low, high, seed))
+            assert check_min_optimality(inst, schedule_optimal_offline(inst, QUAD), QUAD).optimal
+
+    def test_real_transfer_rejected_at_large_energies(self):
+        inst = Instance([Job(1, 1, 2, 2e11)])
+        uneven = Schedule(inst, {(1, 1): 1e11 + 5e5, (1, 2): 1e11 - 5e5})
+        result = check_min_optimality(inst, uneven, QUAD)
+        assert not result.optimal
+        assert result.witness == ((1, 1, 2),)
+        scaled = Instance([Job(1, 1, 2, 2e11), Job(2, 2, 3, 2e11)])
+        assert not check_min_optimality(scaled, baseline_schedule(scaled), QUAD).optimal
 
     def test_rejects_improvable_random_schedules(self):
         # an even spread is optimal only when no load-decreasing chain exists;

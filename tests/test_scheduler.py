@@ -5,11 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from gridsched import scheduler
+from gridsched.attacker import online_edf_attack
 from gridsched.harness import GenParams, generate_instance
-from gridsched.model import CostModel, Instance, Job, _job_arrays, baseline_cost, evaluate_cost
+from gridsched.model import CostModel, Instance, Job, _job_arrays, apply_attack, baseline_cost, evaluate_cost
 from gridsched.oracle import check_min_optimality
 from gridsched.scheduler import (
     _critical_arrays,
+    _peel,
     edf_fill,
     min_cost,
     optimal_load_segments,
@@ -17,7 +20,7 @@ from gridsched.scheduler import (
     schedule_optimal_offline,
 )
 
-from helpers import intensity, random_instance, random_instance_in_horizon
+from helpers import intensity, random_instance, random_instance_in_horizon, reference_peel
 
 QUAD = CostModel(2.0)
 
@@ -205,6 +208,58 @@ class TestPeelPinned:
             ((12, 1), 1.1427211150943846), ((13, 2), 0.6587981825997544), ((13, 3), 1.369747037029065),
             ((13, 4), 0.836278881672337),
         ]
+
+
+def assert_peel_matches_reference(inst: Instance) -> int:
+    """_peel's yields equal the rebuild-every-round reference exactly; returns the interval count."""
+    arrays = _job_arrays(inst)[1:]
+    peeled = list(_peel(*arrays))
+    expected = list(reference_peel(*arrays))
+    assert len(peeled) == len(expected)
+    for got, want in zip(peeled, expected):
+        assert got[:3] == want[:3]
+        for got_array, want_array in zip(got[3:], want[3:]):
+            assert np.array_equal(got_array, want_array)
+    return len(peeled)
+
+
+class TestPeelKeptTables:
+    """The kept tables recompute only what a cut changes, so every yield equals a full rebuild's."""
+
+    def test_small_instances_on_kept_tables(self, monkeypatch):
+        # with the size switch at 0 every round runs on the kept tables, so the
+        # rectangle's edge cases come up: no new point at start - 1 or start,
+        # start the last point, the rectangle at column 0, a cut that adds a point
+        monkeypatch.setattr(scheduler, "_INCREMENTAL_MIN_POINTS", 0)
+        rng = np.random.default_rng(20)
+        for k in range(1000):
+            if k % 2:
+                inst = random_instance(rng, max_jobs=12)
+            else:
+                inst = random_instance_in_horizon(rng, max_jobs=14, horizon=10, max_window=5)
+            assert_peel_matches_reference(inst)
+
+    @pytest.mark.parametrize("low, high", [(1.0, 5.0), (1e5, 1e6)])
+    def test_generated_n400_and_its_online_attack(self, low, high):
+        inst = generate_instance(GenParams(400, 5.0, 20.0, low, high, seed=3))
+        assert len(inst.endpoints()) >= scheduler._INCREMENTAL_MIN_POINTS
+        assert assert_peel_matches_reference(inst) > 1
+        plan, _, _ = online_edf_attack(inst, QUAD)
+        assert_peel_matches_reference(apply_attack(inst, plan))
+
+    def test_switch_to_rebuilds_partway(self, monkeypatch):
+        inst = generate_instance(GenParams(100, 3.0, 10.0, 1.0, 5.0, seed=2024))
+        assert len(inst.endpoints()) >= scheduler._INCREMENTAL_MIN_POINTS
+        rebuilds = []
+
+        def counted(*args):
+            rebuilds.append(args)
+            return _critical_arrays(*args)
+
+        monkeypatch.setattr(scheduler, "_critical_arrays", counted)
+        segments = assert_peel_matches_reference(inst)
+        # the reference holds its own binding of _critical_arrays: only _peel's rebuilds count
+        assert 0 < len(rebuilds) < segments
 
 
 class TestScheduleOnlineEven:
