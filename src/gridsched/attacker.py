@@ -107,11 +107,15 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     a skewed table, indexed by start or by end, and a whole width is
     evaluated on basic slices of those tables, in the same operation order
     and with the same first-maximum tie rule as an anchor-by-anchor loop.
+    Each width is evaluated in place in one scratch buffer, allocated once
+    and sized for the largest width's (q - w) x (w + 1) block, about q^2/4
+    cells; ``np.power`` into that buffer equals ``cost`` bit for bit.
     The rounding residue of the inclusion-exclusion can leave a clique that
     contains no job a slightly negative energy, whose cost a non-integer
-    exponent makes NaN; such a cost counts as zero.  Integer exponents
-    keep the residue's own cost, so their results stay bit for bit those
-    of the plain evaluation.
+    exponent makes NaN; such a cost counts as zero.  That scan runs only at
+    non-integer exponents: integer exponents make no NaN and keep the
+    residue's own cost, so their results stay bit for bit those of the
+    plain evaluation.
     """
     if instance.n == 0:
         return AttackPlan.empty(), CliquePartition(()), 0.0
@@ -140,21 +144,28 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     rights = np.zeros((q, q + 1))
     offset = np.zeros((q, q), dtype=np.int64)  # offset[i, j]: best anchor of [i, j] minus i
     diagonals = offset.ravel()  # diagonals[w :: q+1] runs along the intervals of width w
+    # every width is evaluated in place in one buffer, sized for the largest (q - w) x (w + 1)
+    scratch = np.empty(max((q - w) * (w + 1) for w in range(q)))
+    rows = np.arange(q)
+    integer_exponent = cost.exponent.is_integer()
     with np.errstate(invalid="ignore"):
         for width in range(q):
             count = q - width
             # clique energy: jobs with arrival index in [i, z] and deadline index in [z, j]
-            clique = np.subtract(by_end[width:, q - width :], by_start[:count, width + 1 : width + 2])
+            clique = scratch[: count * (width + 1)].reshape(count, width + 1)
+            np.subtract(by_end[width:, q - width :], by_start[:count, width + 1 : width + 2], out=clique)
             clique -= diag[:count, : width + 1]
             clique += by_start[:count, : width + 1]
-            combined = cost(clique)
-            # a clique with no job may carry a rounding residue just below zero, which a
-            # non-integer exponent turns into NaN; such a clique costs nothing
-            np.copyto(combined, 0.0, where=np.isnan(combined))
-            combined += lefts[:count, : width + 1]
-            combined += rights[width:, q - width :]
-            diagonals[width :: q + 1][:count] = combined.argmax(axis=1)
-            value = combined.max(axis=1)
+            np.power(clique, cost.exponent, out=clique)
+            if not integer_exponent:
+                # a clique with no job may carry a rounding residue just below zero, which a
+                # non-integer exponent (and only such) turns into NaN; such a clique costs nothing
+                np.copyto(clique, 0.0, where=np.isnan(clique))
+            clique += lefts[:count, : width + 1]
+            clique += rights[width:, q - width :]
+            best = clique.argmax(axis=1)
+            diagonals[width :: q + 1][:count] = best
+            value = clique[rows[:count], best]
             lefts[:count, width + 1] = value
             rights[width:, q - width - 1] = value
     c_max = float(lefts[0, q])

@@ -29,8 +29,8 @@ from .attacker import (
     limited_greedy_from_partition,
     online_edf_attack,
 )
-from .model import CostModel, Instance, Job, baseline_cost, evaluate_cost
-from .scheduler import min_cost, schedule_online_even
+from .model import CostModel, Instance, Job, baseline_cost
+from .scheduler import even_cost, min_cost
 
 log = logging.getLogger(__name__)
 
@@ -305,7 +305,7 @@ def _run_fig3(config: ExperimentConfig) -> ExperimentResult:
                 _, _, c_max_online = online_edf_attack(instance, cost)
                 sums += (
                     min_cost(instance, cost),
-                    evaluate_cost(schedule_online_even(instance), cost),
+                    even_cost(instance, cost),
                     baseline_cost(instance, cost),
                     c_max_offline,
                     c_max_online,

@@ -67,11 +67,13 @@ class Instance:
     jobs: tuple[Job, ...]
 
     def __init__(self, jobs: Iterable[Job] = ()) -> None:
+        jobs = tuple(jobs)
+        for job in jobs:
+            if not isinstance(job, Job):
+                raise TypeError(f"expected Job, got {type(job).__name__}")
         ordered = tuple(sorted(jobs, key=lambda j: (j.arrival, j.id)))
         seen: set[int] = set()
         for job in ordered:
-            if not isinstance(job, Job):
-                raise TypeError(f"expected Job, got {type(job).__name__}")
             if job.id in seen:
                 raise ValueError(f"duplicate job id {job.id}")
             seen.add(job.id)
@@ -309,22 +311,30 @@ def apply_attack(instance: Instance, plan: AttackPlan) -> Instance:
     return Instance(jobs)
 
 
+def _slot_cost(slots: np.ndarray, amounts: np.ndarray, cost: CostModel) -> float:
+    """Total cost of the loads that ``amounts`` put on ``slots``.
+
+    Each slot's load is added up in input order (``np.bincount`` adds in
+    input order, as accumulating into a dict does), and cost(load) is summed
+    over the occupied slots in ascending order with Python's scalar pow:
+    numpy's array ``**`` differs from it in the last bit on some loads.
+    """
+    occupied, where = np.unique(slots, return_inverse=True)
+    loads = np.bincount(where, weights=amounts, minlength=occupied.size)
+    return float(sum(cost(load) for load in loads.tolist()))
+
+
 def evaluate_cost(schedule: Schedule, cost: CostModel) -> float:
     """Total cost of a schedule: sum of the per-slot cost over its load profile."""
-    return float(sum(cost(load) for load in schedule.slot_loads().values()))
-
-
-def baseline_schedule(instance: Instance) -> Schedule:
-    """The inelastic schedule: every job served entirely at its arrival slot."""
-    return Schedule(instance, {(j.id, j.arrival): j.energy for j in instance.jobs})
+    allocations = schedule.allocations
+    slots = np.fromiter((slot for _, slot in allocations), np.int64, len(allocations))
+    return _slot_cost(slots, np.fromiter(allocations.values(), np.float64, len(allocations)), cost)
 
 
 def baseline_cost(instance: Instance, cost: CostModel) -> float:
     """Cost of inelastic service; jobs sharing an arrival slot stack before the cost applies."""
-    loads: dict[int, float] = {}
-    for job in instance.jobs:
-        loads[job.arrival] = loads.get(job.arrival, 0.0) + job.energy
-    return float(sum(cost(load) for _, load in sorted(loads.items())))
+    _, arrivals, _, energies = _job_arrays(instance)
+    return _slot_cost(arrivals, energies, cost)
 
 
 def read_instance_csv(path: str | Path) -> Instance:

@@ -23,7 +23,10 @@ intervals, levels and members are too.  Below the switch a round
 rebuilds, which is cheaper on small tables.
 
 An online heuristic that spreads each job evenly over its own window is
-provided for comparison; it upper-bounds the offline optimum.
+provided for comparison; it upper-bounds the offline optimum.  Both the
+schedule and its cost come from one array form of the spread,
+``_even_spread``; ``even_cost`` sums the slot loads without building a
+``Schedule``, bit for bit the cost of the materialized one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import CostModel, Instance, Job, Schedule, _job_arrays
+from .model import CostModel, Instance, Job, Schedule, _job_arrays, _slot_cost
 
 
 def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -329,11 +332,24 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     return Schedule(instance, allocations)
 
 
+def _even_spread(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
+    """Job index, slot and share of every entry of the even spread, jobs in input order, slots ascending."""
+    widths = deadlines - arrivals + 1
+    job = np.repeat(np.arange(widths.size), widths)
+    first = np.cumsum(widths) - widths  # position of each job's first entry
+    slot = np.arange(job.size) + (arrivals - first)[job]
+    return job, slot, (energies / widths)[job]
+
+
 def schedule_online_even(instance: Instance) -> Schedule:
     """Spread each job's energy evenly over its own window."""
-    allocations: dict[tuple[int, int], float] = {}
-    for job in instance.jobs:
-        share = job.energy / (job.allowance + 1)
-        for slot in range(job.arrival, job.deadline + 1):
-            allocations[(job.id, slot)] = share
-    return Schedule(instance, allocations)
+    ids, arrivals, deadlines, energies = _job_arrays(instance)
+    job, slot, share = _even_spread(arrivals, deadlines, energies)
+    return Schedule(instance, dict(zip(zip(ids[job].tolist(), slot.tolist()), share.tolist())))
+
+
+def even_cost(instance: Instance, cost: CostModel) -> float:
+    """Cost of the even spread without materializing the schedule."""
+    _, arrivals, deadlines, energies = _job_arrays(instance)
+    _, slot, share = _even_spread(arrivals, deadlines, energies)
+    return _slot_cost(slot, share, cost)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
-from gridsched.model import AttackPlan, CostModel, Instance, Job
+from gridsched.model import AttackPlan, CostModel, Instance, Job, Schedule
 from gridsched.scheduler import _critical_arrays, _excise
 
 
@@ -69,6 +69,29 @@ def reference_peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.nda
         arrivals, deadlines = _excise(arrivals[keep], deadlines[keep], start, end)
         energies = energies[keep]
         index = index[keep]
+
+
+def baseline_schedule(instance: Instance) -> Schedule:
+    """The inelastic schedule: every job served entirely at its arrival slot."""
+    return Schedule(instance, {(j.id, j.arrival): j.energy for j in instance.jobs})
+
+
+def reference_online_even(instance: Instance) -> dict[tuple[int, int], float]:
+    """The even spread's allocations, inserted job by job and slot by slot."""
+    allocations = {}
+    for job in instance.jobs:
+        share = job.energy / (job.allowance + 1)
+        for slot in range(job.arrival, job.deadline + 1):
+            allocations[(job.id, slot)] = share
+    return allocations
+
+
+def reference_cost(allocations: dict[tuple[int, int], float], cost: CostModel) -> float:
+    """Loads accumulated per slot in insertion order, then scalar cost(load) summed over ascending slots."""
+    loads: dict[int, float] = {}
+    for (_, slot), amount in allocations.items():
+        loads[slot] = loads.get(slot, 0.0) + amount
+    return float(sum(cost(load) for _, load in sorted(loads.items())))
 
 
 def limited_greedy(instance: Instance, beta: float, cost: CostModel) -> tuple[AttackPlan, float]:

@@ -93,7 +93,8 @@ class TestFullAttackDp:
 
     def test_matches_reference_exactly(self):
         rng = np.random.default_rng(56)
-        for exponent in (1.0, 2.0, 3.0):
+        # 1.5 and 2.5 run the NaN rule for empty cliques, which integer exponents skip
+        for exponent in (1.0, 2.0, 3.0, 1.5, 2.5):
             cost = CostModel(exponent)
             instances = [random_instance(rng, max_jobs=10, max_gap=2, max_window=6) for _ in range(10)]
             # colliding arrivals and shared windows

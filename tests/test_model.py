@@ -15,13 +15,12 @@ from gridsched.model import (
     Schedule,
     apply_attack,
     baseline_cost,
-    baseline_schedule,
     evaluate_cost,
     read_instance_csv,
     write_instance_csv,
 )
 
-from helpers import random_instance
+from helpers import baseline_schedule, random_instance, random_instance_in_horizon, reference_cost
 
 QUAD = CostModel(2.0)
 
@@ -68,6 +67,12 @@ class TestInstance:
         assert inst.horizon == 0
         assert inst.total_energy == 0.0
         assert inst.endpoints() == ()
+
+    def test_non_jobs_rejected_with_type_error(self):
+        with pytest.raises(TypeError, match="expected Job, got int"):
+            Instance([1, 2])
+        with pytest.raises(TypeError, match="expected Job, got str"):
+            Instance([Job(0, 1, 2, 1.0), "x"])
 
     def test_derived_queries(self):
         inst = two_job_instance()
@@ -207,6 +212,17 @@ class TestCosts:
             assert baseline_cost(inst, QUAD) == pytest.approx(
                 evaluate_cost(baseline_schedule(inst), QUAD), abs=1e-12
             )
+
+    def test_costs_equal_scalar_reference_exactly(self):
+        # loads summed per slot in input order, scalar cost(load) summed over ascending slots
+        rng = np.random.default_rng(12)
+        for exponent in (1.0, 1.5, 2.0, 3.0):
+            cost = CostModel(exponent)
+            for _ in range(20):
+                for inst in (random_instance(rng, max_jobs=9), random_instance_in_horizon(rng, 12, 6)):
+                    inelastic = {(j.id, j.arrival): j.energy for j in inst.jobs}
+                    assert baseline_cost(inst, cost) == reference_cost(inelastic, cost)
+                    assert evaluate_cost(baseline_schedule(inst), cost) == reference_cost(inelastic, cost)
 
     def test_cost_invariant_under_id_permutation_and_slot_relabeling(self):
         inst = Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 1.0)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridsched.harness import GenParams, generate_instance
-from gridsched.model import CostModel, Instance, Job, Schedule, baseline_schedule, evaluate_cost
+from gridsched.model import CostModel, Instance, Job, Schedule, evaluate_cost
 from gridsched.oracle import (
     brute_force_max_cost,
     check_min_optimality,
@@ -12,7 +12,7 @@ from gridsched.oracle import (
 )
 from gridsched.scheduler import min_cost, schedule_optimal_offline
 
-from helpers import random_instance
+from helpers import baseline_schedule, random_instance
 
 QUAD = CostModel(2.0)
 

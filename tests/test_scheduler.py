@@ -14,13 +14,21 @@ from gridsched.scheduler import (
     _critical_arrays,
     _peel,
     edf_fill,
+    even_cost,
     min_cost,
     optimal_load_segments,
     schedule_online_even,
     schedule_optimal_offline,
 )
 
-from helpers import intensity, random_instance, random_instance_in_horizon, reference_peel
+from helpers import (
+    intensity,
+    random_instance,
+    random_instance_in_horizon,
+    reference_cost,
+    reference_online_even,
+    reference_peel,
+)
 
 QUAD = CostModel(2.0)
 
@@ -281,3 +289,49 @@ class TestScheduleOnlineEven:
             even = evaluate_cost(schedule_online_even(inst), QUAD)
             assert optimal <= even + 1e-9
             assert optimal <= baseline_cost(inst, QUAD) + 1e-9
+
+    def test_allocations_and_order_match_reference(self):
+        rng = np.random.default_rng(13)
+        instances = [random_instance(rng, max_jobs=9) for _ in range(30)]
+        instances += [random_instance_in_horizon(rng, 12, 6) for _ in range(30)]
+        instances.append(generate_instance(GenParams(60, 3.0, 10.0, 1, 5, seed=4)))
+        for inst in instances:
+            expected = reference_online_even(inst)
+            assert list(schedule_online_even(inst).allocations.items()) == list(expected.items())
+
+
+class TestEvenCost:
+    """even_cost is bit for bit the cost of the materialized even spread."""
+
+    @staticmethod
+    def assert_exact(inst: Instance, cost: CostModel) -> None:
+        value = even_cost(inst, cost)
+        assert value == evaluate_cost(schedule_online_even(inst), cost)
+        assert value == reference_cost(reference_online_even(inst), cost)
+
+    def test_generator_draws(self):
+        for exponent in (1.0, 1.5, 2.0, 3.0):
+            for seed in range(3):
+                self.assert_exact(generate_instance(GenParams(50, 3.0, 15.0, 1, 5, seed=seed)), CostModel(exponent))
+
+    def test_energy_scales(self):
+        for low, high in ((1, 5), (1e5, 1e6), (1e11, 1e12)):
+            for seed in range(3):
+                self.assert_exact(generate_instance(GenParams(40, 2.0, 10.0, low, high, seed=seed)), QUAD)
+
+    def test_colliding_arrivals(self):
+        rng = np.random.default_rng(14)
+        for exponent in (1.5, 2.0):
+            for _ in range(40):
+                self.assert_exact(random_instance_in_horizon(rng, 12, 6), CostModel(exponent))
+
+    def test_scalar_pow_on_a_single_slot(self):
+        # Python's scalar ** and numpy's array ** round this square differently
+        load = 12.428327649956394
+        assert load**2.0 != (np.array([load]) ** 2.0)[0]
+        inst = Instance([Job(0, 3, 3, load)])
+        assert even_cost(inst, QUAD) == load**2.0
+        self.assert_exact(inst, QUAD)
+
+    def test_empty_instance(self):
+        assert even_cost(Instance([]), QUAD) == 0.0
