@@ -64,7 +64,11 @@ def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.n
 
 
 def _excise(arrivals: np.ndarray, deadlines: np.ndarray, start: int, end: int):
-    """Relabel windows after cutting slots [start, end] out of the timeline."""
+    """Relabel windows after cutting slots [start, end] out of the timeline.
+
+    ``start`` and ``end`` may be (rows, 1) columns, one cut per row of
+    (rows, n) windows, as the batched oracle peel uses it.
+    """
     width = end - start + 1
     new_a = np.where(arrivals > end, arrivals - width, np.minimum(arrivals, start))
     new_d = np.where(deadlines > end, deadlines - width, np.minimum(deadlines, start - 1))
@@ -231,13 +235,6 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
                 tables = tables.cut(start, end, points, arrivals, deadlines, energies)
 
 
-def _min_cost_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray, cost: CostModel) -> float:
-    total = 0.0
-    for start, end, level, *_ in _peel(arrivals, deadlines, energies):
-        total += (end - start + 1) * cost(level)
-    return float(total)
-
-
 def optimal_load_segments(instance: Instance) -> list[tuple[int, float]]:
     """(width, level) segments of the optimal load profile, in peel order.
 
@@ -249,8 +246,15 @@ def optimal_load_segments(instance: Instance) -> list[tuple[int, float]]:
 
 
 def min_cost(instance: Instance, cost: CostModel) -> float:
-    """Optimal (minimum) total cost without materializing the schedule."""
-    return _min_cost_arrays(*_job_arrays(instance)[1:], cost)
+    """Optimal (minimum) total cost without materializing the schedule.
+
+    Each segment is charged ``width * cost(level)`` with Python's scalar
+    ``**``, summed in peel order.
+    """
+    total = 0.0
+    for start, end, level, *_ in _peel(*_job_arrays(instance)[1:]):
+        total += (end - start + 1) * cost(level)
+    return total
 
 
 def edf_fill(jobs: Iterable[Job], start: int, end: int, level: float) -> dict[tuple[int, int], float]:

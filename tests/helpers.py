@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 import numpy as np
 
 from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
-from gridsched.model import AttackPlan, CostModel, Instance, Job, Schedule
+from gridsched.model import AttackPlan, CostModel, Instance, Job, Schedule, _job_arrays
 from gridsched.scheduler import _critical_arrays, _excise
 
 
@@ -69,6 +71,40 @@ def reference_peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.nda
         arrivals, deadlines = _excise(arrivals[keep], deadlines[keep], start, end)
         energies = energies[keep]
         index = index[keep]
+
+
+def reference_exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int | None = None) -> list[float]:
+    """The budgeted oracle one enumerated altered instance at a time, each peeled by reference_peel."""
+    n = instance.n
+    cap = n if max_budget is None else min(max_budget, n)
+    if n == 0:
+        return [0.0] * (cap + 1)
+    _, base_a, base_d, base_e = _job_arrays(instance)
+
+    def peel_cost(arrivals, deadlines):
+        total = 0.0
+        for start, end, level, *_ in reference_peel(arrivals, deadlines, base_e):
+            total += (end - start + 1) * cost(level)
+        return float(total)
+
+    best = [peel_cost(base_a, base_d)]
+    work_a = base_a.copy()
+    work_d = base_d.copy()
+    for size in range(1, cap + 1):
+        top = best[size - 1]
+        for chosen in combinations(range(n), size):
+            chosen = list(chosen)
+            windows = [range(base_a[j], base_d[j] + 1) for j in chosen]
+            for slots in product(*windows):
+                work_a[:] = base_a
+                work_d[:] = base_d
+                work_a[chosen] = slots
+                work_d[chosen] = slots
+                value = peel_cost(work_a, work_d)
+                if value > top:
+                    top = value
+        best.append(top)
+    return best
 
 
 def baseline_schedule(instance: Instance) -> Schedule:

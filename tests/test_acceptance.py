@@ -34,7 +34,7 @@ from gridsched.oracle import (
     check_min_optimality,
     exact_limited_attack_curve,
 )
-from gridsched.scheduler import schedule_online_even, schedule_optimal_offline
+from gridsched.scheduler import min_cost, schedule_online_even, schedule_optimal_offline
 
 from helpers import random_instance, random_instance_in_horizon
 
@@ -162,6 +162,25 @@ def test_criterion_06_upper_bound_dominates_exact_maxmin():
     ok = violations == 0
     _report(6, "baseline-controller DP dominates exact maxmin", ok, "100 instances, all budgets")
     assert violations == 0
+
+
+def test_criterion_06_exact_curve_at_seven_jobs():
+    # the same gate at n = 7, where the exact curve is also pinned at both ends
+    rng = np.random.default_rng(206)
+    violations = []
+    for trial in range(20):
+        inst = random_instance(rng, min_jobs=7, max_jobs=7, max_window=3)
+        exact = exact_limited_attack_curve(inst, QUAD)
+        upper = limited_attack_curve(inst, QUAD, inst.n)
+        if exact[0] != min_cost(inst, QUAD):
+            violations.append((trial, "exact[0] != min_cost"))
+        if abs(exact[inst.n] - brute_force_max_cost(inst, QUAD)) > 1e-9:
+            violations.append((trial, "exact[n] != brute force"))
+        for budget in range(inst.n + 1):
+            if upper[budget] < exact[budget] - REL_TOL * max(1.0, exact[budget]):
+                violations.append((trial, f"upper < exact at budget {budget}"))
+    _report(6, "DP dominates exact maxmin at n = 7", not violations, "20 instances, all budgets")
+    assert violations == []
 
 
 def test_criterion_07_fig5_reproduction():

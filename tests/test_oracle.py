@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import gridsched.oracle as oracle_mod
+from gridsched.attacker import limited_attack_curve
 from gridsched.harness import GenParams, generate_instance
 from gridsched.model import CostModel, Instance, Job, Schedule, evaluate_cost
 from gridsched.oracle import (
@@ -12,7 +14,12 @@ from gridsched.oracle import (
 )
 from gridsched.scheduler import min_cost, schedule_optimal_offline
 
-from helpers import baseline_schedule, random_instance
+from helpers import (
+    baseline_schedule,
+    random_instance,
+    random_instance_in_horizon,
+    reference_exact_limited_attack_curve,
+)
 
 QUAD = CostModel(2.0)
 
@@ -44,8 +51,6 @@ class TestBruteForceMaxCost:
         # product just above one chunk, exercising the chunk loop
         jobs = [Job(i, 1 + 2 * i, 1 + 2 * i + 8, 1.0 + 0.1 * i) for i in range(6)]
         inst = Instance(jobs)
-        import gridsched.oracle as oracle_mod
-
         value = brute_force_max_cost(inst, QUAD)
         original = oracle_mod._CHUNK
         try:
@@ -92,6 +97,84 @@ class TestBruteForceLimitedAttack:
         jobs = [Job(i, 1 + 40 * i, 900 + 40 * i, 1.0) for i in range(4)]
         with pytest.raises(ValueError, match="too large"):
             exact_limited_attack_curve(Instance(jobs), QUAD, 4)
+
+    def test_negative_budget_rejected(self):
+        inst = Instance([Job(0, 1, 3, 2.0), Job(1, 2, 4, 1.0)])
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            exact_limited_attack_curve(inst, QUAD, -1)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            limited_attack_curve(inst, QUAD, -1)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            exact_limited_attack_curve(Instance([]), QUAD, -1)
+
+
+def elementary_sum(sizes: list[int], cap: int) -> int:
+    """e_0 + ... + e_cap of the window sizes: the (altered set, compression) pairs of budget cap."""
+    coeffs = [1] + [0] * cap
+    for size in sizes:
+        for k in range(cap, 0, -1):
+            coeffs[k] += coeffs[k - 1] * size
+    return sum(coeffs)
+
+
+class TestExactCurveBatched:
+    """The batched peel against the loop that peels one altered instance at a time."""
+
+    def test_equals_reference_loop_exactly(self):
+        rng = np.random.default_rng(36)
+        instances = [random_instance(rng, max_jobs=5, max_window=3) for _ in range(4)]
+        instances += [random_instance_in_horizon(rng, 5, 6, max_window=3) for _ in range(4)]  # arrivals collide
+        for exponent in (1.0, 1.5, 2.0, 2.5, 3.0):
+            cost = CostModel(exponent)
+            for inst in instances:
+                # the loop's curve for budget m is the first m + 1 entries of its full curve
+                reference = reference_exact_limited_attack_curve(inst, cost)
+                for max_budget in (0, 1, inst.n // 2, None):
+                    cap = inst.n if max_budget is None else min(max_budget, inst.n)
+                    assert exact_limited_attack_curve(inst, cost, max_budget) == reference[: cap + 1]
+
+    def test_empty_and_single_job(self):
+        assert exact_limited_attack_curve(Instance([]), QUAD) == [0.0]
+        assert exact_limited_attack_curve(Instance([]), QUAD, 3) == [0.0]  # capped at n
+        single = Instance([Job(0, 3, 6, 2.5)])
+        assert exact_limited_attack_curve(single, QUAD) == [0.625**2 * 4, 6.25]
+        assert exact_limited_attack_curve(single, QUAD, 5) == [0.625**2 * 4, 6.25]
+        assert exact_limited_attack_curve(single, QUAD, 0) == [min_cost(single, QUAD)]
+
+    def test_one_row_per_batch_matches(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(37), max_jobs=5, min_jobs=5, max_window=3)
+        expected = exact_limited_attack_curve(inst, CostModel(1.5))
+        slots = inst.horizon - min(j.arrival for j in inst.jobs) + 1
+        batches = []
+        peel_rows = oracle_mod._peel_rows
+
+        def recorded(arrivals, *args):
+            batches.append(arrivals.shape[0])
+            return peel_rows(arrivals, *args)
+
+        monkeypatch.setattr(oracle_mod, "_TABLE_CELLS", slots * slots)
+        monkeypatch.setattr(oracle_mod, "_peel_rows", recorded)
+        assert exact_limited_attack_curve(inst, CostModel(1.5)) == expected
+        assert set(batches) == {1}
+        assert len(batches) == elementary_sum([j.allowance + 1 for j in inst.jobs], inst.n)
+
+    def test_peels_every_enumeration_once(self, monkeypatch):
+        peel_rows = oracle_mod._peel_rows
+        rows = 0
+
+        def counted(arrivals, *args):
+            nonlocal rows
+            rows += arrivals.shape[0]
+            return peel_rows(arrivals, *args)
+
+        monkeypatch.setattr(oracle_mod, "_peel_rows", counted)
+        rng = np.random.default_rng(38)
+        for inst in [random_instance(rng, max_jobs=6, max_window=4) for _ in range(5)]:
+            sizes = [j.allowance + 1 for j in inst.jobs]
+            for cap in (0, 2, inst.n):
+                rows = 0
+                exact_limited_attack_curve(inst, QUAD, cap)
+                assert rows == elementary_sum(sizes, cap)
 
 
 class TestExactCurvePinned:
