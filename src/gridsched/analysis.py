@@ -11,40 +11,15 @@ Three guarantees are evaluated here:
   optimal attack value.
 
 All three need every allowance to be positive; instances containing a
-job with arrival == deadline make the first two vacuous, which is
-reported through a degenerate flag rather than an error.
+job with arrival == deadline make the first two vacuous, and their
+evaluators return 0 rather than raise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import CostModel, Instance
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Bound values for one instance, plus the quantities they derive from.
-
-    ``degenerate`` marks instances with a zero minimum allowance, for
-    which ``online_factor`` and ``max_cost_lower`` are vacuous (0) and
-    ``allowance_ratio`` is reported as 0.
-    """
-
-    online_factor: float
-    max_cost_lower: float
-    limited_lower: float
-    allowance_ratio: int
-    packing_ratio: float
-    l_min: int
-    l_max: int
-    n: int
-    total_energy: float
-    arrival_span: int
-    beta: float
-    exponent: float
-    degenerate: bool
 
 
 def allowance_ratio(l_min: int, l_max: int) -> int:
@@ -81,7 +56,7 @@ def online_attack_factor(instance: Instance, exponent: float) -> float:
     Returns r ** -(exponent - 1) with r = ceil(l_max / l_min) + 1, or 0
     when some allowance is zero (degenerate, bound vacuous).
     """
-    _check_exponent(exponent)
+    CostModel(exponent)  # rejects an exponent below 1 or not finite
     l_min, l_max = instance.allowance_range()
     if l_min == 0:
         return 0.0
@@ -90,7 +65,7 @@ def online_attack_factor(instance: Instance, exponent: float) -> float:
 
 def max_cost_bound_value(l_min: int, total_energy: float, arrival_span: int, exponent: float) -> float:
     """(l_min * total_energy / (2 * l_min + arrival_span)) ** exponent."""
-    _check_exponent(exponent)
+    CostModel(exponent)  # rejects an exponent below 1 or not finite
     if l_min < 1:
         return 0.0
     return float((l_min * total_energy / (2 * l_min + arrival_span)) ** exponent)
@@ -107,51 +82,9 @@ def max_cost_lower_bound(instance: Instance, exponent: float) -> float:
 
 def limited_attack_lower_bound(c_max: float, beta: float, exponent: float) -> float:
     """Guaranteed value of the budgeted greedy attack: beta**exponent * c_max / 2."""
-    _check_exponent(exponent)
+    CostModel(exponent)  # rejects an exponent below 1 or not finite
     if c_max < 0.0:
         raise ValueError(f"c_max must be non-negative, got {c_max!r}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
     return beta**exponent * c_max / 2.0
-
-
-def bound_report(
-    instance: Instance,
-    exponent: float,
-    beta: float = 1.0,
-    c_max: float | None = None,
-) -> BoundReport:
-    """Evaluate all bounds for one instance.
-
-    ``c_max`` may be supplied to avoid recomputing the optimal attack;
-    otherwise it is computed here.
-    """
-    if instance.n == 0:
-        raise ValueError("bound report undefined for an empty instance")
-    if c_max is None:
-        from .attacker import full_attack_dp
-
-        _, _, c_max = full_attack_dp(instance, CostModel(exponent))
-    l_min, l_max = instance.allowance_range()
-    degenerate = l_min == 0
-    span = instance.jobs[-1].arrival - instance.jobs[0].arrival
-    return BoundReport(
-        online_factor=online_attack_factor(instance, exponent),
-        max_cost_lower=max_cost_lower_bound(instance, exponent),
-        limited_lower=limited_attack_lower_bound(c_max, beta, exponent),
-        allowance_ratio=0 if degenerate else allowance_ratio(l_min, l_max),
-        packing_ratio=arrival_packing_ratio(instance),
-        l_min=l_min,
-        l_max=l_max,
-        n=instance.n,
-        total_energy=instance.total_energy,
-        arrival_span=span,
-        beta=beta,
-        exponent=float(exponent),
-        degenerate=degenerate,
-    )
-
-
-def _check_exponent(exponent: float) -> None:
-    if not math.isfinite(exponent) or exponent < 1.0:
-        raise ValueError(f"cost exponent must be a finite real >= 1, got {exponent!r}")

@@ -10,7 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import bound_report
+from .analysis import (
+    allowance_ratio,
+    arrival_packing_ratio,
+    limited_attack_lower_bound,
+    max_cost_lower_bound,
+    online_attack_factor,
+)
 from .attacker import (
     attack_budget,
     full_attack_dp,
@@ -82,16 +88,21 @@ def _cmd_attack_limited(args) -> int:
 
 def _cmd_bounds(args) -> int:
     instance = read_instance_csv(args.instance)
-    report = bound_report(instance, args.b, beta=args.beta)
-    print(f"n = {report.n}")
-    print(f"l_min = {report.l_min}")
-    print(f"l_max = {report.l_max}")
-    print(f"allowance_ratio = {report.allowance_ratio}")
-    print(f"packing_ratio = {_fmt(report.packing_ratio)}")
-    print(f"degenerate = {'true' if report.degenerate else 'false'}")
-    print(f"online_factor = {_fmt(report.online_factor)}")
-    print(f"max_cost_lower = {_fmt(report.max_cost_lower)}")
-    print(f"limited_lower(beta={_fmt(report.beta)}) = {_fmt(report.limited_lower)}")
+    l_min, l_max = instance.allowance_range()
+    degenerate = l_min == 0
+    _, _, c_max = full_attack_dp(instance, CostModel(args.b))
+    lines = [
+        f"n = {instance.n}",
+        f"l_min = {l_min}",
+        f"l_max = {l_max}",
+        f"allowance_ratio = {0 if degenerate else allowance_ratio(l_min, l_max)}",
+        f"packing_ratio = {_fmt(arrival_packing_ratio(instance))}",
+        f"degenerate = {'true' if degenerate else 'false'}",
+        f"online_factor = {_fmt(online_attack_factor(instance, args.b))}",
+        f"max_cost_lower = {_fmt(max_cost_lower_bound(instance, args.b))}",
+        f"limited_lower(beta={_fmt(args.beta)}) = {_fmt(limited_attack_lower_bound(c_max, args.beta, args.b))}",
+    ]
+    print("\n".join(lines))
     return 0
 
 

@@ -96,6 +96,19 @@ def make_identical_instance(n: int, energy: float, allowance: int, interarrival:
     return Instance(jobs)
 
 
+# The paper's fixed setups, which no run varies.
+_MEAN_INTERARRIVAL = 5.0
+_FIG2_N_GRID = (50, 100, 200)
+_FIG2_LMIN_GRID = tuple(range(5, 55, 5))
+_FIG2_MEAN_ENERGY = 10.0
+_FIG3_ENERGY = (1.0, 5.0)
+_FIG4_ENERGY = (1.0, 20.0)
+_FIG4_MEAN_ALLOWANCE = 40.0
+_FIG5_JOBS = 50
+_FIG5_ENERGY = 5.0
+_FIG5_ALLOWANCE = 50
+
+# Default sweep grids and trial counts of ExperimentConfig.
 _FIG3_ALLOWANCE_MEANS = tuple(float(v) for v in range(5, 55, 5))
 _FIG4_BETAS = tuple(i / 10 for i in range(1, 11))
 _FIG5_BETAS = tuple(i / 50 for i in range(1, 51))
@@ -111,10 +124,11 @@ _DEFAULT_TRIALS = {
 class ExperimentConfig:
     """One experiment run: which study, its sweep grids, and the master seed.
 
-    Defaults encode the reference setups of the four experiments;
-    ``default`` builds a config
-    for a given experiment and ``validate`` checks the parameters the
-    experiment actually uses.
+    Defaults encode the reference setups of the four experiments; the parts
+    of a setup that no run varies (fig2's grid, the generator's means and
+    energy ranges, fig5's identical job) are module constants.  ``default``
+    builds a config for a given experiment and ``validate`` checks the
+    parameters the experiment actually uses.
     """
 
     experiment: Experiment
@@ -122,25 +136,13 @@ class ExperimentConfig:
     trials: int
     exponent: float = 2.0
     out_path: str | None = None
-    # closed-form bound sweep
-    n_grid: tuple[int, ...] = (50, 100, 200)
-    lmin_grid: tuple[int, ...] = tuple(range(5, 55, 5))
-    mean_energy: float = 10.0
-    # shared generator knobs
-    mean_interarrival: float = 5.0
     # allowance-mean sweep
     fig3_jobs: int = 100
-    fig3_energy: tuple[float, float] = (1.0, 5.0)
     allowance_means: tuple[float, ...] = _FIG3_ALLOWANCE_MEANS
     # budgeted-attack bound sweep
     fig4_jobs: int = 50
-    fig4_energy: tuple[float, float] = (1.0, 20.0)
-    fig4_mean_allowance: float = 40.0
     betas: tuple[float, ...] = _FIG4_BETAS
     # identical-job ratio sweep
-    fig5_jobs: int = 50
-    fig5_energy: float = 5.0
-    fig5_allowance: int = 50
     interarrival_grid: tuple[int, ...] = (1, 2, 5, 10)
     fig5_betas: tuple[float, ...] = _FIG5_BETAS
 
@@ -166,31 +168,22 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.exponent < 1.0:
-            raise ValueError(f"cost exponent must be >= 1, got {self.exponent}")
+        CostModel(self.exponent)  # rejects an exponent below 1 or not finite
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.experiment is Experiment.FIG2_BOUND:
-            if not self.n_grid or not self.lmin_grid:
-                raise ValueError("fig2 needs non-empty n and l_min grids")
-            if any(l < 1 for l in self.lmin_grid) or any(n < 1 for n in self.n_grid):
-                raise ValueError("fig2 grids must be positive")
-            if self.mean_energy <= 0 or self.mean_interarrival <= 0:
-                raise ValueError("fig2 means must be positive")
-        elif self.experiment is Experiment.FIG3_COSTS:
+        if self.experiment is Experiment.FIG3_COSTS:
             if not self.allowance_means or any(m <= 0 for m in self.allowance_means):
                 raise ValueError("fig3 needs a positive allowance-mean sweep")
-            GenParams(self.fig3_jobs, self.mean_interarrival, 1.0, *self.fig3_energy, seed=0)
+            GenParams(self.fig3_jobs, _MEAN_INTERARRIVAL, 1.0, *_FIG3_ENERGY, seed=0)
         elif self.experiment is Experiment.FIG4_MAXMIN_BOUNDS:
             if not self.betas or any(not 0 <= b <= 1 for b in self.betas):
                 raise ValueError("fig4 needs a beta grid inside [0, 1]")
-            GenParams(self.fig4_jobs, self.mean_interarrival, self.fig4_mean_allowance, *self.fig4_energy, seed=0)
+            GenParams(self.fig4_jobs, _MEAN_INTERARRIVAL, _FIG4_MEAN_ALLOWANCE, *_FIG4_ENERGY, seed=0)
         elif self.experiment is Experiment.FIG5_ORDERED_RATIO:
             if not self.fig5_betas or any(not 0 <= b <= 1 for b in self.fig5_betas):
                 raise ValueError("fig5 needs a beta grid inside [0, 1]")
             if not self.interarrival_grid or any(m < 1 for m in self.interarrival_grid):
                 raise ValueError("fig5 needs interarrival values >= 1")
-            make_identical_instance(self.fig5_jobs, self.fig5_energy, self.fig5_allowance, 1)
 
     def with_out_path(self, out_path: str | None) -> "ExperimentConfig":
         return replace(self, out_path=out_path)
@@ -261,13 +254,13 @@ def _run_fig2(config: ExperimentConfig) -> ExperimentResult:
     """Closed-form attack lower bound over an (n, l_min) grid.
 
     Uses the expected totals of the generator setup: total energy
-    mean_energy * n and arrival span mean_interarrival * (n - 1).
+    _FIG2_MEAN_ENERGY * n and arrival span _MEAN_INTERARRIVAL * (n - 1).
     """
     rows = []
-    for n in config.n_grid:
-        span = int(round(config.mean_interarrival * (n - 1)))
-        for l_min in config.lmin_grid:
-            bound = max_cost_bound_value(l_min, config.mean_energy * n, span, config.exponent)
+    for n in _FIG2_N_GRID:
+        span = int(round(_MEAN_INTERARRIVAL * (n - 1)))
+        for l_min in _FIG2_LMIN_GRID:
+            bound = max_cost_bound_value(l_min, _FIG2_MEAN_ENERGY * n, span, config.exponent)
             rows.append((n, l_min, bound))
     return ExperimentResult(_preamble(config), ("n", "l_min", "lower_bound"), rows)
 
@@ -294,10 +287,10 @@ def _run_fig3(config: ExperimentConfig) -> ExperimentResult:
                 instance = generate_instance(
                     GenParams(
                         n=config.fig3_jobs,
-                        mean_interarrival=config.mean_interarrival,
+                        mean_interarrival=_MEAN_INTERARRIVAL,
                         mean_allowance=mean_allowance,
-                        energy_low=config.fig3_energy[0],
-                        energy_high=config.fig3_energy[1],
+                        energy_low=_FIG3_ENERGY[0],
+                        energy_high=_FIG3_ENERGY[1],
                         seed=seed,
                     )
                 )
@@ -338,10 +331,10 @@ def _draw_unique_arrivals(config: ExperimentConfig, trial: int) -> tuple[Instanc
         instance = generate_instance(
             GenParams(
                 n=config.fig4_jobs,
-                mean_interarrival=config.mean_interarrival,
-                mean_allowance=config.fig4_mean_allowance,
-                energy_low=config.fig4_energy[0],
-                energy_high=config.fig4_energy[1],
+                mean_interarrival=_MEAN_INTERARRIVAL,
+                mean_allowance=_FIG4_MEAN_ALLOWANCE,
+                energy_low=_FIG4_ENERGY[0],
+                energy_high=_FIG4_ENERGY[1],
                 seed=seed,
             )
         )
@@ -386,9 +379,7 @@ def _run_fig5(config: ExperimentConfig) -> ExperimentResult:
     header = ("interarrival", "beta", "budget", "ratio", "c_limited", "c_max")
     rows = []
     for interarrival in config.interarrival_grid:
-        instance = make_identical_instance(
-            config.fig5_jobs, config.fig5_energy, config.fig5_allowance, interarrival
-        )
+        instance = make_identical_instance(_FIG5_JOBS, _FIG5_ENERGY, _FIG5_ALLOWANCE, interarrival)
         _, partition, c_max = full_attack_dp(instance, cost)
         for beta in config.fig5_betas:
             _, value = limited_greedy_from_partition(instance, partition, beta, cost)
@@ -396,7 +387,7 @@ def _run_fig5(config: ExperimentConfig) -> ExperimentResult:
                 (
                     interarrival,
                     beta,
-                    attack_budget(beta, config.fig5_jobs),
+                    attack_budget(beta, _FIG5_JOBS),
                     value / c_max,
                     value,
                     c_max,

@@ -183,7 +183,7 @@ class Schedule:
                 raise ValueError(str(exc)) from None
             if not isinstance(slot, int) or not job.covers(slot):
                 raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
-            cleaned[(job_id, slot)] = cleaned.get((job_id, slot), 0.0) + amount
+            cleaned[(job_id, slot)] = amount
             totals[job_id] += amount
         for job in instance.jobs:
             if abs(totals[job.id] - job.energy) > ENERGY_TOL * max(1.0, job.energy):

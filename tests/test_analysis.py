@@ -6,7 +6,6 @@ import pytest
 from gridsched.analysis import (
     allowance_ratio,
     arrival_packing_ratio,
-    bound_report,
     limited_attack_lower_bound,
     max_cost_bound_value,
     max_cost_lower_bound,
@@ -108,6 +107,16 @@ class TestLimitedAttackLowerBound:
             limited_attack_lower_bound(1.0, 1.5, 2.0)
 
 
+@pytest.mark.parametrize("exponent", [float("nan"), float("inf"), 0.5])
+def test_bad_exponent_rejected(exponent):
+    with pytest.raises(ValueError, match="cost exponent"):
+        online_attack_factor(two_job_instance(), exponent)
+    with pytest.raises(ValueError, match="cost exponent"):
+        max_cost_bound_value(5, 10.0, 4, exponent)
+    with pytest.raises(ValueError, match="cost exponent"):
+        limited_attack_lower_bound(16.0, 0.5, exponent)
+
+
 class TestBoundsHoldOnRandoms:
     @pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0])
     def test_online_attack_within_factor(self, exponent):
@@ -141,30 +150,3 @@ class TestBoundsHoldOnRandoms:
                 bound = limited_attack_lower_bound(c_max, beta, 2.0)
                 assert value >= bound - 1e-9 * max(1.0, bound)
 
-
-class TestBoundReport:
-    def test_report_fields(self):
-        inst = two_job_instance()
-        report = bound_report(inst, 2.0, beta=0.5)
-        assert report.n == 2
-        assert (report.l_min, report.l_max) == (1, 1)
-        assert report.allowance_ratio == 2
-        assert report.packing_ratio == pytest.approx(2.0)
-        assert report.arrival_span == 1
-        assert not report.degenerate
-        assert report.online_factor == pytest.approx(0.5)
-        assert report.max_cost_lower == pytest.approx(16 / 9)
-        assert report.limited_lower == pytest.approx(0.25 * 16 / 2)
-
-    def test_precomputed_c_max_respected(self):
-        inst = two_job_instance()
-        report = bound_report(inst, 2.0, beta=1.0, c_max=16.0)
-        assert report.limited_lower == pytest.approx(8.0)
-
-    def test_degenerate_flagged(self):
-        inst = Instance([Job(0, 1, 1, 1.0), Job(1, 3, 6, 1.0)])
-        report = bound_report(inst, 2.0)
-        assert report.degenerate
-        assert report.online_factor == 0.0
-        assert report.max_cost_lower == 0.0
-        assert report.allowance_ratio == 0

@@ -43,12 +43,37 @@ def test_attack_limited(instance_file, capsys):
 
 def test_bounds(instance_file, capsys):
     assert main(["bounds", instance_file, "--beta", "0.5"]) == 0
+    assert capsys.readouterr().out == (
+        "n = 2\n"
+        "l_min = 1\n"
+        "l_max = 1\n"
+        "allowance_ratio = 2\n"
+        "packing_ratio = 2\n"
+        "degenerate = false\n"
+        "online_factor = 0.5\n"
+        "max_cost_lower = 1.77777777778\n"
+        "limited_lower(beta=0.5) = 2\n"
+    )
+
+
+def test_bounds_degenerate_instance(tmp_path, capsys):
+    path = tmp_path / "degenerate.csv"
+    write_instance_csv(Instance([Job(0, 1, 1, 1.0), Job(1, 3, 6, 1.0)]), path)
+    assert main(["bounds", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "l_min = 1" in out
-    assert "allowance_ratio = 2" in out
-    assert "online_factor = 0.5" in out
-    assert "max_cost_lower = 1.77777777778" in out
-    assert "limited_lower(beta=0.5) = 2" in out
+    assert "degenerate = true\n" in out
+    assert "allowance_ratio = 0\n" in out
+    assert "online_factor = 0\n" in out
+    assert "max_cost_lower = 0\n" in out
+
+
+def test_bounds_empty_instance_reports_error(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("id,arrival,deadline,energy\n")
+    assert main(["bounds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_oracle_pmax(instance_file, capsys):

@@ -1,5 +1,8 @@
 """Instance generation and the experiment harness: determinism, stats, row invariants."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,6 @@ QUICK_FIG3 = dict(allowance_means=(5.0, 20.0), trials=2, fig3_jobs=30)
 
 def quick_fig3_config(seed: int) -> ExperimentConfig:
     base = ExperimentConfig.default(Experiment.FIG3_COSTS, seed=seed)
-    from dataclasses import replace
-
     return replace(base, **QUICK_FIG3)
 
 
@@ -89,9 +90,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.default(Experiment.FIG3_COSTS, seed=1, trials=0)
 
-    def test_unknown_beta_rejected(self):
-        from dataclasses import replace
+    @pytest.mark.parametrize("experiment", [Experiment.FIG2_BOUND, Experiment.FIG3_COSTS])
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), float("-inf"), 0.5])
+    def test_bad_exponent_rejected(self, experiment, exponent):
+        with pytest.raises(ValueError, match="cost exponent"):
+            ExperimentConfig.default(experiment, seed=1, exponent=exponent)
 
+    def test_unknown_beta_rejected(self):
         config = ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=1)
         with pytest.raises(ValueError):
             replace(config, betas=(1.5,)).validate()
@@ -135,8 +140,6 @@ class TestRunExperimentFig3:
 
 class TestRunExperimentFig4:
     def test_rows_and_bound_order(self):
-        from dataclasses import replace
-
         config = replace(
             ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=8, trials=1),
             fig4_jobs=12,
@@ -154,8 +157,6 @@ class TestRunExperimentFig4:
 
 class TestRunExperimentFig5:
     def test_tight_grouping_follows_budget_square(self):
-        from dataclasses import replace
-
         config = replace(
             ExperimentConfig.default(Experiment.FIG5_ORDERED_RATIO, seed=2),
             interarrival_grid=(1,),
@@ -191,3 +192,28 @@ class TestDeterminism:
         a = run_experiment(quick_fig3_config(seed=1))
         b = run_experiment(quick_fig3_config(seed=2))
         assert a.to_csv_text() != b.to_csv_text()
+
+    def test_csv_sha256_pinned(self):
+        # criterion 10's four small configs; the preamble carries the package
+        # version, so a version bump changes every digest
+        configs = {
+            "4eb0dcb102b23fc23d5f6274eab723a4456a15e35b551ecb5162b951f647642b": ExperimentConfig.default(
+                Experiment.FIG2_BOUND, seed=110
+            ),
+            "e942cf17f6b6c8223b3982ea2d386e882e65c219b004453b7eb70c218cf824ac": replace(
+                ExperimentConfig.default(Experiment.FIG3_COSTS, seed=110, trials=2),
+                allowance_means=(5.0, 25.0),
+                fig3_jobs=30,
+            ),
+            "b77bf6401bb36b6b6a8c75cf0c79a33316e9d275ca35a918b6ae88c76b147ae9": replace(
+                ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=110, trials=1),
+                fig4_jobs=12,
+                betas=(0.25, 0.5, 1.0),
+            ),
+            "57ae2f508da1a147ac70745c947dbb2d844a9a9a4d1b48e1f9d754f1f9febb2e": replace(
+                ExperimentConfig.default(Experiment.FIG5_ORDERED_RATIO, seed=110), interarrival_grid=(1, 5)
+            ),
+        }
+        for digest, config in configs.items():
+            text = run_experiment(config).to_csv_text()
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, config.experiment
