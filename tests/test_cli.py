@@ -43,6 +43,16 @@ def test_attack_limited(instance_file, capsys):
 
 def test_bounds(instance_file, capsys):
     assert main(["bounds", instance_file, "--beta", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "l_min = 1" in out
+    assert "allowance_ratio = 2" in out
+    assert "online_factor = 0.5" in out
+    assert "max_cost_lower = 1.77777777778" in out
+    assert "limited_lower(beta=0.5) = 2" in out
+
+
+def test_bounds_report_fields(instance_file, capsys):
+    assert main(["bounds", instance_file, "--beta", "0.5"]) == 0
     assert capsys.readouterr().out == (
         "n = 2\n"
         "l_min = 1\n"
