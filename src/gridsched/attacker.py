@@ -23,7 +23,6 @@ inelastically at their arrival slots.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,42 +47,6 @@ def attack_budget(beta: float, n: int) -> int:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
     return int(math.floor(beta * n + _BUDGET_EPS))
-
-
-def _knapsack_select(
-    items: Sequence[tuple[float, float]], budget_fraction: float
-) -> tuple[tuple[int, ...], int, float]:
-    """Greedy fractional-knapsack selection for a weight budget of ``budget_fraction`` times the total weight.
-
-    Items are (value >= 0, weight > 0) pairs.  Returns (order, count, value):
-    ``order`` permutes the items by non-increasing value/weight ratio (ties
-    by larger value, then input position), its first ``count`` items fit
-    the budget whole and ``value`` sums them.  Comparisons against the
-    budget carry a relative 1e-9 slack so that budgets meant to be whole
-    numbers of unit-weight items are not lost to float rounding.
-    """
-    if not items:
-        raise ValueError("fractional knapsack needs at least one item")
-
-    order = sorted(
-        range(len(items)),
-        key=lambda idx: (-(items[idx][0] / items[idx][1]), -items[idx][0], idx),
-    )
-    total_weight = sum(weight for _, weight in items)
-    budget = budget_fraction * total_weight
-    slack = _BUDGET_EPS * max(1.0, abs(total_weight))
-
-    chosen = 0
-    used = 0.0
-    value_sum = 0.0
-    for idx in order:
-        value, weight = items[idx]
-        if used + weight > budget + slack:
-            break
-        used += weight
-        value_sum += value
-        chosen += 1
-    return tuple(order), chosen, value_sum
 
 
 def _endpoint_index(arrivals: np.ndarray, deadlines: np.ndarray):
@@ -229,9 +192,10 @@ def limited_greedy_from_partition(
 ) -> tuple[AttackPlan, float]:
     """Budgeted greedy attack given an already-computed optimal clique partition.
 
-    Whole cliques are ranked by cost per member and compressed as long as
-    the budget admits; the first clique that does not fit is the next
-    clique.  Two selections are compared: (a) those whole cliques plus the
+    Whole cliques are ranked by cost per member (ties by larger cost, then
+    position in the partition) and compressed while their members fit the
+    budget; the first clique that does not fit is the next clique.  Two
+    selections are compared: (a) those whole cliques plus the
     highest-energy members of the next clique that the leftover budget
     pays for, and (b) the whole budget spent inside the next clique on its
     highest-energy members.  A member already pinned at its clique's slot
@@ -242,69 +206,60 @@ def limited_greedy_from_partition(
     it leaves uncompressed join at their slot too, for free.  The better
     of the two is adopted (ties to (a)).  Only the compressed components
     are counted, so the reported value is a lower bound on what the
-    attack actually forces.  With
-    beta = 1 the whole partition is compressed and the value equals the
-    optimal unlimited attack.
+    attack actually forces.  With beta = 1 the whole partition is
+    compressed and the value equals the optimal unlimited attack.
     """
     budget = attack_budget(beta, instance.n)
     blocks = partition.blocks
-    if not blocks:
-        return AttackPlan.empty(), 0.0
 
-    block_value = [float(cost(partition.block_energy(instance, block))) for block in blocks]
-    block_size = [len(block.members) for block in blocks]
-    order, chosen, chosen_value = _knapsack_select(
-        [(value, float(size)) for value, size in zip(block_value, block_size)],
-        min(1.0, budget / sum(block_size)),
-    )
-    whole_blocks = [blocks[idx] for idx in order[:chosen]]
-
-    def is_pinned(jid: int, slot: int) -> bool:
-        job = instance.job(jid)
-        return job.arrival == job.deadline == slot
-
-    leftover = budget - sum(
-        not is_pinned(jid, block.slot) for block in whole_blocks for jid in block.members
-    )
-
-    ranked: list[int] = []
-    pinned: list[int] = []
-    next_slot = 0
-    if chosen < len(blocks):
-        nxt = blocks[order[chosen]]
-        next_slot = nxt.slot
-        ranked = sorted(nxt.members, key=lambda jid: (-instance.job(jid).energy, jid))
-        pinned = [jid for jid in ranked if is_pinned(jid, next_slot)]
-    altered = [jid for jid in ranked if jid not in pinned]
-    top_up = pinned + altered[:leftover]
-    inside = pinned + altered[:budget]
-
-    def members_cost(job_ids: list[int]) -> float:
+    def value(job_ids) -> float:
         return float(cost(sum(instance.job(jid).energy for jid in job_ids)))
 
-    def pinned_members(block) -> list[int]:
-        return [jid for jid in block.members if is_pinned(jid, block.slot)]
+    values = [value(block.members) for block in blocks]
+    order = sorted(
+        range(len(blocks)), key=lambda idx: (-(values[idx] / len(blocks[idx].members)), -values[idx], idx)
+    )
 
-    # a clique left uncompressed still has its pinned members at its slot, for free
-    beyond = [blocks[idx] for idx in order[chosen + 1 :]]
-    value_whole = chosen_value + members_cost(top_up)
-    value_inside = members_cost(inside) + sum(members_cost(pinned_members(block)) for block in whole_blocks)
+    used = 0  # members of the whole cliques
+    leftover = budget  # what their altered members leave of the budget
+    whole_value = whole_pinned = beyond_pinned = 0.0
+    slots: dict[int, int] = {}  # pinned members of every clique but the next
+    whole: dict[int, int] = {}  # altered members of the whole cliques, which only (a) takes
+    next_slot: int | None = None  # slot of the next clique
+    next_pinned: list[int] = []
+    next_altered: list[int] = []
+    for idx in order:
+        block = blocks[idx]
+        pinned, altered = [], []
+        for jid in block.members:
+            job = instance.job(jid)
+            (pinned if job.arrival == job.deadline == block.slot else altered).append(jid)
+        if next_slot is None and used + len(block.members) <= budget:
+            used += len(block.members)
+            leftover -= len(altered)
+            whole_value += values[idx]
+            whole_pinned += value(pinned)
+            whole.update(dict.fromkeys(altered, block.slot))
+        elif next_slot is None:
+            next_slot, next_pinned, next_altered = block.slot, pinned, altered
+            continue
+        else:
+            beyond_pinned += value(pinned)
+        slots.update(dict.fromkeys(pinned, block.slot))
 
-    slots = {jid: block.slot for block in beyond for jid in pinned_members(block)}
+    for members in (next_pinned, next_altered):
+        members.sort(key=lambda jid: (-instance.job(jid).energy, jid))
+    top_up = next_pinned + next_altered[:leftover]
+    inside = next_pinned + next_altered[:budget]
+    value_whole = whole_value + value(top_up)
+    value_inside = value(inside) + whole_pinned
     if value_whole >= value_inside:
-        for block in whole_blocks:
-            for jid in block.members:
-                slots[jid] = block.slot
+        slots.update(whole)
         picked = top_up
     else:
-        for block in whole_blocks:
-            for jid in pinned_members(block):
-                slots[jid] = block.slot
         picked = inside
-    for jid in picked:
-        slots[jid] = next_slot
-    plan = AttackPlan.from_compression(instance, slots)
-    return plan, max(value_whole, value_inside) + sum(members_cost(pinned_members(block)) for block in beyond)
+    slots.update(dict.fromkeys(picked, next_slot))
+    return AttackPlan.from_compression(instance, slots), max(value_whole, value_inside) + beyond_pinned
 
 
 def realized_attack_cost(instance: Instance, plan: AttackPlan, cost: CostModel) -> float:

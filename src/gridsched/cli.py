@@ -80,7 +80,7 @@ def _cmd_attack_limited(args) -> int:
     plan, value = limited_greedy_from_partition(instance, partition, args.beta, cost)
     print(f"c_maxmin_lower = {_fmt(value)}")
     print(f"budget = {budget}")
-    print(f"altered = {len(plan.altered)}")
+    print(f"altered = {len(plan.altered(instance))}")
     for jid in sorted(plan.compressed):
         print(f"  job {jid} -> slot {plan.compressed[jid]}")
     return 0

@@ -14,6 +14,7 @@ configuration emit byte-identical CSV regardless of execution order.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -63,10 +64,12 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.mean_interarrival <= 0 or self.mean_allowance <= 0:
-            raise ValueError("interarrival and allowance means must be positive")
-        if not 0 < self.energy_low <= self.energy_high:
-            raise ValueError(f"need 0 < energy_low <= energy_high, got ({self.energy_low}, {self.energy_high})")
+        for name in ("mean_interarrival", "mean_allowance", "energy_low", "energy_high"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+        if self.energy_low > self.energy_high:
+            raise ValueError(f"need energy_low <= energy_high, got ({self.energy_low}, {self.energy_high})")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -87,8 +90,9 @@ def generate_instance(params: GenParams) -> Instance:
 
 def make_identical_instance(n: int, energy: float, allowance: int, interarrival: int) -> Instance:
     """n identical jobs spaced ``interarrival`` slots apart, first arrival at slot 1."""
-    if n < 1 or energy <= 0 or allowance < 1 or interarrival < 1:
-        raise ValueError("all identical-instance parameters must be positive")
+    for name, value in (("n", n), ("allowance", allowance), ("interarrival", interarrival)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     jobs = [
         Job(idx, 1 + idx * interarrival, 1 + idx * interarrival + allowance, float(energy))
         for idx in range(n)
@@ -172,9 +176,10 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.experiment is Experiment.FIG3_COSTS:
-            if not self.allowance_means or any(m <= 0 for m in self.allowance_means):
-                raise ValueError("fig3 needs a positive allowance-mean sweep")
-            GenParams(self.fig3_jobs, _MEAN_INTERARRIVAL, 1.0, *_FIG3_ENERGY, seed=0)
+            if not self.allowance_means:
+                raise ValueError("fig3 needs an allowance-mean sweep")
+            for mean in self.allowance_means:
+                GenParams(self.fig3_jobs, _MEAN_INTERARRIVAL, mean, *_FIG3_ENERGY, seed=0)
         elif self.experiment is Experiment.FIG4_MAXMIN_BOUNDS:
             if not self.betas or any(not 0 <= b <= 1 for b in self.betas):
                 raise ValueError("fig4 needs a beta grid inside [0, 1]")
@@ -182,8 +187,10 @@ class ExperimentConfig:
         elif self.experiment is Experiment.FIG5_ORDERED_RATIO:
             if not self.fig5_betas or any(not 0 <= b <= 1 for b in self.fig5_betas):
                 raise ValueError("fig5 needs a beta grid inside [0, 1]")
-            if not self.interarrival_grid or any(m < 1 for m in self.interarrival_grid):
-                raise ValueError("fig5 needs interarrival values >= 1")
+            if not self.interarrival_grid:
+                raise ValueError("fig5 needs an interarrival grid")
+            for spacing in self.interarrival_grid:
+                make_identical_instance(_FIG5_JOBS, _FIG5_ENERGY, _FIG5_ALLOWANCE, spacing)
 
     def with_out_path(self, out_path: str | None) -> "ExperimentConfig":
         return replace(self, out_path=out_path)

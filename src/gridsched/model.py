@@ -160,9 +160,9 @@ class CostModel:
 class Schedule:
     """Energy allocations (job id, slot) -> amount for one instance.
 
-    Invariants enforced at construction: allocations are non-negative,
-    stay inside each job's window, and sum to each job's energy within
-    ENERGY_TOL * max(1, energy).  Zero entries are dropped.
+    Invariants enforced at construction: allocations are finite and
+    non-negative, stay inside each job's window, and sum to each job's
+    energy within ENERGY_TOL * max(1, energy).  Zero entries are dropped.
     """
 
     instance: Instance
@@ -173,6 +173,8 @@ class Schedule:
         totals: dict[int, float] = {j.id: 0.0 for j in instance.jobs}
         for (job_id, slot), raw in allocations.items():
             amount = float(raw)
+            if not math.isfinite(amount):
+                raise ValueError(f"non-finite allocation {amount!r} for job {job_id} at slot {slot}")
             if amount == 0.0:
                 continue
             if amount < 0.0:
@@ -186,7 +188,7 @@ class Schedule:
             cleaned[(job_id, slot)] = amount
             totals[job_id] += amount
         for job in instance.jobs:
-            if abs(totals[job.id] - job.energy) > ENERGY_TOL * max(1.0, job.energy):
+            if not abs(totals[job.id] - job.energy) <= ENERGY_TOL * max(1.0, job.energy):
                 raise ValueError(
                     f"job {job.id}: allocated {totals[job.id]!r} does not conserve energy {job.energy!r}"
                 )
@@ -203,42 +205,43 @@ class Schedule:
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """Per-job compression slots plus the set of ids whose window actually changed.
+    """Per-job compression slots.
 
-    A compressed job is forced to arrival == deadline == slot; jobs whose
-    window already equals (slot, slot) appear in ``compressed`` but not in
-    ``altered``.  Energies are never modified.
+    A compressed job is forced to arrival == deadline == slot; a job whose
+    window already equals (slot, slot) is compressed but not altered.
+    Energies are never modified.
     """
 
     compressed: dict[int, int]
-    altered: frozenset[int]
 
     @classmethod
     def empty(cls) -> "AttackPlan":
-        return cls({}, frozenset())
+        return cls({})
 
     @classmethod
     def from_compression(cls, instance: Instance, slots: Mapping[int, int]) -> "AttackPlan":
         """Build a validated plan from a job id -> slot mapping."""
-        compressed = {int(jid): int(slot) for jid, slot in slots.items()}
-        altered = set()
-        for jid, slot in compressed.items():
-            job = _plan_job(instance, jid)
-            _check_plan_slot(job, slot)
-            if (job.arrival, job.deadline) != (slot, slot):
-                altered.add(jid)
-        return cls(compressed, frozenset(altered))
+        plan = cls({int(jid): int(slot) for jid, slot in slots.items()})
+        plan.validate(instance)
+        return plan
 
     def validate(self, instance: Instance) -> None:
         """Raise ValueError when the plan is infeasible (hence detectable) for the instance."""
-        altered = set(AttackPlan.from_compression(instance, self.compressed).altered)
-        if altered != set(self.altered):
-            raise ValueError(f"altered set {set(self.altered)!r} inconsistent with compression {altered!r}")
+        for jid, slot in self.compressed.items():
+            job = _plan_job(instance, jid)
+            if not job.covers(slot):
+                raise ValueError(
+                    f"attack plan moves job {jid} to slot {slot} outside its window "
+                    f"[{job.arrival}, {job.deadline}]"
+                )
 
-    @property
-    def size(self) -> int:
-        """Number of jobs actually altered."""
-        return len(self.altered)
+    def altered(self, instance: Instance) -> frozenset[int]:
+        """Ids of the jobs whose window the plan actually changes."""
+        return frozenset(
+            jid
+            for jid, slot in self.compressed.items()
+            if (instance.job(jid).arrival, instance.job(jid).deadline) != (slot, slot)
+        )
 
 
 def _plan_job(instance: Instance, job_id: int) -> Job:
@@ -246,14 +249,6 @@ def _plan_job(instance: Instance, job_id: int) -> Job:
         return instance.job(job_id)
     except KeyError:
         raise ValueError(f"attack plan references unknown job id {job_id}") from None
-
-
-def _check_plan_slot(job: Job, slot: int) -> None:
-    if not job.covers(slot):
-        raise ValueError(
-            f"attack plan moves job {job.id} to slot {slot} outside its window "
-            f"[{job.arrival}, {job.deadline}]"
-        )
 
 
 @dataclass(frozen=True)
@@ -288,9 +283,6 @@ class CliquePartition:
         """Compression plan sending every member to its block slot."""
         slots = {jid: block.slot for block in self.blocks for jid in block.members}
         return AttackPlan.from_compression(instance, slots)
-
-    def block_energy(self, instance: Instance, block: CliqueBlock) -> float:
-        return float(sum(instance.job(jid).energy for jid in block.members))
 
 
 def apply_attack(instance: Instance, plan: AttackPlan) -> Instance:

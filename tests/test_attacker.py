@@ -1,18 +1,20 @@
-"""Attack strategies: unlimited DP, online grouping, knapsack, budgeted greedy, budget DP."""
+"""Attack strategies: unlimited DP, online grouping, budgeted greedy, budget DP."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from gridsched.attacker import (
-    _knapsack_select,
     attack_budget,
     full_attack_dp,
     limited_attack_curve,
+    limited_greedy_from_partition,
     online_edf_attack,
     realized_attack_cost,
 )
 from gridsched.harness import GenParams, generate_instance, make_identical_instance
-from gridsched.model import AttackPlan, CostModel, Instance, Job, baseline_cost
+from gridsched.model import AttackPlan, CliqueBlock, CliquePartition, CostModel, Instance, Job, baseline_cost
 from gridsched.oracle import brute_force_max_cost, exact_limited_attack_curve
 from gridsched.scheduler import min_cost
 
@@ -24,11 +26,16 @@ from helpers import (
     reference_limited_attack_curve,
 )
 
+LINEAR = CostModel(1.0)
 QUAD = CostModel(2.0)
 
 
 def two_job_instance() -> Instance:
     return Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0)])
+
+
+def block_energy(instance: Instance, block: CliqueBlock) -> float:
+    return sum(instance.job(jid).energy for jid in block.members)
 
 
 class TestAttackBudget:
@@ -86,9 +93,7 @@ class TestFullAttackDp:
         for _ in range(40):
             inst = random_instance(rng, max_jobs=8)
             _, partition, value = full_attack_dp(inst, QUAD)
-            recomputed = sum(
-                QUAD(partition.block_energy(inst, block)) for block in partition.blocks
-            )
+            recomputed = sum(QUAD(block_energy(inst, block)) for block in partition.blocks)
             assert recomputed == pytest.approx(value, rel=1e-12)
 
     def test_matches_reference_exactly(self):
@@ -127,7 +132,7 @@ class TestFullAttackDp:
         _, partition, value = full_attack_dp(draw, cost)
         assert np.isfinite(value)
         partition.validate(draw)
-        recomputed = sum(cost(partition.block_energy(draw, block)) for block in partition.blocks)
+        recomputed = sum(cost(block_energy(draw, block)) for block in partition.blocks)
         assert recomputed == pytest.approx(value, rel=1e-12)
 
     def test_non_integer_exponent_matches_brute_force(self):
@@ -170,55 +175,62 @@ class TestOnlineEdfAttack:
             assert value <= best + 1e-9
 
 
-class TestFractionalKnapsack:
-    def test_worked_example(self):
-        order, chosen_count, chosen_value = _knapsack_select([(6, 2), (5, 1), (4, 4)], 0.5)
-        assert order == (1, 0, 2)
-        assert chosen_count == 2
-        assert chosen_value == pytest.approx(11.0)
+def three_cliques() -> tuple[Instance, CliquePartition]:
+    """Cliques of sizes 2, 1 and 4 whose values at b = 1 are 6, 5 and 4; no member is pinned."""
+    jobs = [Job(0, 1, 2, 3.0), Job(1, 1, 2, 3.0), Job(2, 4, 5, 5.0)] + [Job(i, 7, 8, 1.0) for i in range(3, 7)]
+    blocks = (
+        CliqueBlock(2, frozenset({0, 1})),
+        CliqueBlock(5, frozenset({2})),
+        CliqueBlock(8, frozenset(range(3, 7))),
+    )
+    return Instance(jobs), CliquePartition(blocks)
 
-    def test_full_budget(self):
-        _, chosen_count, chosen_value = _knapsack_select([(6, 2), (5, 1), (4, 4)], 1.0)
-        assert chosen_count == 3
-        assert chosen_value == pytest.approx(15.0)
+
+class TestGreedySelection:
+    """The greedy's whole-clique selection on hand-built partitions, at b = 1."""
+
+    def test_worked_example(self):
+        # cost per member 3, 5 and 1: budget 3 takes the 1- and then the 2-clique
+        inst, partition = three_cliques()
+        plan, value = limited_greedy_from_partition(inst, partition, 3 / 7, LINEAR)
+        assert value == 11.0
+        assert plan.compressed == {0: 2, 1: 2, 2: 5}
+
+    def test_ties_by_cost_then_position(self):
+        # both cliques cost 2 per member: the larger cost ranks first and fills budget 2
+        inst = Instance([Job(0, 1, 2, 2.0), Job(1, 4, 5, 2.0), Job(2, 4, 5, 2.0)])
+        partition = CliquePartition((CliqueBlock(2, frozenset({0})), CliqueBlock(5, frozenset({1, 2}))))
+        plan, value = limited_greedy_from_partition(inst, partition, 2 / 3, LINEAR)
+        assert value == 4.0
+        assert plan.compressed == {1: 5, 2: 5}
+        # equal cost and size: the earlier position in the partition ranks first, whatever its slot
+        inst = Instance([Job(0, 1, 2, 3.0), Job(1, 4, 5, 3.0)])
+        partition = CliquePartition((CliqueBlock(5, frozenset({1})), CliqueBlock(2, frozenset({0}))))
+        plan, value = limited_greedy_from_partition(inst, partition, 1 / 2, LINEAR)
+        assert value == 3.0
+        assert plan.compressed == {1: 5}
 
     def test_zero_budget(self):
-        _, chosen_count, chosen_value = _knapsack_select([(6, 2), (5, 1)], 0.0)
-        assert chosen_count == 0
-        assert chosen_value == 0.0
+        inst, partition = three_cliques()
+        plan, value = limited_greedy_from_partition(inst, partition, 0.0, LINEAR)
+        assert value == 0.0
+        assert plan.compressed == {}
 
-    def test_empty_items_rejected(self):
-        with pytest.raises(ValueError):
-            _knapsack_select([], 0.5)
-
-    def test_guarantee_on_randoms(self):
-        rng = np.random.default_rng(45)
-        for _ in range(200):
-            m = int(rng.integers(1, 9))
-            items = [(float(rng.uniform(0, 10)), float(rng.uniform(0.5, 4))) for _ in range(m)]
-            frac = float(rng.uniform(0, 1))
-            order, chosen_count, chosen_value = _knapsack_select(items, frac)
-            total_v = sum(v for v, _ in items)
-            total_w = sum(w for _, w in items)
-            picked_w = sum(items[idx][1] for idx in order[:chosen_count])
-            # prefix fits the budget, the next item would not
-            assert picked_w <= frac * total_w + 1e-9 * max(1.0, total_w)
-            if chosen_count < m:
-                nxt = items[order[chosen_count]][1]
-                assert picked_w + nxt > frac * total_w - 1e-9 * max(1.0, total_w)
-                fraction = min(1.0, max(0.0, (frac * total_w - picked_w) / nxt))
-                bonus = fraction * items[order[chosen_count]][0]
-            else:
-                bonus = 0.0
-            assert chosen_value + bonus >= frac * total_v - 1e-9 * max(1.0, total_v)
+    def test_full_budget(self):
+        inst, partition = three_cliques()
+        plan, value = limited_greedy_from_partition(inst, partition, 1.0, LINEAR)
+        assert value == 15.0
+        assert plan == partition.to_plan(inst)
+        assert plan.altered(inst) == inst.job_ids
 
 
 class TestLimitedGreedyAttack:
     def test_two_job_example(self):
-        plan, value = limited_greedy(two_job_instance(), 0.5, QUAD)
+        inst = two_job_instance()
+        plan, value = limited_greedy(inst, 0.5, QUAD)
         assert value == pytest.approx(4.0)
         assert plan.compressed == {1: 2}
-        assert plan.altered == frozenset({1})
+        assert plan.altered(inst) == frozenset({1})
 
     def test_full_budget_equals_optimal_attack(self):
         rng = np.random.default_rng(46)
@@ -253,7 +265,7 @@ class TestLimitedGreedyAttack:
                 beta = budget / inst.n
                 plan, value = limited_greedy(inst, beta, QUAD)
                 plan.validate(inst)
-                assert len(plan.altered) <= budget
+                assert len(plan.altered(inst)) <= budget
                 assert value >= previous - 1e-12
                 previous = value
                 assert realized_attack_cost(inst, plan, QUAD) >= value - 1e-9
@@ -281,7 +293,7 @@ class TestLimitedGreedyAttack:
         inst = Instance([Job(0, 1, 1, 1.0), Job(1, 1, 3, 5.0)])
         plan, value = limited_greedy(inst, 0.5, QUAD)
         assert value == pytest.approx(36.0, abs=1e-9)
-        assert plan.size == 1
+        assert len(plan.altered(inst)) == 1
         self._check_plan(inst, plan, value, 1)
 
     def test_pinned_members_of_whole_cliques_cost_no_budget(self):
@@ -293,11 +305,11 @@ class TestLimitedGreedyAttack:
         plan, value = limited_greedy(inst, 10 / 11, QUAD)
         assert value == pytest.approx(c_max, abs=1e-9)
         assert value == pytest.approx(10.0, abs=1e-9)
-        assert plan.size == 0
+        assert len(plan.altered(inst)) == 0
         self._check_plan(inst, plan, value, 10)
 
     def test_wholly_pinned_cliques_beyond_the_next_join_for_free(self):
-        # the knapsack takes job 0's clique and the clique at slot 5 comes next with no
+        # the greedy takes job 0's clique whole and the clique at slot 5 comes next with no
         # budget left; the clique at slot 9 alters nothing, so it joins: 9 + 16 + 16 = c_max
         jobs = [Job(0, 1, 2, 3.0)] + [Job(i, 5, 5, 1.0) for i in range(1, 5)] + [Job(i, 9, 9, 1.0) for i in range(5, 9)]
         inst = Instance(jobs)
@@ -305,7 +317,7 @@ class TestLimitedGreedyAttack:
         plan, value = limited_greedy(inst, 1 / 9, QUAD)
         assert value == 41.0
         assert value == c_max
-        assert plan.size == 1
+        assert len(plan.altered(inst)) == 1
         self._check_plan(inst, plan, value, 1)
 
     def test_pinned_members_of_uncompressed_cliques_join_for_free(self):
@@ -320,15 +332,49 @@ class TestLimitedGreedyAttack:
         inst = Instance(jobs)
         plan, value = limited_greedy(inst, 1 / 9, QUAD)
         assert value == 34.0
-        assert plan.size == 1
+        assert len(plan.altered(inst)) == 1
         assert {jid: plan.compressed.get(jid) for jid in range(5, 9)} == {5: 9, 6: 9, 7: 9, 8: None}
         self._check_plan(inst, plan, value, 1)
 
     @staticmethod
     def _check_plan(inst, plan, value, budget):
         plan.validate(inst)
-        assert len(plan.altered) <= budget
+        assert len(plan.altered(inst)) <= budget
         assert realized_attack_cost(inst, plan, QUAD) >= value - 1e-9
+
+
+def _greedy_draws() -> list[Instance]:
+    """Fixed draws for the pinned greedy results: spread, colliding and pinned-heavy windows."""
+    rng = np.random.default_rng(61)
+    draws = [random_instance(rng, max_jobs=10, min_jobs=2, max_gap=2, max_window=6) for _ in range(12)]
+    draws += [random_instance_in_horizon(rng, 12, 8, max_window=4) for _ in range(12)]
+    draws += [random_instance(rng, max_jobs=10, min_jobs=2, max_gap=2, max_window=2) for _ in range(12)]
+    draws += [random_instance_in_horizon(rng, 12, 6, max_window=2) for _ in range(6)]
+    draws.append(make_identical_instance(12, 5.0, 6, 2))
+    return draws
+
+
+class TestGreedyPinned:
+    """Exact greedy plans, altered sets and values at every budget, recorded once."""
+
+    DIGESTS = {
+        1.0: "b7c7708a2871c27ec5eb907b0fffee6799cbcb1040c5fd9a1f3a7261d943b6e3",
+        1.5: "a55a8691b652f398b806f4f3f261ebc597fa7cc5f5f7f867237cbff7fa8452a4",
+        2.0: "24c412865453cffea9b2f0ec4c84802d6df9164a570d6dc71ad231705ff6c12c",
+        3.0: "f6158dc60b2dbd9ada6207b347e8ea686a30393dd84b6ab4b06078b35d778aac",
+    }
+
+    @pytest.mark.parametrize("exponent", sorted(DIGESTS))
+    def test_every_budget(self, exponent):
+        cost = CostModel(exponent)
+        results = []
+        for inst in _greedy_draws():
+            _, partition, _ = full_attack_dp(inst, cost)
+            for budget in range(inst.n + 1):
+                plan, value = limited_greedy_from_partition(inst, partition, budget / inst.n, cost)
+                results.append((sorted(plan.compressed.items()), sorted(plan.altered(inst)), value))
+        assert len(results) == 317
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == self.DIGESTS[exponent]
 
 
 class TestRealizedAttackCost:
@@ -344,7 +390,7 @@ class TestRealizedAttackCost:
     def test_invalid_plan_propagates(self):
         inst = two_job_instance()
         with pytest.raises(ValueError):
-            realized_attack_cost(inst, AttackPlan({1: 9}, frozenset({1})), QUAD)
+            realized_attack_cost(inst, AttackPlan({1: 9}), QUAD)
 
 
 class TestLimitedAttackDp:

@@ -32,6 +32,14 @@ class TestGenParams:
         with pytest.raises(ValueError):
             GenParams(5, 5.0, 5.0, 5.0, 1.0, seed=1)
 
+    @pytest.mark.parametrize("field", ["mean_interarrival", "mean_allowance", "energy_low", "energy_high"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        params = dict(n=5, mean_interarrival=5.0, mean_allowance=5.0, energy_low=1.0, energy_high=5.0, seed=1)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a finite positive real"):
+            GenParams(**params)
+
 
 class TestGenerateInstance:
     def test_identical_seeds_identical_instances(self):
@@ -80,6 +88,13 @@ class TestMakeIdenticalInstance:
         first, second = inst.jobs
         assert first.deadline < second.arrival
 
+    @pytest.mark.parametrize("name", ["n", "allowance", "interarrival"])
+    def test_non_integer_rejected(self, name):
+        args = dict(n=4, energy=5.0, allowance=3, interarrival=2)
+        args[name] = 2.5
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            make_identical_instance(**args)
+
 
 class TestExperimentConfig:
     def test_defaults_validate(self):
@@ -95,6 +110,17 @@ class TestExperimentConfig:
     def test_bad_exponent_rejected(self, experiment, exponent):
         with pytest.raises(ValueError, match="cost exponent"):
             ExperimentConfig.default(experiment, seed=1, exponent=exponent)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_non_finite_allowance_mean_rejected(self, mean):
+        config = ExperimentConfig.default(Experiment.FIG3_COSTS, seed=1)
+        with pytest.raises(ValueError, match="^mean_allowance must be a finite positive real"):
+            replace(config, allowance_means=(5.0, mean)).validate()
+
+    def test_non_integer_spacing_rejected(self):
+        config = ExperimentConfig.default(Experiment.FIG5_ORDERED_RATIO, seed=1)
+        with pytest.raises(ValueError, match="^interarrival must be an integer >= 1"):
+            replace(config, interarrival_grid=(1, 2.5)).validate()
 
     def test_unknown_beta_rejected(self):
         config = ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=1)

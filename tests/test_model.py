@@ -112,6 +112,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match="negative"):
             Schedule(inst, {(1, 1): 3.0, (1, 2): -1.0, (2, 2): 2.0})
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, amount):
+        inst = Instance([Job(0, 1, 2, 1.0)])
+        with pytest.raises(ValueError, match="non-finite allocation .* for job 0 at slot 1"):
+            Schedule(inst, {(0, 1): amount, (0, 2): 1.0})
+
     def test_unknown_job_rejected(self):
         inst = two_job_instance()
         with pytest.raises(ValueError, match="unknown"):
@@ -137,7 +143,7 @@ class TestApplyAttack:
     def test_single_job_compression_and_altered_set(self):
         inst = Instance([Job(1, 1, 5, 3.0)])
         plan = AttackPlan.from_compression(inst, {1: 3})
-        assert plan.altered == frozenset({1})
+        assert plan.altered(inst) == frozenset({1})
         altered = apply_attack(inst, plan)
         assert altered.jobs[0] == Job(1, 3, 3, 3.0)
 
@@ -154,8 +160,7 @@ class TestApplyAttack:
     def test_already_compressed_job_not_altered(self):
         inst = Instance([Job(1, 4, 4, 2.0)])
         plan = AttackPlan.from_compression(inst, {1: 4})
-        assert plan.altered == frozenset()
-        assert plan.size == 0
+        assert plan.altered(inst) == frozenset()
 
     def test_energy_preserved_and_resorted(self):
         rng = np.random.default_rng(7)
@@ -254,7 +259,7 @@ class TestCliquePartition:
         inst = two_job_instance()
         plan = CliquePartition((CliqueBlock(2, frozenset({1, 2})),)).to_plan(inst)
         assert plan.compressed == {1: 2, 2: 2}
-        assert plan.altered == frozenset({1, 2})
+        assert plan.altered(inst) == frozenset({1, 2})
 
 
 class TestInstanceCsv:
