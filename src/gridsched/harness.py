@@ -62,8 +62,8 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         for name in ("mean_interarrival", "mean_allowance", "energy_low", "energy_high"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -74,12 +74,23 @@ class GenParams:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
+# The gaps and the largest allowance each stay below this, so every slot fits int64.
+_SLOT_LIMIT = 2**62
+
+
 def generate_instance(params: GenParams) -> Instance:
     """Deterministically draw an instance from the generator parameters."""
     rng = np.random.default_rng(params.seed)
-    gaps = np.maximum(1, np.rint(rng.exponential(params.mean_interarrival, size=params.n - 1))).astype(np.int64)
-    allowances = np.maximum(1, np.rint(rng.exponential(params.mean_allowance, size=params.n))).astype(np.int64)
+    gaps = np.maximum(1, np.rint(rng.exponential(params.mean_interarrival, size=params.n - 1)))
+    allowances = np.maximum(1, np.rint(rng.exponential(params.mean_allowance, size=params.n)))
     energies = rng.uniform(params.energy_low, params.energy_high, size=params.n)
+    # the last deadline is below 1 + the sum of the gaps + the largest allowance
+    for name, reach in (("mean_interarrival", gaps.sum()), ("mean_allowance", allowances.max())):
+        if not reach < _SLOT_LIMIT:
+            raise ValueError(
+                f"{name}={getattr(params, name)!r} draws slots past {_SLOT_LIMIT} at seed {params.seed}"
+            )
+    gaps, allowances = gaps.astype(np.int64), allowances.astype(np.int64)
     arrivals = np.concatenate(([1], 1 + np.cumsum(gaps)))
     jobs = [
         Job(idx, int(arrivals[idx]), int(arrivals[idx] + allowances[idx]), float(energies[idx]))

@@ -14,7 +14,9 @@ of ``scheduler._critical_arrays``; the grid's rows and columns that are
 no endpoint add exact zeros, so each row finds the intervals and levels
 of its own peel bit for bit.  Levels are charged with Python's scalar
 ``**``, as ``min_cost`` does: numpy's array ``**`` rounds the last bit
-differently on some loads.
+differently on some loads.  The grid keeps one slot of each run of slots
+that no window covers, so it is at most the windows' total plus n slots
+wide, whatever the gaps between the jobs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .model import CostModel, Instance, Schedule, _job_arrays
-from .scheduler import _excise
+from .scheduler import _components, _excise
 
 ENUMERATION_GUARD = 10_000_000
 """Maximum number of joint assignments an oracle call may enumerate."""
@@ -187,8 +189,14 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
     _guarded_product([j.allowance + 2 for j in instance.jobs])
 
     _, arrivals, deadlines, energies = _job_arrays(instance)
-    origin = arrivals.min()  # the peel is unchanged by a shift of every slot
-    arrivals, deadlines = arrivals - origin, deadlines - origin
+    # The peel is unchanged by a shift of every slot, and by the length of a
+    # run of uncovered slots: it peels the components on either side alone.
+    # So the grid starts at the first arrival and each run keeps one slot.
+    # Altered windows lie inside the original ones, so every run stays
+    # uncovered in every altered instance and in every round.
+    label, gaps = _components(arrivals, deadlines)
+    squeeze = np.concatenate(([arrivals.min()], gaps - 1)).cumsum()[label]
+    arrivals, deadlines = arrivals - squeeze, deadlines - squeeze
     slots = int(deadlines.max()) + 1
     rows = max(1, _TABLE_CELLS // (slots * slots))
     best = []
@@ -234,16 +242,15 @@ def check_min_optimality(
     """
     if cost.exponent == 1.0:
         return MinOptimalityResult(True)
-    horizon = instance.horizon
-    loads = [0.0] * (horizon + 1)
+    loads: dict[int, float] = {}
     movers: dict[int, list[int]] = {}
     for (jid, slot), amount in schedule.allocations.items():
-        loads[slot] += amount
+        loads[slot] = loads.get(slot, 0.0) + amount
         if amount > tol:
             movers.setdefault(slot, []).append(jid)
     for jobs_here in movers.values():
         jobs_here.sort()
-    gap_tol = tol * max(1.0, max(loads))
+    gap_tol = tol * max(1.0, max(loads.values(), default=0.0))
 
     for source in sorted(movers):
         seen = {source}
@@ -259,7 +266,7 @@ def check_min_optimality(
                             continue
                         seen.add(there)
                         parent[there] = (here, jid)
-                        if loads[source] - loads[there] > gap_tol:
+                        if loads[source] - loads.get(there, 0.0) > gap_tol:
                             hops: list[tuple[int, int, int]] = []
                             at = there
                             while at != source:

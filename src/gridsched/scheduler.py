@@ -10,6 +10,14 @@ simultaneously minimizes every non-decreasing convex per-slot cost.  One
 private generator, ``_peel``, runs that loop on numpy arrays; the optimal
 schedule, its load segments and its cost all iterate it.
 
+No critical interval spans a slot that no window covers, so ``_peel``
+splits the jobs at every run of such slots (``_components``), peels each
+component alone and merges the components' intervals by level, leftmost
+first on ties: bit for bit the peel of the whole instance, on tables no
+wider than the largest component.  The optimal schedule maps each
+interval's slots back through the runs cut so far, not through a map as
+long as the horizon.
+
 Each round maximizes over q x q tables of contained energy and intensity,
 one row and column per endpoint.  Rebuilding them every round costs
 O(segments * q^2), so from ``_INCREMENTAL_MIN_POINTS`` endpoints up the
@@ -192,29 +200,31 @@ class _PeelTables:
         self.best[:rows] = I[np.arange(rows), self.best_col[:rows]]
 
 
-def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
-    """Critical intervals in peel order, each cut from the timeline before the next is found.
+def _components(arrivals: np.ndarray, deadlines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the jobs at the runs of slots that no window covers.
 
-    Yields (start, end, level, picked, member_arrivals, member_deadlines)
-    per interval: [start, end] and the member windows are in the
-    coordinates of the timeline left by the earlier cuts, and ``picked``
-    indexes the members in the input arrays, in ascending order.  The
-    inputs are not modified; empty arrays peel nothing.
-
-    From ``_INCREMENTAL_MIN_POINTS`` endpoints up, the tables are kept in
-    ``_PeelTables`` and each cut recomputes only the rectangle it
-    changes; every other cell is bit for bit what a rebuild would give,
-    so the intervals, levels and members equal those of rebuilding every
-    round with ``_critical_arrays``.  Once a round finds fewer endpoints,
-    the rest of the peel rebuilds every round.
+    Returns each job's component, numbered left to right, and the length
+    of the uncovered run before each component but the first.  Sorted by
+    arrival, a job opens a new component when it arrives more than one
+    slot past every earlier deadline.
     """
+    order = np.argsort(arrivals, kind="stable")
+    reach = np.maximum.accumulate(deadlines[order])
+    gaps = arrivals[order[1:]] - reach[:-1] - 1
+    label = np.empty_like(order)
+    label[order] = np.concatenate(([0], np.cumsum(gaps > 0)))
+    return label, gaps[gaps > 0]
+
+
+def _peel_component(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
+    """The peel loop on one component's jobs; yields as ``_peel`` does, in the component's own indices."""
     index = np.arange(arrivals.size)
     tables = None
     if 2 * arrivals.size >= _INCREMENTAL_MIN_POINTS:  # n jobs have at most 2n endpoints
         points = np.unique(np.concatenate((arrivals, deadlines)))
         if points.size >= _INCREMENTAL_MIN_POINTS:
             tables = _PeelTables(points, arrivals, deadlines, energies)
-    while index.size:
+    while True:
         if tables is None:
             start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
         else:
@@ -233,6 +243,67 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
                 tables = None
             else:
                 tables = tables.cut(start, end, points, arrivals, deadlines, energies)
+
+
+def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
+    """Critical intervals in peel order, each cut from the timeline before the next is found.
+
+    Yields (start, end, level, picked, member_arrivals, member_deadlines)
+    per interval: [start, end] and the member windows are in the
+    coordinates of the timeline left by the earlier cuts, and ``picked``
+    indexes the members in the input arrays, in ascending order.  The
+    inputs are not modified; empty arrays peel nothing.
+
+    The jobs split at every run of uncovered slots (``_components``), and
+    each component is peeled on its own tables.  That is the whole peel's
+    result, bit for bit:
+
+    - An interval over an uncovered slot has an intensity strictly below
+      the better of its two sides, by a relative margin of at least one
+      over its span, far above rounding; so no critical interval spans
+      one, and a cut never closes one.
+    - Inside a component, the whole instance's tables add only exact
+      zeros from the other components, and a span is a difference of
+      slots.  So each component's intervals, levels and members are those
+      of the whole peel, and the whole peel takes the highest head of any
+      component, ties to the leftmost (its row-major first maximum).
+
+    A heap keyed on (-level, component) merges the heads in that order,
+    and each yield is shifted left by the width already cut from the
+    components to its left.
+
+    From ``_INCREMENTAL_MIN_POINTS`` endpoints up, a component's tables
+    are kept in ``_PeelTables`` and each cut recomputes only the rectangle
+    it changes; every other cell is bit for bit what a rebuild would give,
+    so the intervals, levels and members equal those of rebuilding every
+    round with ``_critical_arrays``.  Once a round finds fewer endpoints,
+    the rest of the component's peel rebuilds every round.
+    """
+    if not arrivals.size:
+        return
+    label, _ = _components(arrivals, deadlines)
+    by_label = np.argsort(label, kind="stable")  # each component's jobs in input order
+    members = np.split(by_label, np.cumsum(np.bincount(label))[:-1])
+    peels = [_peel_component(arrivals[m], deadlines[m], energies[m]) for m in members]
+    cut = [0] * len(peels)  # width cut so far from each component
+    heap = []
+    for k, peel in enumerate(peels):
+        head = next(peel)
+        heap.append((-head[2], k, head))
+    heapq.heapify(heap)
+    while heap:
+        _, k, (start, end, level, picked, member_arrivals, member_deadlines) = heap[0]
+        shift = sum(cut[:k])
+        yield (
+            start - shift, end - shift, level, members[k][picked],
+            member_arrivals - shift, member_deadlines - shift,
+        )
+        cut[k] += end - start + 1
+        head = next(peels[k], None)
+        if head is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (-head[2], k, head))
 
 
 def optimal_load_segments(instance: Instance) -> list[tuple[int, float]]:
@@ -322,7 +393,9 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     """
     del cost
     ids, arrivals, deadlines, energies = _job_arrays(instance)
-    slot_map = np.arange(1, instance.horizon + 1, dtype=np.int64)
+    # The slots cut so far, as sorted disjoint runs of the original timeline:
+    # run k starts at slot cut_starts[k] and is cut_widths[k] slots wide.
+    cut_starts = cut_widths = np.empty(0, dtype=np.int64)
     allocations: dict[tuple[int, int], float] = {}
     for start, end, level, picked, member_arrivals, member_deadlines in _peel(arrivals, deadlines, energies):
         members = [
@@ -330,9 +403,17 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
             for t, a, d in zip(picked, member_arrivals, member_deadlines)
         ]
         fragment = edf_fill(members, start, end, level)
+        behind = np.concatenate(([0], np.cumsum(cut_widths)))  # widths of the first k runs
+        after = cut_starts - behind[:-1]  # the slot just past run k, in the timeline left by the cuts
+        slots = np.arange(start, end + 1)
+        original = (slots + behind[np.searchsorted(after, slots, "right")]).tolist()
         for (jid, slot), amount in fragment.items():
-            allocations[(jid, int(slot_map[slot - 1]))] = amount
-        slot_map = np.delete(slot_map, np.s_[start - 1 : end])
+            allocations[(jid, original[slot - start])] = amount
+        # the cut and the runs inside it make one run
+        first, last = original[0], original[-1]
+        lo, hi = np.searchsorted(cut_starts, first), np.searchsorted(cut_starts, last, "right")
+        cut_starts = np.concatenate((cut_starts[:lo], [first], cut_starts[hi:]))
+        cut_widths = np.concatenate((cut_widths[:lo], [last - first + 1], cut_widths[hi:]))
     return Schedule(instance, allocations)
 
 

@@ -73,6 +73,28 @@ def reference_peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.nda
         index = index[keep]
 
 
+def component_points(instance: Instance) -> list[int]:
+    """Endpoint count of each run of jobs between slots that no window covers, left to right."""
+    counts, points, reach = [], set(), None
+    for job in sorted(instance.jobs, key=lambda j: j.arrival):
+        if reach is not None and job.arrival > reach + 1:
+            counts.append(len(points))
+            points = set()
+        points |= {job.arrival, job.deadline}
+        reach = job.deadline if reach is None else max(reach, job.deadline)
+    return counts + [len(points)] if points else counts
+
+
+def spread_out(instance: Instance, offset: int, gap: int) -> Instance:
+    """The instance moved right by ``offset`` slots, with ``gap`` more uncovered slots after each one."""
+    covered = {t for j in instance.jobs for t in range(j.arrival, j.deadline + 1)}
+    before = np.cumsum([gap * (t not in covered) for t in range(max(covered) + 1)]).tolist()
+    return Instance(
+        Job(j.id, j.arrival + offset + before[j.arrival], j.deadline + offset + before[j.arrival], j.energy)
+        for j in instance.jobs
+    )
+
+
 def reference_exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int | None = None) -> list[float]:
     """The budgeted oracle one enumerated altered instance at a time, each peeled by reference_peel."""
     n = instance.n

@@ -40,6 +40,11 @@ class TestGenParams:
         with pytest.raises(ValueError, match=f"^{field} must be a finite positive real"):
             GenParams(**params)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            GenParams(n, 5.0, 5.0, 1.0, 5.0, seed=1)
+
 
 class TestGenerateInstance:
     def test_identical_seeds_identical_instances(self):
@@ -59,6 +64,14 @@ class TestGenerateInstance:
         assert all(b > a for a, b in zip(arrivals, arrivals[1:]))  # gaps >= 1
         assert all(j.allowance >= 1 for j in inst.jobs)
         assert all(1.0 <= j.energy <= 5.0 for j in inst.jobs)
+
+    @pytest.mark.parametrize("field", ["mean_interarrival", "mean_allowance"])
+    def test_draws_past_int64_slots_rejected(self, field):
+        # finite means whose rounded draws would wrap in the int64 cast
+        params = dict(n=3, mean_interarrival=5.0, mean_allowance=5.0, energy_low=1.0, energy_high=5.0, seed=1)
+        params[field] = 1e300
+        with pytest.raises(ValueError, match=f"^{field}=1e\\+300 draws slots past .* at seed 1$"):
+            generate_instance(GenParams(**params))
 
     def test_interarrival_mean_statistics(self):
         inst = generate_instance(GenParams(10_000, 5.0, 10.0, 1.0, 5.0, seed=77))

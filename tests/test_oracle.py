@@ -177,6 +177,38 @@ class TestExactCurveBatched:
                 assert rows == elementary_sum(sizes, cap)
 
 
+class TestExactCurveGapped:
+    """Runs of uncovered slots shrink to one slot of the grid; the curves do not change."""
+
+    @staticmethod
+    def two_clusters(gap: int) -> Instance:
+        jobs = []
+        for c, base in enumerate((1, 6 + gap)):
+            jobs += [Job(3 * c, base, base + 2, 2.0), Job(3 * c + 1, base + 1, base + 3, 1.5)]
+            jobs.append(Job(3 * c + 2, base + 2, base + 4, 3.0))
+        return Instance(jobs)
+
+    def test_grid_squeezed_and_curve_unchanged(self, monkeypatch):
+        expected = exact_limited_attack_curve(self.two_clusters(1), QUAD)
+        grids = []
+        peel_rows = oracle_mod._peel_rows
+
+        def recorded(arrivals, deadlines, *args):
+            grids.append(int(deadlines.max()) + 1)
+            return peel_rows(arrivals, deadlines, *args)
+
+        monkeypatch.setattr(oracle_mod, "_peel_rows", recorded)
+        # each cluster spans 5 slots; the 300 uncovered slots between them keep one
+        assert exact_limited_attack_curve(self.two_clusters(300), QUAD) == expected
+        assert max(grids) == 11
+
+    def test_equals_reference_loop_exactly(self):
+        rng = np.random.default_rng(39)
+        for _ in range(4):
+            inst = random_instance(rng, max_jobs=5, min_jobs=3, max_gap=8, max_window=3)
+            assert exact_limited_attack_curve(inst, QUAD) == reference_exact_limited_attack_curve(inst, QUAD)
+
+
 class TestExactCurvePinned:
     def test_desk_instance(self):
         # exact float equality, recorded once: every entry is a peel of some altered instance

@@ -11,7 +11,10 @@ from gridsched.attacker import (
     limited_greedy_from_partition,
 )
 from gridsched.model import CostModel, Instance, Job
-from gridsched.scheduler import min_cost
+from gridsched.oracle import check_min_optimality, exact_limited_attack_curve
+from gridsched.scheduler import min_cost, schedule_optimal_offline
+
+from helpers import spread_out
 
 EXPONENTS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
 
@@ -45,6 +48,31 @@ def test_shifting_every_slot_changes_nothing(specs, shift, exponent):
     cost = CostModel(exponent)
     # both work on the order of the window endpoints only
     assert attack_and_peel(build(specs, shift=shift), cost) == attack_and_peel(build(specs), cost)
+
+
+def slot_free_results(instance: Instance, cost: CostModel):
+    """min_cost, the sorted slot loads, the oracle curve and the certifier's verdict."""
+    schedule = schedule_optimal_offline(instance, cost)
+    return (
+        min_cost(instance, cost),
+        sorted(schedule.slot_loads().values()),
+        exact_limited_attack_curve(instance, cost),
+        check_min_optimality(instance, schedule, cost).optimal,
+    )
+
+
+@settings(max_examples=15)
+@given(
+    st.lists(st.tuples(st.integers(1, 16), st.integers(0, 2), st.floats(0.5, 8.0)), min_size=1, max_size=4),
+    st.integers(0, 10**12),
+    st.integers(0, 10**6),
+    EXPONENTS,
+)
+def test_wider_gaps_and_far_slots_change_nothing(specs, shift, gap, exponent):
+    # a run of uncovered slots splits the peel whatever its length
+    cost = CostModel(exponent)
+    inst = build(specs)
+    assert slot_free_results(spread_out(inst, shift, gap), cost) == slot_free_results(inst, cost)
 
 
 @settings(max_examples=40)

@@ -7,7 +7,7 @@ import pytest
 
 from gridsched import scheduler
 from gridsched.attacker import online_edf_attack
-from gridsched.harness import GenParams, generate_instance
+from gridsched.harness import GenParams, generate_instance, make_identical_instance
 from gridsched.model import CostModel, Instance, Job, _job_arrays, apply_attack, baseline_cost, evaluate_cost
 from gridsched.oracle import check_min_optimality
 from gridsched.scheduler import (
@@ -22,12 +22,14 @@ from gridsched.scheduler import (
 )
 
 from helpers import (
+    component_points,
     intensity,
     random_instance,
     random_instance_in_horizon,
     reference_cost,
     reference_online_even,
     reference_peel,
+    spread_out,
 )
 
 QUAD = CostModel(2.0)
@@ -250,14 +252,14 @@ class TestPeelKeptTables:
     @pytest.mark.parametrize("low, high", [(1.0, 5.0), (1e5, 1e6)])
     def test_generated_n400_and_its_online_attack(self, low, high):
         inst = generate_instance(GenParams(400, 5.0, 20.0, low, high, seed=3))
-        assert len(inst.endpoints()) >= scheduler._INCREMENTAL_MIN_POINTS
+        assert max(component_points(inst)) >= scheduler._INCREMENTAL_MIN_POINTS
         assert assert_peel_matches_reference(inst) > 1
         plan, _, _ = online_edf_attack(inst, QUAD)
         assert_peel_matches_reference(apply_attack(inst, plan))
 
     def test_switch_to_rebuilds_partway(self, monkeypatch):
         inst = generate_instance(GenParams(100, 3.0, 10.0, 1.0, 5.0, seed=2024))
-        assert len(inst.endpoints()) >= scheduler._INCREMENTAL_MIN_POINTS
+        assert max(component_points(inst)) >= scheduler._INCREMENTAL_MIN_POINTS
         rebuilds = []
 
         def counted(*args):
@@ -268,6 +270,57 @@ class TestPeelKeptTables:
         segments = assert_peel_matches_reference(inst)
         # the reference holds its own binding of _critical_arrays: only _peel's rebuilds count
         assert 0 < len(rebuilds) < segments
+
+
+class TestPeelComponents:
+    """Each run of jobs between uncovered slots is peeled alone; the merged yields equal the whole peel's."""
+
+    def test_identical_components_leftmost_first(self):
+        # equal levels everywhere: ties go to the leftmost component
+        inst = make_identical_instance(6, 2.0, 3, 6)
+        assert component_points(inst) == [2] * 6
+        assert_peel_matches_reference(inst)
+        assert [picked.tolist() for _, _, _, picked, *_ in _peel(*_job_arrays(inst)[1:])] == [[k] for k in range(6)]
+        twice = Instance([*inst.jobs, *(Job(j.id + 6, j.arrival + 1, j.deadline + 1, j.energy) for j in inst.jobs)])
+        assert component_points(twice) == [4] * 6
+        assert_peel_matches_reference(twice)
+
+    def test_wide_gaps_and_far_shift(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            inst = random_instance(rng, max_jobs=10, max_gap=8, max_window=4)
+            far = spread_out(inst, 10**12, 10**6)
+            assert_peel_matches_reference(far)
+            # widths, levels and members do not see the gaps' lengths or the offset
+            near = [(e - s, level, picked.tolist()) for s, e, level, picked, *_ in _peel(*_job_arrays(inst)[1:])]
+            assert [(e - s, level, picked.tolist()) for s, e, level, picked, *_ in _peel(*_job_arrays(far)[1:])] == near
+
+    def test_online_attacked_n400(self):
+        inst = generate_instance(GenParams(400, 5.0, 5.0, 1.0, 5.0, seed=3))
+        plan, _, _ = online_edf_attack(inst, QUAD)
+        attacked = apply_attack(inst, plan)
+        assert len(component_points(attacked)) > 200
+        assert_peel_matches_reference(attacked)
+
+    @pytest.mark.parametrize("switch", [0, scheduler._INCREMENTAL_MIN_POINTS])
+    def test_no_table_wider_than_a_component(self, monkeypatch, switch):
+        monkeypatch.setattr(scheduler, "_INCREMENTAL_MIN_POINTS", switch)
+        widths = []
+
+        def rebuilt(arrivals, deadlines, energies):
+            widths.append(np.unique(np.concatenate((arrivals, deadlines))).size)
+            return _critical_arrays(arrivals, deadlines, energies)
+
+        class Kept(scheduler._PeelTables):
+            def __init__(self, points, *args):
+                widths.append(points.size)
+                super().__init__(points, *args)
+
+        monkeypatch.setattr(scheduler, "_critical_arrays", rebuilt)
+        monkeypatch.setattr(scheduler, "_PeelTables", Kept)
+        inst = generate_instance(GenParams(200, 5.0, 5.0, 1.0, 5.0, seed=3))
+        min_cost(inst, QUAD)
+        assert widths and max(widths) <= max(component_points(inst)) < len(inst.endpoints()) // 10
 
 
 class TestScheduleOnlineEven:
