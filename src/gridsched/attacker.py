@@ -14,7 +14,7 @@ and spends the leftover budget on the highest-energy members of the next
 clique, unless spending the whole budget inside that clique is worth
 more; members already pinned at their clique's slot, and cliques pinned
 whole, join for free.  It reports the cost of the compressed components
-only, a certified lower bound.  A second dynamic program
+only, a lower bound up to rounding.  A second dynamic program
 (``limited_attack_curve``) estimates an upper bound for every budget at
 once by optimizing the attack against a controller that serves demands
 inelastically at their arrival slots.
@@ -23,6 +23,10 @@ inelastically at their arrival slots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -205,9 +209,18 @@ def limited_greedy_from_partition(
     next clique.  In either selection, the pinned members of every clique
     it leaves uncompressed join at their slot too, for free.  The better
     of the two is adopted (ties to (a)).  Only the compressed components
-    are counted, so the reported value is a lower bound on what the
-    attack actually forces.  With beta = 1 the whole partition is
-    compressed and the value equals the optimal unlimited attack.
+    are counted.
+
+    In exact arithmetic the value is then a lower bound on what the attack
+    forces (``realized_attack_cost``), and at beta = 1, where every clique
+    fits, it is the partition's cost, which ``full_attack_dp`` reports.
+    The three paths add the same energies and costs in different orders,
+    so in floating point either relation can miss by a few ulps.  On 300
+    generator draws (n = 5-59, b in {1, 1.5, 2, 3}) the beta = 1 value
+    differed from c_max on 1,059 of 1,200 results, by at most 3.1e-15
+    relative, and exceeded the realized cost on 324 of the 900 with
+    b > 1, by at most 8.7e-16 relative; at beta = 0.5 it never did.
+    Clique values are added left to right, in ranking order.
     """
     budget = attack_budget(beta, instance.n)
     blocks = partition.blocks
@@ -215,58 +228,53 @@ def limited_greedy_from_partition(
     def value(job_ids) -> float:
         return float(cost(sum(instance.job(jid).energy for jid in job_ids)))
 
+    def added(terms) -> float:
+        # left to right; the built-in sum compensates from Python 3.12 on
+        return reduce(add, terms, 0.0)
+
     values = [value(block.members) for block in blocks]
     order = sorted(
         range(len(blocks)), key=lambda idx: (-(values[idx] / len(blocks[idx].members)), -values[idx], idx)
     )
-
-    used = 0  # members of the whole cliques
-    leftover = budget  # what their altered members leave of the budget
-    whole_value = whole_pinned = beyond_pinned = 0.0
-    slots: dict[int, int] = {}  # pinned members of every clique but the next
-    whole: dict[int, int] = {}  # altered members of the whole cliques, which only (a) takes
-    next_slot: int | None = None  # slot of the next clique
-    next_pinned: list[int] = []
-    next_altered: list[int] = []
-    for idx in order:
-        block = blocks[idx]
-        pinned, altered = [], []
-        for jid in block.members:
-            job = instance.job(jid)
-            (pinned if job.arrival == job.deadline == block.slot else altered).append(jid)
-        if next_slot is None and used + len(block.members) <= budget:
-            used += len(block.members)
-            leftover -= len(altered)
-            whole_value += values[idx]
-            whole_pinned += value(pinned)
-            whole.update(dict.fromkeys(altered, block.slot))
-        elif next_slot is None:
-            next_slot, next_pinned, next_altered = block.slot, pinned, altered
-            continue
-        else:
-            beyond_pinned += value(pinned)
-        slots.update(dict.fromkeys(pinned, block.slot))
-
+    ranked = [blocks[idx] for idx in order]
+    # per ranked clique: its members pinned at its slot, and those that compressing alters
+    pinned, altered = [], []
+    for block in ranked:
+        jobs = [instance.job(jid) for jid in block.members]
+        pinned.append([j.id for j in jobs if j.arrival == j.deadline == block.slot])
+        altered.append([j.id for j in jobs if not j.arrival == j.deadline == block.slot])
+    # the whole cliques are the longest prefix of the ranking whose members fit the budget
+    count = bisect_right(list(accumulate(len(block.members) for block in ranked)), budget)
+    whole, beyond = range(count), range(count + 1, len(ranked))
+    next_slot, next_pinned, next_altered = None, [], []
+    if count < len(ranked):
+        next_slot, next_pinned, next_altered = ranked[count].slot, pinned[count], altered[count]
     for members in (next_pinned, next_altered):
         members.sort(key=lambda jid: (-instance.job(jid).energy, jid))
+
+    leftover = budget - sum(len(altered[k]) for k in whole)
     top_up = next_pinned + next_altered[:leftover]
     inside = next_pinned + next_altered[:budget]
-    value_whole = whole_value + value(top_up)
-    value_inside = value(inside) + whole_pinned
+    value_whole = added(values[order[k]] for k in whole) + value(top_up)
+    value_inside = value(inside) + added(value(pinned[k]) for k in whole)
+    slots = {jid: ranked[k].slot for k in (*whole, *beyond) for jid in pinned[k]}
     if value_whole >= value_inside:
-        slots.update(whole)
+        slots.update((jid, ranked[k].slot) for k in whole for jid in altered[k])
         picked = top_up
     else:
         picked = inside
     slots.update(dict.fromkeys(picked, next_slot))
+    beyond_pinned = added(value(pinned[k]) for k in beyond)
     return AttackPlan.from_compression(instance, slots), max(value_whole, value_inside) + beyond_pinned
 
 
 def realized_attack_cost(instance: Instance, plan: AttackPlan, cost: CostModel) -> float:
     """Cost the optimal controller actually pays once the plan is applied.
 
-    Always at least the conservative value reported for the same plan by
-    the greedy attack, since uncompressed jobs only add load.
+    In exact arithmetic at least the conservative value reported for the
+    same plan by the greedy attack, since uncompressed jobs only add load;
+    the two sum in different orders, so that value can exceed this one by
+    a few ulps.
     """
     altered = apply_attack(instance, plan)
     return evaluate_cost(schedule_optimal_offline(altered, cost), cost)

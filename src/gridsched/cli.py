@@ -54,19 +54,10 @@ def _cmd_solve_min(args) -> int:
     return 0
 
 
-def _cmd_attack_full(args) -> int:
+def _cmd_attack(args) -> int:
     instance = read_instance_csv(args.instance)
-    _, partition, value = full_attack_dp(instance, CostModel(args.b))
-    print(f"c_max = {_fmt(value)}")
-    print("cliques:")
-    _print_blocks(partition)
-    return 0
-
-
-def _cmd_attack_online(args) -> int:
-    instance = read_instance_csv(args.instance)
-    _, partition, value = online_edf_attack(instance, CostModel(args.b))
-    print(f"c_max_online = {_fmt(value)}")
+    _, partition, value = args.attack(instance, CostModel(args.b))
+    print(f"{args.label} = {_fmt(value)}")
     print("cliques:")
     _print_blocks(partition)
     return 0
@@ -133,9 +124,9 @@ def _cmd_experiment(args) -> int:
         seed=args.seed,
         trials=args.trials,
         exponent=args.b,
-        out_path=args.out,
     )
     result = run_experiment(config)
+    result.write(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 
@@ -157,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_solve_min)
 
     cmd = add_instance_command("attack-full", "optimal unlimited attack")
-    cmd.set_defaults(handler=_cmd_attack_full)
+    cmd.set_defaults(handler=_cmd_attack, attack=full_attack_dp, label="c_max")
 
     cmd = add_instance_command("attack-online", "online EDF attack")
-    cmd.set_defaults(handler=_cmd_attack_online)
+    cmd.set_defaults(handler=_cmd_attack, attack=online_edf_attack, label="c_max_online")
 
     cmd = add_instance_command("attack-limited", "budgeted greedy attack")
     cmd.add_argument("--beta", type=float, required=True, help="alteration fraction in [0, 1]")

@@ -6,16 +6,21 @@ attack strategies versus the mean job allowance, the budgeted-attack
 lower/upper bounds versus the alteration fraction, and the budgeted
 attack ratio on identical evenly spaced jobs.
 
+``run_experiment`` returns an ``ExperimentResult``, whose ``write`` saves
+the CSV.
+
 Reproducibility: every trial draws from an RNG stream derived from the
 master seed and the trial's position, so reruns with the same
 configuration emit byte-identical CSV regardless of execution order.
+The generator's arrivals strictly increase, as fig4's upper bound
+requires, so fig4 draws each trial's instance once, as fig3 does; its
+preamble keeps the field ``redraws=0``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -32,8 +37,6 @@ from .attacker import (
 )
 from .model import CostModel, Instance, Job, baseline_cost
 from .scheduler import even_cost, min_cost
-
-log = logging.getLogger(__name__)
 
 
 class Experiment(Enum):
@@ -150,7 +153,6 @@ class ExperimentConfig:
     seed: int
     trials: int
     exponent: float = 2.0
-    out_path: str | None = None
     # allowance-mean sweep
     fig3_jobs: int = 100
     allowance_means: tuple[float, ...] = _FIG3_ALLOWANCE_MEANS
@@ -168,14 +170,12 @@ class ExperimentConfig:
         seed: int,
         trials: int | None = None,
         exponent: float = 2.0,
-        out_path: str | None = None,
     ) -> "ExperimentConfig":
         config = cls(
             experiment=experiment,
             seed=seed,
             trials=trials if trials is not None else _DEFAULT_TRIALS[experiment],
             exponent=exponent,
-            out_path=out_path,
         )
         config.validate()
         return config
@@ -202,9 +202,6 @@ class ExperimentConfig:
                 raise ValueError("fig5 needs an interarrival grid")
             for spacing in self.interarrival_grid:
                 make_identical_instance(_FIG5_JOBS, _FIG5_ENERGY, _FIG5_ALLOWANCE, spacing)
-
-    def with_out_path(self, out_path: str | None) -> "ExperimentConfig":
-        return replace(self, out_path=out_path)
 
 
 @dataclass
@@ -233,8 +230,6 @@ class ExperimentResult:
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return str(int(cell))
     if isinstance(cell, (int, np.integer)):
         return str(int(cell))
     return f"{float(cell):.12g}"
@@ -246,7 +241,7 @@ def _trial_seed(master_seed: int, *key: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment and return its rows; writes CSV when out_path is set."""
+    """Run one experiment and return its rows; ``ExperimentResult.write`` writes them as CSV."""
     config.validate()
     runner = {
         Experiment.FIG2_BOUND: _run_fig2,
@@ -254,10 +249,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         Experiment.FIG4_MAXMIN_BOUNDS: _run_fig4,
         Experiment.FIG5_ORDERED_RATIO: _run_fig5,
     }[config.experiment]
-    result = runner(config)
-    if config.out_path is not None:
-        result.write(config.out_path)
-    return result
+    return runner(config)
 
 
 def _preamble(config: ExperimentConfig, extra: str = "") -> str:
@@ -341,40 +333,25 @@ def _run_fig3(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(_preamble(config), header, rows)
 
 
-def _draw_unique_arrivals(config: ExperimentConfig, trial: int) -> tuple[Instance, int, int]:
-    """Draw a fig4 instance, redrawing on arrival collisions (precondition of the upper bound)."""
-    redraws = 0
-    for attempt in range(100):
-        seed = _trial_seed(config.seed, trial, attempt)
-        instance = generate_instance(
-            GenParams(
-                n=config.fig4_jobs,
-                mean_interarrival=_MEAN_INTERARRIVAL,
-                mean_allowance=_FIG4_MEAN_ALLOWANCE,
-                energy_low=_FIG4_ENERGY[0],
-                energy_high=_FIG4_ENERGY[1],
-                seed=seed,
-            )
-        )
-        arrivals = [j.arrival for j in instance.jobs]
-        if len(set(arrivals)) == len(arrivals):
-            return instance, seed, redraws
-        redraws += 1
-        log.info("fig4 trial %d: arrival collision, redrawing (attempt %d)", trial, attempt + 1)
-    raise RuntimeError(f"fig4 trial {trial}: could not draw collision-free arrivals in 100 attempts")
-
-
 def _run_fig4(config: ExperimentConfig) -> ExperimentResult:
     """Budgeted-attack lower and upper bounds versus the alteration fraction."""
     cost = CostModel(config.exponent)
     budgets = [attack_budget(beta, config.fig4_jobs) for beta in config.betas]
     max_budget = max(budgets)
     sums = np.zeros((len(config.betas), 4))
-    total_redraws = 0
     for trial in range(config.trials):
-        instance, seed, redraws = _draw_unique_arrivals(config, trial)
-        total_redraws += redraws
+        seed = _trial_seed(config.seed, trial, 0)
         try:
+            instance = generate_instance(
+                GenParams(
+                    n=config.fig4_jobs,
+                    mean_interarrival=_MEAN_INTERARRIVAL,
+                    mean_allowance=_FIG4_MEAN_ALLOWANCE,
+                    energy_low=_FIG4_ENERGY[0],
+                    energy_high=_FIG4_ENERGY[1],
+                    seed=seed,
+                )
+            )
             _, partition, c_max = full_attack_dp(instance, cost)
             c_base = baseline_cost(instance, cost)
             upper = limited_attack_curve(instance, cost, max_budget)
@@ -388,7 +365,8 @@ def _run_fig4(config: ExperimentConfig) -> ExperimentResult:
     for idx, beta in enumerate(config.betas):
         means = sums[idx] / config.trials
         rows.append((beta, budgets[idx], means[0], means[1], means[2], means[3]))
-    return ExperimentResult(_preamble(config, f"redraws={total_redraws}"), header, rows)
+    # generate_instance's arrivals strictly increase, so no draw is ever redrawn
+    return ExperimentResult(_preamble(config, "redraws=0"), header, rows)
 
 
 def _run_fig5(config: ExperimentConfig) -> ExperimentResult:

@@ -7,6 +7,11 @@ each altered instance, and schedule optimality is certified via residual
 transfer paths.  Everything is guarded to desk scale and used to
 validate the polynomial algorithms elsewhere in the package.
 
+Both enumerations come from one generator, ``_altered_windows``: the
+brute force is its case with every job altered, each assignment's loads
+added up in job order on the grid of covered slots.  ``_TABLE_CELLS``
+sizes every batch.
+
 The budgeted oracle peels a batch of altered instances at once
 (``_peel_rows``).  Each round builds the contained-energy and intensity
 tables of every unfinished row on one slot grid, in the summation order
@@ -16,7 +21,8 @@ of its own peel bit for bit.  Levels are charged with Python's scalar
 ``**``, as ``min_cost`` does: numpy's array ``**`` rounds the last bit
 differently on some loads.  The grid keeps one slot of each run of slots
 that no window covers, so it is at most the windows' total plus n slots
-wide, whatever the gaps between the jobs.
+wide, whatever the gaps between the jobs.  A grid so wide that one row's
+table would exceed ``_TABLE_CELLS`` is rejected before any enumeration.
 """
 
 from __future__ import annotations
@@ -32,12 +38,11 @@ from .scheduler import _components, _excise
 ENUMERATION_GUARD = 10_000_000
 """Maximum number of joint assignments an oracle call may enumerate."""
 
-_CHUNK = 1 << 16
-
 _TABLE_CELLS = 1 << 14
-"""Cells of one round's (rows, slots, slots) table in the budgeted oracle.
+"""Cells of one batch: the budgeted oracle's (rows, slots, slots) tables and
+the brute force's (rows, slots) loads.
 
-Bounds the rows peeled together, and so a batch's memory.  On the
+Bounds the rows enumerated together, and so a batch's memory.  On the
 benchmark's desk-scale oracle pass (Python 3.11, numpy 2.4) the peak RSS
 was the same at 2^14 and 2^16 cells and about 4 MiB higher at 2^18.
 """
@@ -58,33 +63,23 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
     """Exact maximum total cost over all single-slot service assignments.
 
     Enumerates every t_j in [arrival_j, deadline_j] and evaluates the
-    stacked per-slot cost.  Guarded: the product of window sizes must not
-    exceed ENUMERATION_GUARD.
+    stacked per-slot cost.  The assignments are ``_altered_windows``' with
+    every job altered, at most ``_TABLE_CELLS`` load cells at a time; each
+    slot's load adds the jobs in job order, on the grid of covered slots.
+    Guarded: the product of window sizes must not exceed
+    ENUMERATION_GUARD.
     """
     if instance.n == 0:
         return 0.0
-    jobs = instance.jobs
-    sizes = [j.allowance + 1 for j in jobs]
-    total = _guarded_product(sizes)
-
-    slots = sorted({t for j in jobs for t in range(j.arrival, j.deadline + 1)})
-    dense = {slot: idx for idx, slot in enumerate(slots)}
-    col_maps = [np.array([dense[j.arrival + off] for off in range(sz)]) for j, sz in zip(jobs, sizes)]
-    strides = np.ones(len(jobs), dtype=np.int64)
-    for idx in range(len(jobs) - 2, -1, -1):
-        strides[idx] = strides[idx + 1] * sizes[idx + 1]
-    energies = [j.energy for j in jobs]
-
+    _guarded_product([j.allowance + 1 for j in instance.jobs])
+    _, arrivals, deadlines, energies = _job_arrays(instance)
+    grid = np.unique(np.concatenate([np.arange(a, d + 1) for a, d in zip(arrivals, deadlines)]))
     best = 0.0
-    for lo in range(0, total, _CHUNK):
-        rows = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        loads = np.zeros((rows.size, len(slots)))
-        local = np.arange(rows.size)
-        for j_idx in range(len(jobs)):
-            digits = (rows // strides[j_idx]) % sizes[j_idx]
-            loads[local, col_maps[j_idx][digits]] += energies[j_idx]
-        chunk_best = float(cost(loads).sum(axis=1).max())
-        best = max(best, chunk_best)
+    for slots, _ in _altered_windows(arrivals, deadlines, instance.n, max(1, _TABLE_CELLS // grid.size)):
+        rows = len(slots)
+        cells = np.arange(rows)[:, None] * grid.size + np.searchsorted(grid, slots)
+        loads = np.bincount(cells.ravel(), weights=np.tile(energies, rows), minlength=rows * grid.size)
+        best = max(best, float(cost(loads.reshape(-1, grid.size)).sum(axis=1).max()))
     return best
 
 
@@ -178,7 +173,9 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
     The altered instances of one set size are peeled in batches of at
     most ``_TABLE_CELLS`` table cells by ``_peel_rows``, each level
     charged with Python's scalar ``**``; every entry equals, bit for
-    bit, the maximum of ``min_cost`` over the enumerated instances.
+    bit, the maximum of ``min_cost`` over the enumerated instances.  Also
+    guarded: one row's table, the squeezed grid's slots squared, must fit
+    in ``_TABLE_CELLS``.
     """
     if max_budget is not None and max_budget < 0:
         raise ValueError("budget must be non-negative")
@@ -198,7 +195,11 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
     squeeze = np.concatenate(([arrivals.min()], gaps - 1)).cumsum()[label]
     arrivals, deadlines = arrivals - squeeze, deadlines - squeeze
     slots = int(deadlines.max()) + 1
-    rows = max(1, _TABLE_CELLS // (slots * slots))
+    if slots * slots > _TABLE_CELLS:
+        raise ValueError(
+            f"instance too large for exhaustive enumeration ({slots}-slot grid; {_TABLE_CELLS} table cells at most)"
+        )
+    rows = _TABLE_CELLS // (slots * slots)
     best = []
     top = -np.inf
     for size in range(cap + 1):

@@ -40,6 +40,7 @@ schedule and its cost come from one array form of the spread,
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -268,8 +269,8 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
       of the whole peel, and the whole peel takes the highest head of any
       component, ties to the leftmost (its row-major first maximum).
 
-    A heap keyed on (-level, component) merges the heads in that order,
-    and each yield is shifted left by the width already cut from the
+    ``heapq.merge`` keyed on -level merges the heads in that order (ties
+    go to the lower component index), and each yield is shifted left by the width already cut from the
     components to its left.
 
     From ``_INCREMENTAL_MIN_POINTS`` endpoints up, a component's tables
@@ -284,26 +285,19 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
     label, _ = _components(arrivals, deadlines)
     by_label = np.argsort(label, kind="stable")  # each component's jobs in input order
     members = np.split(by_label, np.cumsum(np.bincount(label))[:-1])
-    peels = [_peel_component(arrivals[m], deadlines[m], energies[m]) for m in members]
+    peels = [
+        zip(repeat(k), _peel_component(arrivals[m], deadlines[m], energies[m])) for k, m in enumerate(members)
+    ]
     cut = [0] * len(peels)  # width cut so far from each component
-    heap = []
-    for k, peel in enumerate(peels):
-        head = next(peel)
-        heap.append((-head[2], k, head))
-    heapq.heapify(heap)
-    while heap:
-        _, k, (start, end, level, picked, member_arrivals, member_deadlines) = heap[0]
+    for k, (start, end, level, picked, member_arrivals, member_deadlines) in heapq.merge(
+        *peels, key=lambda head: -head[1][2]
+    ):
         shift = sum(cut[:k])
         yield (
             start - shift, end - shift, level, members[k][picked],
             member_arrivals - shift, member_deadlines - shift,
         )
         cut[k] += end - start + 1
-        head = next(peels[k], None)
-        if head is None:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, (-head[2], k, head))
 
 
 def optimal_load_segments(instance: Instance) -> list[tuple[int, float]]:
@@ -365,13 +359,10 @@ def edf_fill(jobs: Iterable[Job], start: int, end: int, level: float) -> dict[tu
         capacity = level
         while capacity > fill_tol and heap:
             deadline, jid = heap[0]
-            if remaining[jid] <= 0.0:
-                heapq.heappop(heap)
-                continue
             if deadline < slot:
                 raise RuntimeError(f"EDF fill missed the deadline of job {jid}; infeasible input")
             take = min(remaining[jid], capacity)
-            allocations[(jid, slot)] = allocations.get((jid, slot), 0.0) + take
+            allocations[(jid, slot)] = take  # a job is taken at most once per slot
             remaining[jid] -= take
             capacity -= take
             if remaining[jid] <= 0.0:

@@ -11,6 +11,7 @@ against exhaustive search, reproduction of the reference experiment
 relations, and byte-identical reruns.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -52,6 +53,11 @@ def _spearman(x, y) -> float:
     rank_x = np.argsort(np.argsort(x))
     rank_y = np.argsort(np.argsort(y))
     return float(np.corrcoef(rank_x, rank_y)[0, 1])
+
+
+def _sha256(result) -> str:
+    # the default-config CSV bytes; the preamble carries the package version
+    return hashlib.sha256(result.to_csv_text().encode("utf-8")).hexdigest()
 
 
 def test_criterion_01_full_attack_oracle_equivalence():
@@ -186,7 +192,8 @@ def test_criterion_06_exact_curve_at_seven_jobs():
 def test_criterion_07_fig5_reproduction():
     config = ExperimentConfig.default(Experiment.FIG5_ORDERED_RATIO, seed=107)
     config = replace(config, interarrival_grid=(1, 10))
-    rows = run_experiment(config).rows_as_dicts()
+    result = run_experiment(config)
+    rows = result.rows_as_dicts()
     tight = {row["beta"]: row["ratio"] for row in rows if row["interarrival"] == 1}
     spaced = {row["beta"]: row["ratio"] for row in rows if row["interarrival"] == 10}
 
@@ -209,12 +216,14 @@ def test_criterion_07_fig5_reproduction():
         f"spaced curve dips below the tight curve at beta={worst_beta}: "
         f"{spaced[worst_beta]:.6f} < {tight[worst_beta]:.6f}"
     )
+    assert _sha256(result) == "fc11b748ea2d5f05b4b2ed8bfc46e7e6721bb8ee210fdb4c15f25b0615ba0116"
 
 
 def test_criterion_08_fig3_trends():
     start = time.monotonic()
     config = ExperimentConfig.default(Experiment.FIG3_COSTS, seed=2024, trials=20)
-    rows = run_experiment(config).rows_as_dicts()
+    result = run_experiment(config)
+    rows = result.rows_as_dicts()
     elapsed = time.monotonic() - start
     means = [row["allowance_mean"] for row in rows]
     c_min = [row["c_min_offline"] for row in rows]
@@ -233,6 +242,7 @@ def test_criterion_08_fig3_trends():
     assert rho_max >= 0.9
     assert final_ratio >= 2.0
     assert elapsed < 120.0
+    assert _sha256(result) == "598ea4fb1a16a5f2a5036beb921f260946adaad8747c199ac627f8fbffbc8f49"
 
 
 def test_criterion_09_fig2_monotonicity():
@@ -266,8 +276,10 @@ def test_criterion_10_experiment_determinism(tmp_path):
     ]
     ok = True
     for config in configs:
-        first = run_experiment(config.with_out_path(str(tmp_path / "a.csv")))
-        second = run_experiment(config.with_out_path(str(tmp_path / "b.csv")))
+        first = run_experiment(config)
+        first.write(tmp_path / "a.csv")
+        second = run_experiment(config)
+        second.write(tmp_path / "b.csv")
         ok &= first.to_csv_text() == second.to_csv_text()
         ok &= (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     _report(10, "reruns emit byte-identical CSV", bool(ok), "all four experiments")

@@ -143,3 +143,34 @@ def test_oracle_maxmin_full_output(instance_file, capsys):
 def test_oracle_maxmin_invalid_beta_reports_error(instance_file, capsys):
     assert main(["oracle", "maxmin", instance_file, "--beta", "1.5"]) == 2
     assert "error: beta must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("attack-full", "c_max = 18.25\ncliques:\n  slot=2 members=1,2\n  slot=5 members=3\n"),
+        ("attack-online", "c_max_online = 18.25\ncliques:\n  slot=2 members=1,2\n  slot=7 members=3\n"),
+    ],
+)
+def test_attack_full_output(tmp_path, capsys, command, expected):
+    path = tmp_path / "three.csv"
+    write_instance_csv(Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0), Job(3, 5, 7, 1.5)]), path)
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_oracle_maxmin_wide_grid_reports_error(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    write_instance_csv(Instance([Job(0, 1, 200, 1.0), Job(1, 2, 3, 1.0)]), path)
+    assert main(["oracle", "maxmin", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: instance too large for exhaustive enumeration" in captured.err
+
+
+def test_experiment_unwritable_out_reports_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "fig2.csv"
+    assert main(["experiment", "fig2", "--seed", "5", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write experiment output to {out_path}" in captured.err

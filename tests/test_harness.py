@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridsched.harness import (
     Experiment,
@@ -64,6 +66,27 @@ class TestGenerateInstance:
         assert all(b > a for a, b in zip(arrivals, arrivals[1:]))  # gaps >= 1
         assert all(j.allowance >= 1 for j in inst.jobs)
         assert all(1.0 <= j.energy <= 5.0 for j in inst.jobs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.floats(1e-300, 1e300),
+        st.floats(1e-300, 1e300),
+        st.floats(1e-300, 1e300),
+        st.floats(1e-300, 1e300),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_arrivals_strictly_increase(self, n, mean_interarrival, mean_allowance, low, high, seed):
+        # fig4 relies on this: limited_attack_curve rejects colliding arrivals
+        params = GenParams(n, mean_interarrival, mean_allowance, min(low, high), max(low, high), seed)
+        try:
+            inst = generate_instance(params)
+        except ValueError as exc:
+            assume("draws slots past" not in str(exc))
+            raise
+        arrivals = [j.arrival for j in inst.jobs]
+        assert arrivals[0] == 1
+        assert all(b > a for a, b in zip(arrivals, arrivals[1:]))
 
     @pytest.mark.parametrize("field", ["mean_interarrival", "mean_allowance"])
     def test_draws_past_int64_slots_rejected(self, field):
@@ -219,10 +242,8 @@ class TestDeterminism:
         assert first.to_csv_text() == second.to_csv_text()
 
     def test_preamble_and_write(self, tmp_path):
-        config = ExperimentConfig.default(Experiment.FIG2_BOUND, seed=12).with_out_path(
-            str(tmp_path / "fig2.csv")
-        )
-        result = run_experiment(config)
+        result = run_experiment(ExperimentConfig.default(Experiment.FIG2_BOUND, seed=12))
+        result.write(tmp_path / "fig2.csv")
         text = (tmp_path / "fig2.csv").read_bytes()
         assert text.decode("utf-8") == result.to_csv_text()
         assert result.preamble.startswith("# experiment=fig2 seed=12 ")

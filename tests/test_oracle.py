@@ -47,17 +47,13 @@ class TestBruteForceMaxCost:
         with pytest.raises(ValueError, match="too large"):
             brute_force_max_cost(Instance(jobs), QUAD)
 
-    def test_chunked_enumeration_matches_small_path(self):
-        # product just above one chunk, exercising the chunk loop
+    def test_chunked_enumeration_matches_small_path(self, monkeypatch):
+        # 531,441 assignments on a 19-slot grid, in batches of 862 rows and then of 1000
         jobs = [Job(i, 1 + 2 * i, 1 + 2 * i + 8, 1.0 + 0.1 * i) for i in range(6)]
         inst = Instance(jobs)
         value = brute_force_max_cost(inst, QUAD)
-        original = oracle_mod._CHUNK
-        try:
-            oracle_mod._CHUNK = 1000
-            assert brute_force_max_cost(inst, QUAD) == pytest.approx(value, rel=1e-12)
-        finally:
-            oracle_mod._CHUNK = original
+        monkeypatch.setattr(oracle_mod, "_TABLE_CELLS", 19 * 1000)
+        assert brute_force_max_cost(inst, QUAD) == value
 
 
 class TestBruteForceLimitedAttack:
@@ -207,6 +203,31 @@ class TestExactCurveGapped:
         for _ in range(4):
             inst = random_instance(rng, max_jobs=5, min_jobs=3, max_gap=8, max_window=3)
             assert exact_limited_attack_curve(inst, QUAD) == reference_exact_limited_attack_curve(inst, QUAD)
+
+
+class TestExactCurveGridGuard:
+    """A grid whose one-row table exceeds _TABLE_CELLS is rejected before anything is enumerated."""
+
+    @staticmethod
+    def wide(width: int) -> Instance:
+        return Instance([Job(0, 1, width, 1.0), Job(1, 2, 3, 1.0)])
+
+    def test_wide_window_rejected_at_once(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("enumerated a grid past the table limit")
+
+        monkeypatch.setattr(oracle_mod, "_peel_rows", enumerated)
+        with pytest.raises(ValueError, match="too large"):
+            exact_limited_attack_curve(self.wide(200), QUAD)
+
+    def test_limit_is_one_row_table(self, monkeypatch):
+        # the squeezed grid of wide(w) is w slots
+        monkeypatch.setattr(oracle_mod, "_TABLE_CELLS", 25)
+        assert exact_limited_attack_curve(self.wide(5), QUAD) == reference_exact_limited_attack_curve(
+            self.wide(5), QUAD
+        )
+        with pytest.raises(ValueError, match="too large"):
+            exact_limited_attack_curve(self.wide(6), QUAD)
 
 
 class TestExactCurvePinned:
