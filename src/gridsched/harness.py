@@ -365,7 +365,8 @@ def _run_fig4(config: ExperimentConfig) -> ExperimentResult:
     for idx, beta in enumerate(config.betas):
         means = sums[idx] / config.trials
         rows.append((beta, budgets[idx], means[0], means[1], means[2], means[3]))
-    # generate_instance's arrivals strictly increase, so no draw is ever redrawn
+    # generate_instance's arrivals strictly increase, so no draw is ever redrawn; the
+    # field stays for readers of the preamble, such as perfbench's fig4_draws
     return ExperimentResult(_preamble(config, "redraws=0"), header, rows)
 
 

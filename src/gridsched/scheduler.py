@@ -269,9 +269,9 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
       of the whole peel, and the whole peel takes the highest head of any
       component, ties to the leftmost (its row-major first maximum).
 
-    ``heapq.merge`` keyed on -level merges the heads in that order (ties
-    go to the lower component index), and each yield is shifted left by the width already cut from the
-    components to its left.
+    ``heapq.merge`` keyed on -level merges the heads in that order, ties
+    to the lower component index, and each yield is shifted left by the
+    width already cut from the components to its left.
 
     From ``_INCREMENTAL_MIN_POINTS`` endpoints up, a component's tables
     are kept in ``_PeelTables`` and each cut recomputes only the rectangle

@@ -151,6 +151,7 @@ def test_oracle_maxmin_invalid_beta_reports_error(instance_file, capsys):
         ("attack-full", "c_max = 18.25\ncliques:\n  slot=2 members=1,2\n  slot=5 members=3\n"),
         ("attack-online", "c_max_online = 18.25\ncliques:\n  slot=2 members=1,2\n  slot=7 members=3\n"),
     ],
+    ids=["attack-full", "attack-online"],
 )
 def test_attack_full_output(tmp_path, capsys, command, expected):
     path = tmp_path / "three.csv"

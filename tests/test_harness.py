@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsched.harness import (
@@ -67,23 +67,19 @@ class TestGenerateInstance:
         assert all(j.allowance >= 1 for j in inst.jobs)
         assert all(1.0 <= j.energy <= 5.0 for j in inst.jobs)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 300),
-        st.floats(1e-300, 1e300),
-        st.floats(1e-300, 1e300),
+        st.floats(1e-300, 1e15),
+        st.floats(1e-300, 1e15),
         st.floats(1e-300, 1e300),
         st.floats(1e-300, 1e300),
         st.integers(0, 2**64 - 1),
     )
     def test_arrivals_strictly_increase(self, n, mean_interarrival, mean_allowance, low, high, seed):
-        # fig4 relies on this: limited_attack_curve rejects colliding arrivals
-        params = GenParams(n, mean_interarrival, mean_allowance, min(low, high), max(low, high), seed)
-        try:
-            inst = generate_instance(params)
-        except ValueError as exc:
-            assume("draws slots past" not in str(exc))
-            raise
+        # fig4 relies on this: limited_attack_curve rejects colliding arrivals.  Means up to
+        # 1e15 keep 300 draws far below the int64 slot limit.
+        inst = generate_instance(GenParams(n, mean_interarrival, mean_allowance, min(low, high), max(low, high), seed))
         arrivals = [j.arrival for j in inst.jobs]
         assert arrivals[0] == 1
         assert all(b > a for a, b in zip(arrivals, arrivals[1:]))
