@@ -17,16 +17,17 @@ whole, join for free.  It reports the cost of the compressed components
 only, a lower bound up to rounding.  A second dynamic program
 (``limited_attack_curve``) estimates an upper bound for every budget at
 once by optimizing the attack against a controller that serves demands
-inelastically at their arrival slots.
+inelastically at their arrival slots.  An interval's value there depends
+only on the jobs it contains, so that DP evaluates only the intervals
+that start at an arrival and end at a deadline, and reads every other
+interval at the one of those with the same jobs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import reduce
 from itertools import accumulate
-from operator import add
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +38,7 @@ from .model import (
     CliquePartition,
     CostModel,
     Instance,
+    _added,
     _job_arrays,
     apply_attack,
     evaluate_cost,
@@ -183,7 +185,7 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
             group.append(jobs[idx])
             idx += 1
         blocks.append(CliqueBlock(pin, frozenset(j.id for j in group)))
-        value += float(cost(sum(j.energy for j in group)))
+        value += float(cost(_added(j.energy for j in group)))
     partition = CliquePartition(tuple(blocks))
     return partition.to_plan(instance), partition, value
 
@@ -226,11 +228,7 @@ def limited_greedy_from_partition(
     blocks = partition.blocks
 
     def value(job_ids) -> float:
-        return float(cost(sum(instance.job(jid).energy for jid in job_ids)))
-
-    def added(terms) -> float:
-        # left to right; the built-in sum compensates from Python 3.12 on
-        return reduce(add, terms, 0.0)
+        return float(cost(_added(instance.job(jid).energy for jid in job_ids)))
 
     values = [value(block.members) for block in blocks]
     order = sorted(
@@ -255,8 +253,8 @@ def limited_greedy_from_partition(
     leftover = budget - sum(len(altered[k]) for k in whole)
     top_up = next_pinned + next_altered[:leftover]
     inside = next_pinned + next_altered[:budget]
-    value_whole = added(values[order[k]] for k in whole) + value(top_up)
-    value_inside = value(inside) + added(value(pinned[k]) for k in whole)
+    value_whole = _added(values[order[k]] for k in whole) + value(top_up)
+    value_inside = value(inside) + _added(value(pinned[k]) for k in whole)
     slots = {jid: ranked[k].slot for k in (*whole, *beyond) for jid in pinned[k]}
     if value_whole >= value_inside:
         slots.update((jid, ranked[k].slot) for k in whole for jid in altered[k])
@@ -264,7 +262,7 @@ def limited_greedy_from_partition(
     else:
         picked = inside
     slots.update(dict.fromkeys(picked, next_slot))
-    beyond_pinned = added(value(pinned[k]) for k in beyond)
+    beyond_pinned = _added(value(pinned[k]) for k in beyond)
     return AttackPlan.from_compression(instance, slots), max(value_whole, value_inside) + beyond_pinned
 
 
@@ -326,10 +324,25 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     budget splits freely between the two sub-intervals.  Entry 0 equals
     the inelastic baseline cost.
 
+    Only the intervals [i, j] with a job arriving at endpoint i and a job
+    due at endpoint j are evaluated.  Any other interval holds the same
+    jobs as one of those, [first arrival point >= i, last deadline point
+    <= j], and has its value bit for bit: if no job arrives at i, anchor i
+    has no members, so its gains are the zero vector and its split is the
+    value of [i + 1, j] unchanged (0 + x == x, and a max-plus against the
+    zero vector returns a non-decreasing vector as it is); every other
+    anchor has the same clique, members and sub-interval contents as in
+    [i + 1, j], so by induction on the width the same value; and the max
+    over anchors is exact.  The case of no deadline at j is symmetric.
+    So each sub-interval [i, z - 1] is read at [i, last deadline point <=
+    z - 1], and [z + 1, j] at [first arrival point >= z + 1, j]; an empty
+    one reads a zero cell.  Point 0 is an arrival and point q - 1 a
+    deadline, so the whole instance is one of the evaluated intervals.
+
     The DP runs width by width.  Each width is evaluated in a few array
-    operations over every interval that contains a job and every kept
-    anchor of it; an anchor is kept when it has clique members or is the
-    first of a run of memberless anchors, which all split alike.  Budget
+    operations over every evaluated interval that contains a job and every
+    kept anchor of it; an anchor is kept when it has clique members or is
+    the first of a run of memberless anchors, which all split alike.  Budget
     vectors are non-decreasing and saturate once every contained job can
     be altered, so a width is solved only up to its largest contained job
     count, each interval's vector is held flat beyond its own count, and
@@ -372,14 +385,25 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     arrival_energy[a_idx] = energy
     arrival_deadline = np.full(q, q, dtype=np.int64)
     arrival_deadline[a_idx] = d_idx
+    # [i, j] holds the jobs of [first arrival point >= i, last deadline point <= j]:
+    # first_arrival[i] is that start's table row and last_deadline[j + 1] that end's
+    # column, the row past the column (or row q + 1, or column 0) when none lies inside
+    starts = np.sort(a_idx)
+    ends = np.unique(d_idx)
+    first_arrival = np.append(starts, q)[np.searchsorted(starts, np.arange(q + 1))] + 1
+    last_deadline = np.append(0, ends + 1)[np.searchsorted(ends, np.arange(q + 1))]
+    is_deadline = np.zeros(q, dtype=bool)
+    is_deadline[d_idx] = True
 
-    # table[i + 1, j + 1] is the budget vector of [i, j], zero when [i, j]
-    # contains no job.  Every vector is exactly non-decreasing and constant
-    # beyond its own cap, and a gains column is constant beyond its member
-    # count, which is what lets _maxplus_columns skip shifts.
+    # table[i + 1, j + 1] is the budget vector of [i, j] for i an arrival point
+    # and j a deadline point, zero when [i, j] contains no job.  Every vector
+    # is exactly non-decreasing and constant beyond its own cap, and a gains
+    # column is constant beyond its member count, which is what lets
+    # _maxplus_columns skip shifts.
     table = np.zeros((q + 2, q + 2, budget + 1))
     for width in range(q):
-        i = np.arange(q - width, dtype=np.int64)
+        i = starts[: np.searchsorted(starts, q - width)]
+        i = i[is_deadline[i + width]]
         j = i + width
         contained = cnt[q, j + 1] - cnt[i, j + 1]
         live = contained > 0
@@ -406,8 +430,9 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         swap = right_cap < left_cap
         reach = np.minimum(left_cap, right_cap)
         by_reach = np.argsort(-reach, kind="stable")
-        lx, ly = np.where(swap, cz + 2, ci + 1)[by_reach], np.where(swap, cj + 1, cz)[by_reach]
-        rx, ry = np.where(swap, ci + 1, cz + 2)[by_reach], np.where(swap, cz, cj + 1)[by_reach]
+        left_end, right_start = last_deadline[cz], first_arrival[cz + 1]
+        lx, ly = np.where(swap, right_start, ci + 1)[by_reach], np.where(swap, cj + 1, left_end)[by_reach]
+        rx, ry = np.where(swap, ci + 1, right_start)[by_reach], np.where(swap, left_end, cj + 1)[by_reach]
         split = _maxplus_columns(table[lx, ly, :cols].T, table[rx, ry, :cols].T.copy(), reach[by_reach])
 
         # gains: the clique anchored at z with its first m members, by member count

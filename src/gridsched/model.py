@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -110,7 +111,7 @@ class Instance:
 
     @cached_property
     def total_energy(self) -> float:
-        return float(sum(j.energy for j in self.jobs))
+        return _added(j.energy for j in self.jobs)
 
     def endpoints(self) -> tuple[int, ...]:
         """Sorted set of all arrival and deadline slots."""
@@ -303,17 +304,27 @@ def apply_attack(instance: Instance, plan: AttackPlan) -> Instance:
     return Instance(jobs)
 
 
+def _added(terms: Iterable[float]) -> float:
+    """Sum of the terms, added strictly left to right.
+
+    The built-in ``sum`` compensates float rounding from Python 3.12 on,
+    so it would give other bits on other Pythons.
+    """
+    return reduce(add, terms, 0.0)
+
+
 def _slot_cost(slots: np.ndarray, amounts: np.ndarray, cost: CostModel) -> float:
     """Total cost of the loads that ``amounts`` put on ``slots``.
 
     Each slot's load is added up in input order (``np.bincount`` adds in
     input order, as accumulating into a dict does), and cost(load) is summed
-    over the occupied slots in ascending order with Python's scalar pow:
-    numpy's array ``**`` differs from it in the last bit on some loads.
+    left to right over the occupied slots in ascending order with Python's
+    scalar pow: numpy's array ``**`` differs from it in the last bit on some
+    loads.
     """
     occupied, where = np.unique(slots, return_inverse=True)
     loads = np.bincount(where, weights=amounts, minlength=occupied.size)
-    return float(sum(cost(load) for load in loads.tolist()))
+    return _added(cost(load) for load in loads.tolist())
 
 
 def evaluate_cost(schedule: Schedule, cost: CostModel) -> float:

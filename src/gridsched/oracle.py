@@ -10,7 +10,9 @@ validate the polynomial algorithms elsewhere in the package.
 Both enumerations come from one generator, ``_altered_windows``: the
 brute force is its case with every job altered, each assignment's loads
 added up in job order on the grid of covered slots.  ``_TABLE_CELLS``
-sizes every batch.
+sizes every batch.  The brute force's work is its assignments times its
+grid's slots, so it is refused past ``_LOAD_CELLS`` load cells as well as
+past ``ENUMERATION_GUARD`` assignments.
 
 The budgeted oracle peels a batch of altered instances at once
 (``_peel_rows``).  Each round builds the contained-energy and intensity
@@ -23,6 +25,9 @@ differently on some loads.  The grid keeps one slot of each run of slots
 that no window covers, so it is at most the windows' total plus n slots
 wide, whatever the gaps between the jobs.  A grid so wide that one row's
 table would exceed ``_TABLE_CELLS`` is rejected before any enumeration.
+Altered sets are drawn only from the jobs whose window is wider than one
+slot: compressing a one-slot job changes nothing, so a set holding one is
+the same instance as the smaller set without it, already counted.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ benchmark's desk-scale oracle pass (Python 3.11, numpy 2.4) the peak RSS
 was the same at 2^14 and 2^16 cells and about 4 MiB higher at 2^18.
 """
 
+_LOAD_CELLS = 100_000_000
+"""Maximum assignments times grid slots the brute force may evaluate."""
+
 
 def _guarded_product(counts: list[int]) -> int:
     total = 1
@@ -67,15 +75,24 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
     every job altered, at most ``_TABLE_CELLS`` load cells at a time; each
     slot's load adds the jobs in job order, on the grid of covered slots.
     Guarded: the product of window sizes must not exceed
-    ENUMERATION_GUARD.
+    ENUMERATION_GUARD, and that product times the grid's slots must not
+    exceed ``_LOAD_CELLS``.
     """
     if instance.n == 0:
         return 0.0
-    _guarded_product([j.allowance + 1 for j in instance.jobs])
+    assignments = _guarded_product([j.allowance + 1 for j in instance.jobs])
     _, arrivals, deadlines, energies = _job_arrays(instance)
+    _, gaps = _components(arrivals, deadlines)
+    covered = int(deadlines.max() - arrivals.min() + 1 - gaps.sum())
+    if assignments * covered > _LOAD_CELLS:
+        raise ValueError(
+            f"instance too large for exhaustive enumeration ({assignments} assignments on a {covered}-slot grid"
+            f" are {assignments * covered} load cells; {_LOAD_CELLS} at most)"
+        )
     grid = np.unique(np.concatenate([np.arange(a, d + 1) for a, d in zip(arrivals, deadlines)]))
     best = 0.0
-    for slots, _ in _altered_windows(arrivals, deadlines, instance.n, max(1, _TABLE_CELLS // grid.size)):
+    everyone = np.arange(instance.n)
+    for slots, _ in _altered_windows(arrivals, deadlines, everyone, instance.n, max(1, _TABLE_CELLS // grid.size)):
         rows = len(slots)
         cells = np.arange(rows)[:, None] * grid.size + np.searchsorted(grid, slots)
         loads = np.bincount(cells.ravel(), weights=np.tile(energies, rows), minlength=rows * grid.size)
@@ -83,17 +100,16 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
     return best
 
 
-def _altered_windows(arrivals: np.ndarray, deadlines: np.ndarray, size: int, rows: int):
+def _altered_windows(arrivals: np.ndarray, deadlines: np.ndarray, movable: np.ndarray, size: int, rows: int):
     """Windows of every altered set of ``size`` jobs under every compression, ``rows`` at a time.
 
-    Yields (arrivals, deadlines) arrays of shape (rows, n), the last one
-    possibly shorter.  An altered job's window is the one slot it is
-    compressed to.  Sets come in ``combinations`` order and, within a
-    set, compressions in ``product`` order; at most ``rows`` sets are
-    held at once.
+    The sets are drawn from the job indices ``movable``.  Yields
+    (arrivals, deadlines) arrays of shape (rows, n), the last one possibly
+    shorter.  An altered job's window is the one slot it is compressed to.
+    Sets come in ``combinations`` order and, within a set, compressions in
+    ``product`` order; at most ``rows`` sets are held at once.
     """
-    n = arrivals.size
-    sets = combinations(range(n), size)
+    sets = combinations(movable.tolist(), size)
     while block := list(islice(sets, rows)):
         chosen = np.array(block, dtype=np.intp).reshape(len(block), size)
         widths = (deadlines - arrivals + 1)[chosen]
@@ -175,7 +191,8 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
     charged with Python's scalar ``**``; every entry equals, bit for
     bit, the maximum of ``min_cost`` over the enumerated instances.  Also
     guarded: one row's table, the squeezed grid's slots squared, must fit
-    in ``_TABLE_CELLS``.
+    in ``_TABLE_CELLS``.  Sets holding a one-slot job are skipped: each is
+    the instance of the smaller set without that job.
     """
     if max_budget is not None and max_budget < 0:
         raise ValueError("budget must be non-negative")
@@ -200,10 +217,11 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
             f"instance too large for exhaustive enumeration ({slots}-slot grid; {_TABLE_CELLS} table cells at most)"
         )
     rows = _TABLE_CELLS // (slots * slots)
+    movable = np.flatnonzero(deadlines > arrivals)
     best = []
     top = -np.inf
     for size in range(cap + 1):
-        for altered_a, altered_d in _altered_windows(arrivals, deadlines, size, rows):
+        for altered_a, altered_d in _altered_windows(arrivals, deadlines, movable, size, rows):
             top = max(top, float(_peel_rows(altered_a, altered_d, energies, cost).max()))
         best.append(top)
     return best

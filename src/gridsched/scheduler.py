@@ -45,7 +45,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import CostModel, Instance, Job, Schedule, _job_arrays, _slot_cost
+from .model import CostModel, Instance, Job, Schedule, _added, _job_arrays, _slot_cost
 
 
 def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -342,7 +342,7 @@ def edf_fill(jobs: Iterable[Job], start: int, end: int, level: float) -> dict[tu
     for job in ordered:
         if job.arrival < start or job.deadline > end:
             raise ValueError(f"job {job.id} window [{job.arrival}, {job.deadline}] not contained in [{start}, {end}]")
-    total = sum(j.energy for j in ordered)
+    total = _added(j.energy for j in ordered)
     if abs(total - level * width) > 1e-9 * max(1.0, total):
         raise ValueError(f"level {level!r} inconsistent with total energy {total!r} over {width} slots")
 

@@ -149,7 +149,10 @@ def reference_cost(allocations: dict[tuple[int, int], float], cost: CostModel) -
     loads: dict[int, float] = {}
     for (_, slot), amount in allocations.items():
         loads[slot] = loads.get(slot, 0.0) + amount
-    return float(sum(cost(load) for _, load in sorted(loads.items())))
+    total = 0.0
+    for _, load in sorted(loads.items()):
+        total += cost(load)  # left to right; the built-in sum compensates from Python 3.12 on
+    return total
 
 
 def limited_greedy(instance: Instance, beta: float, cost: CostModel) -> tuple[AttackPlan, float]:

@@ -442,6 +442,25 @@ class TestLimitedAttackDp:
                 for max_budget in (0, inst.n // 2, inst.n, inst.n + 2):
                     expected = reference_limited_attack_curve(inst, cost, max_budget)
                     assert np.array_equal(limited_attack_curve(inst, cost, max_budget), expected)
+        # shapes where most endpoint intervals do not start at an arrival and end at a deadline
+        shapes = [
+            # nested windows: only deadlines fall at 4, 6, 9, 11 and 12
+            Instance([
+                Job(0, 1, 12, 2.0), Job(1, 2, 4, 1.5), Job(2, 5, 6, 3.0), Job(3, 7, 11, 1.0), Job(4, 8, 9, 2.5),
+            ]),
+            # pinned jobs (arrival == deadline) inside and beside wider windows
+            Instance([Job(0, 1, 1, 2.0), Job(1, 2, 7, 1.5), Job(2, 3, 3, 3.0), Job(3, 4, 9, 1.0), Job(4, 6, 6, 2.5)]),
+            # uncovered gaps between clusters
+            Instance([
+                Job(0, 1, 3, 2.0), Job(1, 2, 5, 1.5), Job(2, 20, 22, 3.0), Job(3, 21, 21, 1.0), Job(4, 40, 45, 2.5),
+            ]),
+        ]
+        for exponent in (1.0, 2.5):
+            cost = CostModel(exponent)
+            for inst in shapes:
+                for max_budget in (1, inst.n):
+                    expected = reference_limited_attack_curve(inst, cost, max_budget)
+                    assert np.array_equal(limited_attack_curve(inst, cost, max_budget), expected)
 
     def test_curve_exact_values_pinned(self):
         # exact float equality: the evaluation order of the recursion is part of the contract

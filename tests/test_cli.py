@@ -169,6 +169,15 @@ def test_oracle_maxmin_wide_grid_reports_error(tmp_path, capsys):
     assert "error: instance too large for exhaustive enumeration" in captured.err
 
 
+def test_oracle_pmax_too_many_load_cells_reports_error(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    write_instance_csv(Instance([Job(0, 1, 8000, 1.0), Job(1, 1, 2, 1.0)]), path)
+    assert main(["oracle", "pmax", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: instance too large for exhaustive enumeration" in captured.err
+
+
 def test_experiment_unwritable_out_reports_error(tmp_path, capsys):
     out_path = tmp_path / "missing" / "fig2.csv"
     assert main(["experiment", "fig2", "--seed", "5", "--out", str(out_path)]) == 2

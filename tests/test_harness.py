@@ -273,3 +273,11 @@ class TestDeterminism:
         for digest, config in configs.items():
             text = run_experiment(config).to_csv_text()
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, config.experiment
+
+    def test_fig4_default_size_csv_sha256_pinned(self):
+        # one trial at fig4's own n = 50, where limited_attack_curve's tables are far wider than at n = 12
+        config = ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=110, trials=1)
+        assert config.fig4_jobs == 50
+        text = run_experiment(config).to_csv_text()
+        digest = "4829376adcd56021808c8ec015863c8674575adc3562104dced18c68242b82ca"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -13,6 +13,7 @@ from gridsched.model import (
     Instance,
     Job,
     Schedule,
+    _slot_cost,
     apply_attack,
     baseline_cost,
     evaluate_cost,
@@ -228,6 +229,11 @@ class TestCosts:
                     inelastic = {(j.id, j.arrival): j.energy for j in inst.jobs}
                     assert baseline_cost(inst, cost) == reference_cost(inelastic, cost)
                     assert evaluate_cost(baseline_schedule(inst), cost) == reference_cost(inelastic, cost)
+
+    def test_slot_costs_added_left_to_right(self):
+        # a compensated sum (math.fsum, or the built-in sum from Python 3.12 on) gives 1e16 + 2
+        assert _slot_cost(np.array([1, 2, 3]), np.array([1e16, 1.0, 1.0]), CostModel(1.0)) == 1e16
+        assert Instance([Job(0, 1, 1, 1e16), Job(1, 2, 2, 1.0), Job(2, 3, 3, 1.0)]).total_energy == 1e16
 
     def test_cost_invariant_under_id_permutation_and_slot_relabeling(self):
         inst = Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 1.0)])

@@ -47,6 +47,20 @@ class TestBruteForceMaxCost:
         with pytest.raises(ValueError, match="too large"):
             brute_force_max_cost(Instance(jobs), QUAD)
 
+    def test_guard_counts_load_cells(self, monkeypatch):
+        # 2W assignments, each a row of W load cells: 8e6 cells pass, 1.28e8 are refused at once
+        def wide(width: int) -> Instance:
+            return Instance([Job(0, 1, width, 1.0), Job(1, 1, 2, 1.0)])
+
+        assert brute_force_max_cost(wide(2000), QUAD) == 4.0
+
+        def enumerated(*args):
+            raise AssertionError("enumerated past the load-cell limit")
+
+        monkeypatch.setattr(oracle_mod, "_altered_windows", enumerated)
+        with pytest.raises(ValueError, match="too large.*16000 assignments on a 8000-slot grid"):
+            brute_force_max_cost(wide(8000), QUAD)
+
     def test_chunked_enumeration_matches_small_path(self, monkeypatch):
         # 531,441 assignments on a 19-slot grid, in batches of 862 rows and then of 1000
         jobs = [Job(i, 1 + 2 * i, 1 + 2 * i + 8, 1.0 + 0.1 * i) for i in range(6)]
@@ -129,6 +143,17 @@ class TestExactCurveBatched:
                     cap = inst.n if max_budget is None else min(max_budget, inst.n)
                     assert exact_limited_attack_curve(inst, cost, max_budget) == reference[: cap + 1]
 
+    def test_one_slot_jobs_match_reference_loop(self):
+        # sets holding a one-slot job are skipped; the loop still enumerates them
+        inst = Instance([
+            Job(0, 1, 1, 2.0), Job(1, 1, 3, 1.5), Job(2, 2, 2, 3.0), Job(3, 3, 5, 1.0), Job(4, 5, 5, 2.5),
+        ])
+        for exponent in (1.5, 2.0):
+            cost = CostModel(exponent)
+            reference = reference_exact_limited_attack_curve(inst, cost)
+            for max_budget in (0, 1, 2, 3):
+                assert exact_limited_attack_curve(inst, cost, max_budget) == reference[: max_budget + 1]
+
     def test_empty_and_single_job(self):
         assert exact_limited_attack_curve(Instance([]), QUAD) == [0.0]
         assert exact_limited_attack_curve(Instance([]), QUAD, 3) == [0.0]  # capped at n
@@ -152,7 +177,8 @@ class TestExactCurveBatched:
         monkeypatch.setattr(oracle_mod, "_peel_rows", recorded)
         assert exact_limited_attack_curve(inst, CostModel(1.5)) == expected
         assert set(batches) == {1}
-        assert len(batches) == elementary_sum([j.allowance + 1 for j in inst.jobs], inst.n)
+        # sets holding a one-slot job are not enumerated: they repeat a smaller set's instance
+        assert len(batches) == elementary_sum([j.allowance + 1 for j in inst.jobs if j.allowance], inst.n)
 
     def test_peels_every_enumeration_once(self, monkeypatch):
         peel_rows = oracle_mod._peel_rows
@@ -166,7 +192,7 @@ class TestExactCurveBatched:
         monkeypatch.setattr(oracle_mod, "_peel_rows", counted)
         rng = np.random.default_rng(38)
         for inst in [random_instance(rng, max_jobs=6, max_window=4) for _ in range(5)]:
-            sizes = [j.allowance + 1 for j in inst.jobs]
+            sizes = [j.allowance + 1 for j in inst.jobs if j.allowance]
             for cap in (0, 2, inst.n):
                 rows = 0
                 exact_limited_attack_curve(inst, QUAD, cap)
