@@ -134,6 +134,10 @@ class TestExactCurveBatched:
         rng = np.random.default_rng(36)
         instances = [random_instance(rng, max_jobs=5, max_window=3) for _ in range(4)]
         instances += [random_instance_in_horizon(rng, 5, 6, max_window=3) for _ in range(4)]  # arrivals collide
+        # three one-slot jobs: the sets holding one are skipped, and the loop still enumerates them
+        instances.append(
+            Instance([Job(0, 1, 1, 2.0), Job(1, 1, 3, 1.5), Job(2, 2, 2, 3.0), Job(3, 3, 5, 1.0), Job(4, 5, 5, 2.5)])
+        )
         for exponent in (1.0, 1.5, 2.0, 2.5, 3.0):
             cost = CostModel(exponent)
             for inst in instances:
@@ -142,17 +146,6 @@ class TestExactCurveBatched:
                 for max_budget in (0, 1, inst.n // 2, None):
                     cap = inst.n if max_budget is None else min(max_budget, inst.n)
                     assert exact_limited_attack_curve(inst, cost, max_budget) == reference[: cap + 1]
-
-    def test_one_slot_jobs_match_reference_loop(self):
-        # sets holding a one-slot job are skipped; the loop still enumerates them
-        inst = Instance([
-            Job(0, 1, 1, 2.0), Job(1, 1, 3, 1.5), Job(2, 2, 2, 3.0), Job(3, 3, 5, 1.0), Job(4, 5, 5, 2.5),
-        ])
-        for exponent in (1.5, 2.0):
-            cost = CostModel(exponent)
-            reference = reference_exact_limited_attack_curve(inst, cost)
-            for max_budget in (0, 1, 2, 3):
-                assert exact_limited_attack_curve(inst, cost, max_budget) == reference[: max_budget + 1]
 
     def test_empty_and_single_job(self):
         assert exact_limited_attack_curve(Instance([]), QUAD) == [0.0]
