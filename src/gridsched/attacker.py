@@ -30,7 +30,7 @@ from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .model import (
     AttackPlan,
@@ -96,22 +96,21 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     weights = np.bincount(a_idx * q + d_idx, weights=energies, minlength=q * q).reshape(q, q)
     prefix = np.zeros((q + 1, q + 1))
     prefix[1:, 1:] = weights.cumsum(axis=0).cumsum(axis=1)
-    del weights  # the loop below holds six q-by-q tables; a seventh would only raise the peak
+    del weights  # the loop below holds four q-by-q tables and the half-size offsets
 
-    # skewed copies of prefix, so that every operand of a width is a basic slice:
-    # by_start[i, m] = prefix[i, i+m], by_end[j, q-m] = prefix[j+1-m, j+1] and
-    # diag[i, m] = prefix[i+m+1, i+m]; entries past the table edge are never read
-    by_start = np.zeros((q, q + 1))
-    by_end = np.zeros((q, q + 1))
-    for row in range(q):
-        by_start[row, : q + 1 - row] = prefix[row, row:]
-        by_end[row, q - row - 1 :] = prefix[: row + 2, row + 1]
+    # skewed read-only views, so that every operand of a width is a basic slice:
+    # by_start[i, m] = prefix[i, i+m], by_end[j, q-m] = prefix[j+1-m, j+1] (a view of
+    # prefix transposed) and diag[i, m] = prefix[i+m+1, i+m]; the views run past the
+    # table edge into the next row, whose entries are never read
+    step = (q + 2) * prefix.itemsize, prefix.itemsize
+    by_start = as_strided(prefix, (q, q + 1), step, writeable=False)
+    by_end = as_strided(np.ascontiguousarray(prefix.T).ravel()[2:], (q, q + 1), step, writeable=False)
     diag = sliding_window_view(np.append(np.diagonal(prefix, -1), np.zeros(q)), q + 1)
 
     # lefts[i, k]: value of [i, i+k-1]; rights[j, q-m]: value of [j-m+1, j]
     lefts = np.zeros((q, q + 1))
     rights = np.zeros((q, q + 1))
-    offset = np.zeros((q, q), dtype=np.int64)  # offset[i, j]: best anchor of [i, j] minus i
+    offset = np.zeros((q, q), dtype=np.int32)  # offset[i, j]: best anchor of [i, j] minus i
     diagonals = offset.ravel()  # diagonals[w :: q+1] runs along the intervals of width w
     # every width is evaluated in place in one buffer, sized for the largest (q - w) x (w + 1)
     scratch = np.empty(max((q - w) * (w + 1) for w in range(q)))

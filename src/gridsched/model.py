@@ -5,7 +5,8 @@ arrival == deadline == t occupies exactly slot t, and a window [k, l]
 spans l - k + 1 slots.  Energies are real valued; attack slots are
 integers.  All types are immutable values after construction and every
 operation is a pure function, so everything here is safe to share across
-concurrent callers.
+concurrent callers.  A ``Schedule`` keeps its allocations as a dict but
+checks them as numpy arrays, with the errors of an entry-by-entry loop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add
+from itertools import compress, islice, repeat
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -164,37 +166,59 @@ class Schedule:
     Invariants enforced at construction: allocations are finite and
     non-negative, stay inside each job's window, and sum to each job's
     energy within ENERGY_TOL * max(1, energy).  Zero entries are dropped.
+
+    The entries are checked as arrays: amounts through ``float``, job ids
+    by dict lookup, slots as Python ints (numpy integers and floats are
+    rejected) inside the job's window, and each job's total by
+    ``np.bincount`` in insertion order, the sum an entry-by-entry loop
+    forms.  A failure raises for the first offending entry, checking its
+    amount's finiteness, then its sign, its job id and its slot; once every
+    entry passes, for the first job in instance order whose total misses
+    its energy.
     """
 
     instance: Instance
     allocations: dict[tuple[int, int], float]
 
     def __init__(self, instance: Instance, allocations: Mapping[tuple[int, int], float]) -> None:
-        cleaned: dict[tuple[int, int], float] = {}
-        totals: dict[int, float] = {j.id: 0.0 for j in instance.jobs}
-        for (job_id, slot), raw in allocations.items():
-            amount = float(raw)
+        jobs, size = instance.jobs, len(allocations)
+        index = {job.id: k for k, job in enumerate(jobs)}
+        # one window per job, and for unknown ids a last one that holds no slot
+        arrivals, deadlines = np.array([(job.arrival, job.deadline) for job in jobs] + [(1, 0)]).T
+        energies = np.array([job.energy for job in jobs])
+        where = np.fromiter(map(index.get, map(itemgetter(0), allocations), repeat(len(jobs))), np.intp, size)
+        slots = list(map(itemgetter(1), allocations))
+        amounts = np.fromiter(map(float, allocations.values()), np.float64, size)
+        try:
+            at = np.fromiter(slots, np.int64, size)
+        except (TypeError, ValueError, OverflowError):  # a slot past int64 or not a number: compare objects
+            at = np.array([slot if isinstance(slot, int) else 0 for slot in slots], dtype=object)
+        inside = (arrivals[where] <= at) & (at <= deadlines[where])
+        inside &= np.fromiter(map(isinstance, slots, repeat(int)), bool, size)
+        zero = amounts == 0.0
+        good = zero | np.isfinite(amounts) & (amounts > 0.0) & inside
+        if not good.all():
+            (job_id, slot), amount = next(islice(allocations.items(), int(good.argmin()), None))
+            amount = float(amount)
             if not math.isfinite(amount):
                 raise ValueError(f"non-finite allocation {amount!r} for job {job_id} at slot {slot}")
-            if amount == 0.0:
-                continue
             if amount < 0.0:
                 raise ValueError(f"negative allocation {amount!r} for job {job_id} at slot {slot}")
             try:
                 job = instance.job(job_id)
             except KeyError as exc:
                 raise ValueError(str(exc)) from None
-            if not isinstance(slot, int) or not job.covers(slot):
-                raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
-            cleaned[(job_id, slot)] = amount
-            totals[job_id] += amount
-        for job in instance.jobs:
-            if not abs(totals[job.id] - job.energy) <= ENERGY_TOL * max(1.0, job.energy):
-                raise ValueError(
-                    f"job {job.id}: allocated {totals[job.id]!r} does not conserve energy {job.energy!r}"
-                )
+            raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
+        # zero entries add exact zeros; those of unknown ids land in the last bin
+        totals = np.bincount(where, weights=amounts, minlength=len(jobs) + 1)[:-1]
+        short = ~(np.abs(totals - energies) <= ENERGY_TOL * np.maximum(1.0, energies))
+        if short.any():
+            k = int(short.argmax())
+            raise ValueError(
+                f"job {jobs[k].id}: allocated {float(totals[k])!r} does not conserve energy {jobs[k].energy!r}"
+            )
         object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "allocations", cleaned)
+        object.__setattr__(self, "allocations", dict(compress(zip(allocations, amounts.tolist()), (~zero).tolist())))
 
     def slot_loads(self) -> dict[int, float]:
         """Total load per slot, ascending by slot; zero-load slots omitted."""
@@ -330,7 +354,7 @@ def _slot_cost(slots: np.ndarray, amounts: np.ndarray, cost: CostModel) -> float
 def evaluate_cost(schedule: Schedule, cost: CostModel) -> float:
     """Total cost of a schedule: sum of the per-slot cost over its load profile."""
     allocations = schedule.allocations
-    slots = np.fromiter((slot for _, slot in allocations), np.int64, len(allocations))
+    slots = np.fromiter(map(itemgetter(1), allocations), np.int64, len(allocations))
     return _slot_cost(slots, np.fromiter(allocations.values(), np.float64, len(allocations)), cost)
 
 

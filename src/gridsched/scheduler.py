@@ -15,8 +15,9 @@ splits the jobs at every run of such slots (``_components``), peels each
 component alone and merges the components' intervals by level, leftmost
 first on ties: bit for bit the peel of the whole instance, on tables no
 wider than the largest component.  The optimal schedule maps each
-interval's slots back through the runs cut so far, not through a map as
-long as the horizon.
+interval's slots back after the peel, in one array of its entries, by
+undoing the cuts latest first, not through a map as long as the horizon.
+The EDF fill takes each interval's members as arrays.
 
 Each round maximizes over q x q tables of contained energy and intensity,
 one row and column per endpoint.  Rebuilding them every round costs
@@ -41,11 +42,11 @@ from __future__ import annotations
 
 import heapq
 from itertools import repeat
-from typing import Iterable
+from operator import itemgetter
 
 import numpy as np
 
-from .model import CostModel, Instance, Job, Schedule, _added, _job_arrays, _slot_cost
+from .model import CostModel, Instance, Schedule, _added, _job_arrays, _slot_cost
 
 
 def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -322,39 +323,42 @@ def min_cost(instance: Instance, cost: CostModel) -> float:
     return total
 
 
-def edf_fill(jobs: Iterable[Job], start: int, end: int, level: float) -> dict[tuple[int, int], float]:
+def edf_fill(
+    ids: np.ndarray, arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray,
+    start: int, end: int, level: float,
+) -> dict[tuple[int, int], float]:
     """Fill every slot of [start, end] to exactly ``level`` using EDF order.
 
-    The jobs must all be contained in the interval and their total energy
-    must equal level * width.  Slots are processed left to right; at each
-    slot the unfinished arrived jobs are served in order of earliest
-    deadline (ties by smaller id).  Returns the positive allocations as a
-    (job id, slot) -> amount mapping.
+    The jobs are given as parallel arrays, in the order of ``_job_arrays``;
+    they must all be contained in the interval and their total energy must
+    equal level * width.  Slots are processed left to right; at each slot
+    the unfinished arrived jobs are served in order of earliest deadline
+    (ties by smaller id).  Returns the positive allocations as a (job id,
+    slot) -> amount mapping of Python numbers.
 
     Raises RuntimeError when a slot cannot be filled or a deadline is
     missed; with a valid critical interval this cannot happen, so a raise
     indicates a caller bug.
     """
-    ordered = sorted(jobs, key=lambda j: (j.arrival, j.deadline, j.id))
+    ordered = sorted(zip(arrivals.tolist(), deadlines.tolist(), ids.tolist(), energies.tolist()))
     width = end - start + 1
     if width < 1:
         raise ValueError(f"empty interval: start {start} > end {end}")
-    for job in ordered:
-        if job.arrival < start or job.deadline > end:
-            raise ValueError(f"job {job.id} window [{job.arrival}, {job.deadline}] not contained in [{start}, {end}]")
-    total = _added(j.energy for j in ordered)
+    for arrival, deadline, jid, _ in ordered:
+        if arrival < start or deadline > end:
+            raise ValueError(f"job {jid} window [{arrival}, {deadline}] not contained in [{start}, {end}]")
+    total = _added(energy for *_, energy in ordered)
     if abs(total - level * width) > 1e-9 * max(1.0, total):
         raise ValueError(f"level {level!r} inconsistent with total energy {total!r} over {width} slots")
 
-    remaining = {j.id: j.energy for j in ordered}
+    remaining = {jid: energy for _, _, jid, energy in ordered}
     allocations: dict[tuple[int, int], float] = {}
     heap: list[tuple[int, int]] = []
     fill_tol = 1e-9 * max(1.0, level)
     next_job = 0
     for slot in range(start, end + 1):
-        while next_job < len(ordered) and ordered[next_job].arrival <= slot:
-            job = ordered[next_job]
-            heapq.heappush(heap, (job.deadline, job.id))
+        while next_job < len(ordered) and ordered[next_job][0] <= slot:
+            heapq.heappush(heap, ordered[next_job][1:3])  # (deadline, id)
             next_job += 1
         capacity = level
         while capacity > fill_tol and heap:
@@ -381,31 +385,27 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     The flat-by-segment construction is optimal for every non-decreasing
     convex per-slot cost at once, so ``cost`` only documents the caller's
     objective and does not influence the schedule.
+
+    Each segment is filled by ``edf_fill`` in the timeline left by the
+    earlier cuts.  After the peel every entry's slot is mapped back to the
+    original timeline in one array: the cuts are undone latest first, each
+    moving the later segments' slots at or past its start right by its
+    width.  The allocation dict is then built once, segment by segment in
+    peel order and each segment in its fill order.
     """
     del cost
     ids, arrivals, deadlines, energies = _job_arrays(instance)
-    # The slots cut so far, as sorted disjoint runs of the original timeline:
-    # run k starts at slot cut_starts[k] and is cut_widths[k] slots wide.
-    cut_starts = cut_widths = np.empty(0, dtype=np.int64)
-    allocations: dict[tuple[int, int], float] = {}
+    # a job lies in one segment, so no two segments' fills share a key
+    local: dict[tuple[int, int], float] = {}
+    cuts = []  # (entries of the segments so far, start, width) per segment
     for start, end, level, picked, member_arrivals, member_deadlines in _peel(arrivals, deadlines, energies):
-        members = [
-            Job(int(ids[t]), int(a), int(d), float(energies[t]))
-            for t, a, d in zip(picked, member_arrivals, member_deadlines)
-        ]
-        fragment = edf_fill(members, start, end, level)
-        behind = np.concatenate(([0], np.cumsum(cut_widths)))  # widths of the first k runs
-        after = cut_starts - behind[:-1]  # the slot just past run k, in the timeline left by the cuts
-        slots = np.arange(start, end + 1)
-        original = (slots + behind[np.searchsorted(after, slots, "right")]).tolist()
-        for (jid, slot), amount in fragment.items():
-            allocations[(jid, original[slot - start])] = amount
-        # the cut and the runs inside it make one run
-        first, last = original[0], original[-1]
-        lo, hi = np.searchsorted(cut_starts, first), np.searchsorted(cut_starts, last, "right")
-        cut_starts = np.concatenate((cut_starts[:lo], [first], cut_starts[hi:]))
-        cut_widths = np.concatenate((cut_widths[:lo], [last - first + 1], cut_widths[hi:]))
-    return Schedule(instance, allocations)
+        local.update(edf_fill(ids[picked], member_arrivals, member_deadlines, energies[picked], start, end, level))
+        cuts.append((len(local), start, end - start + 1))
+    slots = np.fromiter(map(itemgetter(1), local), np.int64, len(local))
+    for bound, start, width in reversed(cuts[:-1]):
+        later = slots[bound:]
+        np.add(later, width, out=later, where=later >= start)
+    return Schedule(instance, dict(zip(zip(map(itemgetter(0), local), slots.tolist()), local.values())))
 
 
 def _even_spread(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):

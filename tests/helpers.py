@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 
 from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
-from gridsched.model import AttackPlan, CostModel, Instance, Job, Schedule, _job_arrays
+from gridsched.model import ENERGY_TOL, AttackPlan, CostModel, Instance, Job, Schedule, _job_arrays
 from gridsched.scheduler import _critical_arrays, _excise
 
 
@@ -127,6 +128,38 @@ def reference_exact_limited_attack_curve(instance: Instance, cost: CostModel, ma
                     top = value
         best.append(top)
     return best
+
+
+def reference_schedule(instance: Instance, allocations) -> dict[tuple[int, int], float]:
+    """Schedule's checks entry by entry in insertion order; returns the kept allocations or raises.
+
+    The first failing check of the first offending entry raises: a
+    non-finite amount, then (zero amounts being dropped) a negative one, an
+    unknown job id, a slot that is not a Python int inside the window.
+    Then the first job in instance order whose total misses its energy.
+    """
+    cleaned: dict[tuple[int, int], float] = {}
+    totals: dict[int, float] = {j.id: 0.0 for j in instance.jobs}
+    for (job_id, slot), raw in allocations.items():
+        amount = float(raw)
+        if not math.isfinite(amount):
+            raise ValueError(f"non-finite allocation {amount!r} for job {job_id} at slot {slot}")
+        if amount == 0.0:
+            continue
+        if amount < 0.0:
+            raise ValueError(f"negative allocation {amount!r} for job {job_id} at slot {slot}")
+        try:
+            job = instance.job(job_id)
+        except KeyError as exc:
+            raise ValueError(str(exc)) from None
+        if not isinstance(slot, int) or not job.covers(slot):
+            raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
+        cleaned[(job_id, slot)] = amount
+        totals[job_id] += amount
+    for job in instance.jobs:
+        if not abs(totals[job.id] - job.energy) <= ENERGY_TOL * max(1.0, job.energy):
+            raise ValueError(f"job {job.id}: allocated {totals[job.id]!r} does not conserve energy {job.energy!r}")
+    return cleaned
 
 
 def baseline_schedule(instance: Instance) -> Schedule:

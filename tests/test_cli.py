@@ -160,6 +160,17 @@ def test_attack_full_output(tmp_path, capsys, command, expected):
     assert capsys.readouterr().out == expected
 
 
+def test_solve_min_full_output(tmp_path, capsys):
+    # the second segment is found at slots 2..4 of the timeline left by the first cut
+    path = tmp_path / "three.csv"
+    write_instance_csv(Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0), Job(3, 5, 7, 1.5)]), path)
+    assert main(["solve-min", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "c_min = 6.08333333333\nprofile:\n"
+        "  1 1.33333333333\n  2 1.33333333333\n  3 1.33333333333\n  5 0.5\n  6 0.5\n  7 0.5\n"
+    )
+
+
 def test_oracle_maxmin_wide_grid_reports_error(tmp_path, capsys):
     path = tmp_path / "wide.csv"
     write_instance_csv(Instance([Job(0, 1, 200, 1.0), Job(1, 2, 3, 1.0)]), path)

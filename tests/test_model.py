@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsched.model import (
     AttackPlan,
@@ -21,7 +23,13 @@ from gridsched.model import (
     write_instance_csv,
 )
 
-from helpers import baseline_schedule, random_instance, random_instance_in_horizon, reference_cost
+from helpers import (
+    baseline_schedule,
+    random_instance,
+    random_instance_in_horizon,
+    reference_cost,
+    reference_schedule,
+)
 
 QUAD = CostModel(2.0)
 
@@ -128,6 +136,79 @@ class TestSchedule:
         inst = two_job_instance()
         sched = Schedule(inst, {(1, 1): 1.5, (1, 2): 0.5, (2, 2): 2.0})
         assert sched.slot_loads() == {1: 1.5, 2: 2.5}
+
+
+# amounts that each trip a different check, or none
+ODD_AMOUNTS = st.sampled_from([0.0, -0.0, -1.0, 1e-300, math.nan, math.inf, -math.inf])
+
+
+def odd_slot(data, slot: int):
+    """The slot, a neighbour, slot 0 or one past int64, or the slot as a numpy int or a float."""
+    return data.draw(
+        st.sampled_from([slot, slot - 1, slot + 1, 0, 10**19, np.int64(slot), float(slot), slot + 0.5])
+    )
+
+
+def assert_matches_reference(inst: Instance, allocations) -> None:
+    """Schedule raises the reference's error, or keeps the reference's items in its order and types."""
+    try:
+        expected = reference_schedule(inst, allocations)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            Schedule(inst, allocations)
+        assert str(raised.value) == str(exc)
+    else:
+        assert repr(list(Schedule(inst, allocations).allocations.items())) == repr(list(expected.items()))
+
+
+class TestScheduleMatchesReference:
+    """Schedule's array checks raise the entry-by-entry loop's error, or keep the same items."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_validation_matches_reference(self, data):
+        specs = data.draw(
+            st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5), st.floats(0.5, 8.0)), min_size=1, max_size=4)
+        )
+        inst = Instance(Job(jid, a, a + w, e) for jid, (a, w, e) in enumerate(specs))
+        entries = []  # [job id, slot, amount, the job's slot]; each job's energy split over some of its slots
+        for job in inst.jobs:
+            slots = data.draw(st.lists(st.integers(job.arrival, job.deadline), min_size=1, max_size=5, unique=True))
+            weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(slots), max_size=len(slots)))
+            entries += [[job.id, slot, job.energy * w / sum(weights), slot] for slot, w in zip(slots, weights)]
+        ids = [j.id for j in inst.jobs] + [99]
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["add", "amount", "slot", "job", "scale"]))
+            if kind == "add":
+                slot = data.draw(st.integers(1, 11))
+                entries.insert(
+                    data.draw(st.integers(0, len(entries))),
+                    [data.draw(st.sampled_from(ids)), odd_slot(data, slot), data.draw(ODD_AMOUNTS), slot],
+                )
+                continue
+            entry = data.draw(st.sampled_from(entries))
+            if kind == "amount":
+                entry[2] = data.draw(ODD_AMOUNTS)
+            elif kind == "slot":
+                entry[1] = odd_slot(data, entry[3])
+            elif kind == "job":
+                entry[0] = data.draw(st.sampled_from(ids))
+            else:
+                entry[2] *= 1 + 1e-8  # off by more than ENERGY_TOL
+        assert_matches_reference(inst, {(jid, slot): amount for jid, slot, amount, _ in entries})
+
+    @pytest.mark.parametrize(
+        "jobs, allocations",
+        [
+            ([], {(3, 1): 0.0}),
+            ([], {(3, 1): 1.0}),
+            ([Job(1, 1, 2, 2.0)], {(1, None): 2.0}),
+            ([Job(1, 1, 2, 2.0)], {(1, 10**19): 0.0, (1, 1): 2.0}),
+        ],
+        ids=["empty-instance-zero", "empty-instance-unknown-id", "slot-none", "slot-past-int64-zero"],
+    )
+    def test_fixed_cases(self, jobs, allocations):
+        assert_matches_reference(Instance(jobs), allocations)
 
 
 class TestApplyAttack:

@@ -86,7 +86,7 @@ class TestCriticalInterval:
 class TestEdfFill:
     def test_hand_simulated_split(self):
         jobs = [Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0)]
-        alloc = edf_fill(jobs, 1, 3, 4 / 3)
+        alloc = edf_fill(*_job_arrays(Instance(jobs)), 1, 3, 4 / 3)
         assert alloc[(1, 1)] == pytest.approx(4 / 3)
         assert alloc[(1, 2)] == pytest.approx(2 / 3)
         assert alloc[(2, 2)] == pytest.approx(2 / 3)
@@ -98,25 +98,25 @@ class TestEdfFill:
         assert all(v == pytest.approx(4 / 3) for v in loads.values())
 
     def test_forced_even_split(self):
-        alloc = edf_fill([Job(1, 1, 2, 4.0)], 1, 2, 2.0)
+        alloc = edf_fill(*_job_arrays(Instance([Job(1, 1, 2, 4.0)])), 1, 2, 2.0)
         assert alloc == {(1, 1): 2.0, (1, 2): 2.0}
 
     def test_single_slot_pair(self):
-        alloc = edf_fill([Job(1, 1, 1, 1.0), Job(2, 1, 1, 1.0)], 1, 1, 2.0)
+        alloc = edf_fill(*_job_arrays(Instance([Job(1, 1, 1, 1.0), Job(2, 1, 1, 1.0)])), 1, 1, 2.0)
         assert alloc == {(1, 1): 1.0, (2, 1): 1.0}
 
     def test_not_contained_rejected(self):
         with pytest.raises(ValueError, match="contained"):
-            edf_fill([Job(1, 1, 4, 2.0)], 1, 3, 2 / 3)
+            edf_fill(*_job_arrays(Instance([Job(1, 1, 4, 2.0)])), 1, 3, 2 / 3)
 
     def test_inconsistent_level_rejected(self):
         with pytest.raises(ValueError, match="level"):
-            edf_fill([Job(1, 1, 2, 2.0)], 1, 2, 5.0)
+            edf_fill(*_job_arrays(Instance([Job(1, 1, 2, 2.0)])), 1, 2, 5.0)
 
     def test_infeasible_input_reported(self):
         # level is consistent but the first slot cannot be filled
         with pytest.raises(RuntimeError):
-            edf_fill([Job(1, 3, 3, 3.0)], 1, 3, 1.0)
+            edf_fill(*_job_arrays(Instance([Job(1, 3, 3, 3.0)])), 1, 3, 1.0)
 
 
 class TestScheduleOptimalOffline:
@@ -218,6 +218,27 @@ class TestPeelPinned:
             ((12, 1), 1.1427211150943846), ((13, 2), 0.6587981825997544), ((13, 3), 1.369747037029065),
             ((13, 4), 0.836278881672337),
         ]
+
+
+class TestOptimalSchedulePinned:
+    """The optimal schedule's items in insertion order, recorded once; any change to the fill or the slot map shows here."""
+
+    @staticmethod
+    def items_digest(inst: Instance) -> str:
+        return _digest(list(schedule_optimal_offline(inst).allocations.items()))
+
+    def test_generated_n100_and_its_online_attack(self):
+        inst = generate_instance(GenParams(100, 5.0, 50.0, 1.0, 5.0, seed=17))
+        assert self.items_digest(inst) == "f7348dedf549d4d3ece5e77ab8d24e19ea5180564c42b95020bde8a3ce850ca7"
+        plan, _, _ = online_edf_attack(inst, QUAD)
+        attacked = apply_attack(inst, plan)
+        assert len(component_points(attacked)) == 23
+        assert self.items_digest(attacked) == "7a98a26b29041bb2fc3f4b0a05528d23aef1690c22c74f7c0a512e8be2fd026a"
+
+    def test_gapped_draw_shifted_far(self):
+        inst = spread_out(generate_instance(GenParams(60, 6.0, 3.0, 1.0, 5.0, seed=17)), 10**7, 100)
+        assert len(component_points(inst)) == 19 and inst.jobs[0].arrival > 10**7
+        assert self.items_digest(inst) == "c5bdf5399e6ecebd19d9ba40c752ecef716fccb6a82855cbc327ac195e356647"
 
 
 def assert_peel_matches_reference(inst: Instance) -> int:
