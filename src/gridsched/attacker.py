@@ -337,6 +337,8 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     z - 1], and [z + 1, j] at [first arrival point >= z + 1, j]; an empty
     one reads a zero cell.  Point 0 is an arrival and point q - 1 a
     deadline, so the whole instance is one of the evaluated intervals.
+    The table therefore holds one row per arrival point and one column
+    per deadline point, plus a zero row and column that stand for none.
 
     The DP runs width by width.  Each width is evaluated in a few array
     operations over every evaluated interval that contains a job and every
@@ -385,21 +387,22 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     arrival_deadline = np.full(q, q, dtype=np.int64)
     arrival_deadline[a_idx] = d_idx
     # [i, j] holds the jobs of [first arrival point >= i, last deadline point <= j]:
-    # first_arrival[i] is that start's table row and last_deadline[j + 1] that end's
-    # column, the row past the column (or row q + 1, or column 0) when none lies inside
+    # first_arrival[i] is that start's table row, its rank among the arrival points,
+    # and last_deadline[j + 1] that end's column, one past its rank among the
+    # deadline points; row len(starts) and column 0 stand for none
     starts = np.sort(a_idx)
     ends = np.unique(d_idx)
-    first_arrival = np.append(starts, q)[np.searchsorted(starts, np.arange(q + 1))] + 1
-    last_deadline = np.append(0, ends + 1)[np.searchsorted(ends, np.arange(q + 1))]
+    first_arrival = np.searchsorted(starts, np.arange(q + 1))
+    last_deadline = np.searchsorted(ends, np.arange(q + 1))
     is_deadline = np.zeros(q, dtype=bool)
     is_deadline[d_idx] = True
 
-    # table[i + 1, j + 1] is the budget vector of [i, j] for i an arrival point
-    # and j a deadline point, zero when [i, j] contains no job.  Every vector
-    # is exactly non-decreasing and constant beyond its own cap, and a gains
-    # column is constant beyond its member count, which is what lets
+    # table[first_arrival[i], last_deadline[j + 1]] is the budget vector of [i, j]
+    # for i an arrival point and j a deadline point, zero when [i, j] contains no
+    # job.  Every vector is exactly non-decreasing and constant beyond its own cap,
+    # and a gains column is constant beyond its member count, which is what lets
     # _maxplus_columns skip shifts.
-    table = np.zeros((q + 2, q + 2, budget + 1))
+    table = np.zeros((starts.size + 1, ends.size + 1, budget + 1))
     for width in range(q):
         i = starts[: np.searchsorted(starts, q - width)]
         i = i[is_deadline[i + width]]
@@ -429,9 +432,10 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         swap = right_cap < left_cap
         reach = np.minimum(left_cap, right_cap)
         by_reach = np.argsort(-reach, kind="stable")
+        row, column = first_arrival[ci], last_deadline[cj + 1]
         left_end, right_start = last_deadline[cz], first_arrival[cz + 1]
-        lx, ly = np.where(swap, right_start, ci + 1)[by_reach], np.where(swap, cj + 1, left_end)[by_reach]
-        rx, ry = np.where(swap, ci + 1, right_start)[by_reach], np.where(swap, left_end, cj + 1)[by_reach]
+        lx, ly = np.where(swap, right_start, row)[by_reach], np.where(swap, column, left_end)[by_reach]
+        rx, ry = np.where(swap, row, right_start)[by_reach], np.where(swap, left_end, column)[by_reach]
         split = _maxplus_columns(table[lx, ly, :cols].T, table[rx, ry, :cols].T.copy(), reach[by_reach])
 
         # gains: the clique anchored at z with its first m members, by member count
@@ -460,9 +464,9 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         # back to rows grouped by interval, then the best anchor of each
         best = np.maximum.reduceat(value[:, np.argsort(by_count)], np.flatnonzero(offset == 0), axis=1)
         saturate = np.minimum(np.arange(budget + 1)[:, None], caps)
-        table[i + 1, j + 1] = np.take_along_axis(best, saturate, axis=0).T
+        table[first_arrival[i], last_deadline[j + 1]] = np.take_along_axis(best, saturate, axis=0).T
 
-    curve = table[1, q].copy()
+    curve = table[0, ends.size].copy()
     if max_budget > budget:
         curve = np.concatenate([curve, np.full(max_budget - budget, curve[-1])])
     return curve

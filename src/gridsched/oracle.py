@@ -17,9 +17,9 @@ past ``ENUMERATION_GUARD`` assignments.
 The budgeted oracle peels a batch of altered instances at once
 (``_peel_rows``).  Each round builds the contained-energy and intensity
 tables of every unfinished row on one slot grid, in the summation order
-of ``scheduler._critical_arrays``; the grid's rows and columns that are
-no endpoint add exact zeros, so each row finds the intervals and levels
-of its own peel bit for bit.  Levels are charged with Python's scalar
+of ``scheduler._critical_arrays``; the grid's rows that are no arrival
+and columns that are no deadline add exact zeros, so each row finds the
+intervals and levels of its own peel bit for bit.  Levels are charged with Python's scalar
 ``**``, as ``min_cost`` does: numpy's array ``**`` rounds the last bit
 differently on some loads.  The grid keeps one slot of each run of slots
 that no window covers, so it is at most the windows' total plus n slots
@@ -141,10 +141,11 @@ def _peel_rows(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray
     over slot pairs, adds ``width * cost(level)`` to the row's total, and
     cuts the interval out with ``_excise``.  A maximum with
     positive energy lies on an arrival and a deadline, where the grid's
-    table holds exactly the sums of ``_critical_arrays``' endpoint table
-    (the grid's other rows and columns add zeros), so every row's total
-    is bit for bit that of its own peel.  Empty spans hold no energy and
-    read 0 here instead of -1; neither can be a positive maximum.
+    table holds exactly the sums of ``_critical_arrays``' arrival by
+    deadline table (the grid's other rows and columns add zeros, and
+    repeat a sum over a longer span), so every row's total is bit for bit
+    that of its own peel.  Empty spans hold no energy and read 0 here
+    instead of -1; neither can be a positive maximum.
     """
     grid = np.arange(int(deadlines.max()) + 1)
     divisor = np.maximum(grid - grid[:, None] + 1, 1)  # the span j - i + 1 of slots i..j, or 1

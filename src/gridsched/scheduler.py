@@ -19,17 +19,34 @@ interval's slots back after the peel, in one array of its entries, by
 undoing the cuts latest first, not through a map as long as the horizon.
 The EDF fill takes each interval's members as arrays.
 
-Each round maximizes over q x q tables of contained energy and intensity,
-one row and column per endpoint.  Rebuilding them every round costs
-O(segments * q^2), so from ``_INCREMENTAL_MIN_POINTS`` endpoints up the
-peel keeps them (``_PeelTables``).  A cut [s, e] changes only the cells
-in rows whose point is <= s and columns whose point is >= s - 1, after
-the cut: rows to its right only shift, and no job in a column left of
-s - 1 moves.  That rectangle is recomputed from the unchanged row below
-it and column left of it, so every sum adds the same terms in the same
-order as a rebuild, every cell is bit for bit a rebuild's, and the
-intervals, levels and members are too.  Below the switch a round
-rebuilds, which is cheaper on small tables.
+Each round maximizes over tables of contained energy and intensity with
+one row per arrival point and one column per deadline point: a
+maximum-intensity interval starts at a release and ends at a deadline
+(Yao, Demers and Shenker, FOCS 1995).  Their first maximum in row-major
+order is, bit for bit, that of tables over every endpoint pair:
+
+- an endpoint row with no arrival adds only exact +0.0 to the sums, so
+  its cells hold those of the next arrival row over a strictly longer
+  span; their intensity is strictly lower (the energy is positive, and
+  below 2^52 slots C / span and C / (span + 1) round apart), so it never
+  holds the first maximum;
+- a column with no deadline repeats the previous column's sums, with the
+  same effect;
+- dropping those rows and columns removes only +0.0 terms, so every
+  other cell adds the same terms in the same order, and row-major order
+  is kept.
+
+Rebuilding the tables every round costs O(segments * rows * columns), so
+from ``_INCREMENTAL_MIN_POINTS`` table points up the peel keeps them
+(``_PeelTables``).  A cut [s, e] changes only the cells in rows whose
+arrival point is <= s and columns whose deadline point is >= s - 1,
+after the cut: rows to its right only shift, and no job in a column left
+of s - 1 moves.  That rectangle is recomputed from the unchanged row
+below it and column left of it, so every sum adds the same terms in the
+same order as a rebuild, every cell is bit for bit a rebuild's, and the
+intervals, levels and members are too.  Spans are differences of int64
+slots, exact at any slot offset.  Below the switch a round rebuilds,
+which is cheaper on small tables.
 
 An online heuristic that spreads each job evenly over its own window is
 provided for comparison; it upper-bounds the offline optimum.  Both the
@@ -49,25 +66,33 @@ import numpy as np
 from .model import CostModel, Instance, Schedule, _added, _job_arrays, _slot_cost
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an array; ``np.unique`` costs several times more on a peel's small arrays."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
-    """Maximizer of the intensity over endpoint pairs, ties to smallest start then end.
+    """Maximizer of the intensity over arrival-deadline pairs, ties to smallest start then end.
 
     Returns (start, end, intensity, member_mask) in the coordinates of the
     given arrays.
     """
-    points = np.unique(np.concatenate((arrivals, deadlines)))
-    q = points.size
-    a_idx = np.searchsorted(points, arrivals)
-    d_idx = np.searchsorted(points, deadlines)
-    weights = np.bincount(a_idx * q + d_idx, weights=energies, minlength=q * q).reshape(q, q)
-    # contained[i, j] = total energy of jobs with arrival >= points[i], deadline <= points[j]
+    starts = _distinct(arrivals)
+    ends = _distinct(deadlines)
+    width = ends.size
+    cell = np.searchsorted(starts, arrivals) * width + np.searchsorted(ends, deadlines)
+    weights = np.bincount(cell, weights=energies, minlength=starts.size * width).reshape(starts.size, width)
+    # contained[i, j] = total energy of jobs with arrival >= starts[i], deadline <= ends[j]
     contained = weights[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
-    span = points[None, :] - points[:, None] + 1
+    span = ends[None, :] - starts[:, None] + 1
     intensity = np.where(span > 0, contained / np.maximum(span, 1), -1.0)
     flat = int(intensity.argmax())  # row-major first maximum: smallest start, then end
-    i, j = divmod(flat, q)
-    start = int(points[i])
-    end = int(points[j])
+    i, j = divmod(flat, width)
+    start = int(starts[i])
+    end = int(ends[j])
     level = float(intensity[i, j])
     mask = (arrivals >= start) & (deadlines <= end)
     return start, end, level, mask
@@ -85,73 +110,93 @@ def _excise(arrivals: np.ndarray, deadlines: np.ndarray, start: int, end: int):
     return new_a, new_d
 
 
-# Below this many endpoints a round rebuilds its tables with _critical_arrays:
-# there the fixed numpy-call overhead of an update outweighs the cells it
-# saves.  Whole peels of generate_instance draws, kept tables against
-# rebuilds (Python 3.11, numpy 2.4, shared 2-vCPU x86-64): 1.2 vs 0.7 ms at
-# q ~ 35, 2.7 vs 2.6 ms at q ~ 100, 5.2 vs 9.6 ms at q ~ 160.  Switch
-# values from 64 to 96 timed alike on q = 85..210; 128 was 8% slower.
-_INCREMENTAL_MIN_POINTS = 96
+# Below this many table points (arrival points plus deadline points) a round
+# rebuilds its tables with _critical_arrays: there the fixed numpy-call
+# overhead of an update outweighs the cells it saves.  Whole peels of
+# one-component generate_instance draws, every round on kept tables against
+# every round rebuilt (Python 3.11, numpy 2.4, shared 2-vCPU x86-64, CPU time,
+# best of 7): 1.1 vs 0.7 ms at 48 points, 2.5 vs 1.9 ms at 144, 4.4 vs 4.6 ms
+# at 210, 5.0 vs 6.5 ms at 249.  On fig3's 200 peels (about 190 points each)
+# switch values from 128 to 224 timed alike; 96 and 256 were slower in most runs.
+_INCREMENTAL_MIN_POINTS = 128
 
 
 class _PeelTables:
     """The intensity tables of one peel, kept across its rounds.
 
-    ``R[i, j]`` is the energy of the jobs ending at point j and starting
-    at point i or later, summed from the last row up; ``C[i, j]`` sums row
-    i of R from column 0 to j; ``I[i, j]`` is C over the span, or -1 where
-    the span is empty.  Each is formed in the same order as in
-    ``_critical_arrays``.  The tables sit in the square ``[offset, offset +
-    q)`` of their buffers, which never grow; ``best`` and ``best_col`` hold
-    each row's maximum intensity and its first argmax.
+    Row i stands for the arrival point ``starts[i]`` and column j for the
+    deadline point ``ends[j]``.  ``R[i, j]`` is the energy of the jobs due
+    at ends[j] that arrive at starts[i] or later, summed from the last row
+    up; ``C[i, j]`` sums row i of R from column 0 to j; ``I[i, j]`` is C
+    over the span ends[j] - starts[i] + 1, or -1 where the span is empty.
+    Each is formed in the same order as in ``_critical_arrays``.  The
+    tables sit at rows ``[row_offset, row_offset + starts.size)`` and
+    columns ``[col_offset, col_offset + ends.size)`` of their buffers,
+    which never grow; ``best`` and ``best_col`` hold each row's maximum
+    intensity and its first argmax.
     """
 
-    def __init__(self, points: np.ndarray, arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
-        q = points.size
-        self.R, self.C, self.I = (np.empty((q, q)) for _ in range(3))
-        self.offset = 0
-        self.points = points
-        self.best = np.empty(q)
-        self.best_col = np.empty(q, dtype=np.intp)
-        self._recompute(q, 0, arrivals, deadlines, energies)
+    def __init__(
+        self, starts: np.ndarray, ends: np.ndarray, arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray
+    ):
+        shape = (starts.size, ends.size)
+        self.R, self.C, self.I = (np.empty(shape) for _ in range(3))
+        self.row_offset = self.col_offset = 0
+        self.starts, self.ends = starts, ends
+        self.best = np.empty(starts.size)
+        self.best_col = np.empty(starts.size, dtype=np.intp)
+        self._recompute(starts.size, 0, arrivals, deadlines, energies)
 
     def critical(self) -> tuple[int, int, float]:
         """(start, end, level) of the first maximum in row-major order."""
         row = int(self.best.argmax())
-        return int(self.points[row]), int(self.points[self.best_col[row]]), float(self.best[row])
+        return int(self.starts[row]), int(self.ends[self.best_col[row]]), float(self.best[row])
 
     def cut(
-        self, start: int, end: int,
-        points: np.ndarray, arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray,
+        self, start: int, end: int, starts: np.ndarray, ends: np.ndarray,
+        arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray,
     ) -> _PeelTables:
-        """Tables for the jobs left after cutting [start, end]; ``points`` and the windows are post-cut.
+        """Tables for the jobs left after cutting [start, end]; the points and windows are post-cut.
 
-        Rows past ``start`` (old points past ``end + 1``) and columns
-        before ``start - 1`` keep their cells.  The smaller of the two
-        unchanged blocks moves into place, its lower triangle of zeros and
-        -1 with it, and the rectangle between them is recomputed.  A cut
-        that adds a point gets fresh tables; that is rare.
+        Every new point at ``start`` or ``start - 1`` is the image of an old
+        point in [start, end + 1], so the tables never grow.  The rows past
+        ``start`` (old arrival points past ``end + 1``) keep their cells in
+        the columns from ``start`` on (old deadline points past ``end``),
+        and every row keeps its cells in the columns before ``start - 1``.
+        The smaller of those two blocks moves into place, and the rectangle
+        of rows up to ``start`` and columns from ``start - 1`` on is
+        recomputed.  The rows past ``start`` hold R = C = 0 and I = -1 in
+        the columns before ``start``: their deadlines precede their
+        arrivals.  Where the rows past ``start`` move, the column of
+        ``start - 1`` below them is reset to that.
         """
-        old = self.points
-        q, q_new = old.size, points.size
-        if q_new > q:
-            return _PeelTables(points, arrivals, deadlines, energies)
-        rows = int(np.searchsorted(points, start, "right"))
-        col0 = int(np.searchsorted(points, start - 1))
-        right = int(np.searchsorted(old, end + 1, "right"))
-        shift = right - rows
-        o = self.offset
-        if shift:
-            if col0 <= q - right:
-                src, dst, size = o, o + shift, col0
-                self.offset = o + shift
+        rows = int(np.searchsorted(starts, start, "right"))
+        col0 = int(np.searchsorted(ends, start - 1))
+        kept_col = int(np.searchsorted(ends, start))
+        old_rows = int(np.searchsorted(self.starts, end + 1, "right"))
+        row_shift = old_rows - rows
+        col_shift = int(np.searchsorted(self.ends, end, "right")) - kept_col
+        if row_shift or col_shift:
+            r, c = self.row_offset, self.col_offset
+            below, right = starts.size - rows, ends.size - kept_col
+            tables = (self.R, self.C, self.I)
+            if rows * col0 <= below * right:
+                for table in tables:
+                    table[r + row_shift : r + row_shift + rows, c + col_shift : c + col_shift + col0] = table[
+                        r : r + rows, c : c + col0
+                    ]
+                self.row_offset, self.col_offset = r + row_shift, c + col_shift
             else:
-                src, dst, size = o + right, o + rows, q - right
-            for table in (self.R, self.C, self.I):
-                table[dst : dst + size, dst : dst + size] = table[src : src + size, src : src + size]
-        self.best = np.concatenate((self.best[:rows], self.best[right:]))
-        self.best_col = np.concatenate((self.best_col[:rows], self.best_col[right:] - shift))
-        self.points = points
+                for table in tables:
+                    table[r + rows : r + rows + below, c + kept_col : c + kept_col + right] = table[
+                        r + old_rows : r + old_rows + below, c + kept_col + col_shift : c + kept_col + col_shift + right
+                    ]
+                strip = (slice(r + rows, r + rows + below), slice(c + col0, c + kept_col))
+                self.R[strip] = self.C[strip] = 0.0
+                self.I[strip] = -1.0
+        self.best = np.concatenate((self.best[:rows], self.best[old_rows:]))
+        self.best_col = np.concatenate((self.best_col[:rows], self.best_col[old_rows:] - col_shift))
+        self.starts, self.ends = starts, ends
         if rows:
             self._recompute(rows, col0, arrivals, deadlines, energies)
         return self
@@ -159,45 +204,40 @@ class _PeelTables:
     def _recompute(
         self, rows: int, col0: int, arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray
     ) -> None:
-        """Recompute rows [0, rows) x columns [col0, q), then the maxima of rows [0, rows).
+        """Recompute rows [0, rows) x columns [col0, ends.size), then the maxima of rows [0, rows).
 
         R continues up from row ``rows`` and C continues right from column
         ``col0 - 1``, both unchanged, so every sum adds the terms of a full
         rebuild in the same order.
         """
-        points = self.points
-        q = points.size
-        o = self.offset
-        R, C, I = (table[o : o + q, o : o + q] for table in (self.R, self.C, self.I))
-        width = q - col0
-        if width:
-            if rows < q or col0:
-                inside = (arrivals <= points[rows - 1]) & (deadlines >= points[col0])
+        starts, ends = self.starts, self.ends
+        height, width = starts.size, ends.size
+        r, c = self.row_offset, self.col_offset
+        R, C, I = (table[r : r + height, c : c + width] for table in (self.R, self.C, self.I))
+        if col0 < width:
+            if rows < height or col0:
+                inside = (arrivals <= starts[rows - 1]) & (deadlines >= ends[col0])
                 arrivals, deadlines, energies = arrivals[inside], deadlines[inside], energies[inside]
             # the rectangle's weights transposed, bottom row first and led by the
             # unchanged row below if there is one: R's column sums then run along
             # contiguous memory
-            below = int(rows < q)
-            height = rows + below
-            position = rows - 1 + below - np.searchsorted(points, arrivals)
-            cell = (np.searchsorted(points, deadlines) - col0) * height + position
-            weights = np.bincount(cell, weights=energies, minlength=width * height).reshape(width, height)
+            below = int(rows < height)
+            tall = rows + below
+            position = rows - 1 + below - np.searchsorted(starts, arrivals)
+            cell = (np.searchsorted(ends, deadlines) - col0) * tall + position
+            weights = np.bincount(cell, weights=energies, minlength=(width - col0) * tall).reshape(width - col0, tall)
             if below:
                 weights[:, 0] = R[rows, col0:]
-            np.cumsum(weights, axis=1, out=R[:height, col0:][::-1].T)
+            np.cumsum(weights, axis=1, out=R[:tall, col0:][::-1].T)
             del weights
             # each row's running sum starts from C's unchanged column col0 - 1
             C[:rows, col0:] = R[:rows, col0:]
             row_sums = C[:rows, max(col0 - 1, 0) :]
             np.cumsum(row_sums, axis=1, out=row_sums)
+            span = ends[col0:] - (starts[:rows, None] - 1)  # exact in int64
             rect = I[:rows, col0:]
-            span = points[col0:] - (points[:rows, None] - 1.0)
-            # only rows past col0 hold empty spans (column before row)
-            low = span[col0 + 1 :]
-            empty = low <= 0
-            np.maximum(low, 1.0, out=low)
-            np.divide(C[:rows, col0:], span, out=rect)
-            np.copyto(rect[col0 + 1 :], -1.0, where=empty)
+            rect.fill(-1.0)
+            np.divide(C[:rows, col0:], span, out=rect, where=span > 0)
         I[:rows].argmax(axis=1, out=self.best_col[:rows])
         self.best[:rows] = I[np.arange(rows), self.best_col[:rows]]
 
@@ -222,10 +262,10 @@ def _peel_component(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.nd
     """The peel loop on one component's jobs; yields as ``_peel`` does, in the component's own indices."""
     index = np.arange(arrivals.size)
     tables = None
-    if 2 * arrivals.size >= _INCREMENTAL_MIN_POINTS:  # n jobs have at most 2n endpoints
-        points = np.unique(np.concatenate((arrivals, deadlines)))
-        if points.size >= _INCREMENTAL_MIN_POINTS:
-            tables = _PeelTables(points, arrivals, deadlines, energies)
+    if 2 * arrivals.size >= _INCREMENTAL_MIN_POINTS:  # n jobs have at most 2n table points
+        starts, ends = _distinct(arrivals), _distinct(deadlines)
+        if starts.size + ends.size >= _INCREMENTAL_MIN_POINTS:
+            tables = _PeelTables(starts, ends, arrivals, deadlines, energies)
     while True:
         if tables is None:
             start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
@@ -240,11 +280,11 @@ def _peel_component(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.nd
         energies = energies[keep]
         index = index[keep]
         if tables is not None:
-            points = np.unique(np.concatenate((arrivals, deadlines)))
-            if points.size < _INCREMENTAL_MIN_POINTS:
+            starts, ends = _distinct(arrivals), _distinct(deadlines)
+            if starts.size + ends.size < _INCREMENTAL_MIN_POINTS:
                 tables = None
             else:
-                tables = tables.cut(start, end, points, arrivals, deadlines, energies)
+                tables = tables.cut(start, end, starts, ends, arrivals, deadlines, energies)
 
 
 def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -274,12 +314,13 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
     to the lower component index, and each yield is shifted left by the
     width already cut from the components to its left.
 
-    From ``_INCREMENTAL_MIN_POINTS`` endpoints up, a component's tables
-    are kept in ``_PeelTables`` and each cut recomputes only the rectangle
-    it changes; every other cell is bit for bit what a rebuild would give,
-    so the intervals, levels and members equal those of rebuilding every
-    round with ``_critical_arrays``.  Once a round finds fewer endpoints,
-    the rest of the component's peel rebuilds every round.
+    From ``_INCREMENTAL_MIN_POINTS`` table points (arrival points plus
+    deadline points) up, a component's tables are kept in ``_PeelTables``
+    and each cut recomputes only the rectangle it changes; every other
+    cell is bit for bit what a rebuild would give, so the intervals,
+    levels and members equal those of rebuilding every round with
+    ``_critical_arrays``.  Once a round finds fewer table points, the rest
+    of the component's peel rebuilds every round.
     """
     if not arrivals.size:
         return

@@ -9,7 +9,7 @@ import numpy as np
 
 from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
 from gridsched.model import ENERGY_TOL, AttackPlan, CostModel, Instance, Job, Schedule, _job_arrays
-from gridsched.scheduler import _critical_arrays, _excise
+from gridsched.scheduler import _excise
 
 
 def random_instance(
@@ -60,11 +60,35 @@ def intensity(instance: Instance, start: int, end: int) -> float:
     return total / (end - start + 1)
 
 
+def reference_critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
+    """The first critical interval on q x q tables, one row and one column per endpoint.
+
+    Returns (start, end, intensity, member_mask) as
+    ``scheduler._critical_arrays`` does: the row-major first maximum of the
+    intensity, ties to the smallest start, then end.
+    """
+    points = np.unique(np.concatenate((arrivals, deadlines)))
+    q = points.size
+    a_idx = np.searchsorted(points, arrivals)
+    d_idx = np.searchsorted(points, deadlines)
+    weights = np.bincount(a_idx * q + d_idx, weights=energies, minlength=q * q).reshape(q, q)
+    # contained[i, j] = total energy of jobs with arrival >= points[i], deadline <= points[j]
+    contained = weights[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+    span = points[None, :] - points[:, None] + 1
+    intensity = np.where(span > 0, contained / np.maximum(span, 1), -1.0)
+    flat = int(intensity.argmax())
+    i, j = divmod(flat, q)
+    start = int(points[i])
+    end = int(points[j])
+    mask = (arrivals >= start) & (deadlines <= end)
+    return start, end, float(intensity[i, j]), mask
+
+
 def reference_peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
-    """The peel with every round rebuilt from scratch by _critical_arrays; yields as _peel does."""
+    """The peel with every round rebuilt from scratch on endpoint tables; yields as _peel does."""
     index = np.arange(arrivals.size)
     while index.size:
-        start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
+        start, end, level, mask = reference_critical_arrays(arrivals, deadlines, energies)
         yield start, end, level, index[mask], arrivals[mask], deadlines[mask]
         keep = ~mask
         if not keep.any():

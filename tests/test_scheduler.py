@@ -27,6 +27,7 @@ from helpers import (
     random_instance,
     random_instance_in_horizon,
     reference_cost,
+    reference_critical_arrays,
     reference_online_even,
     reference_peel,
     spread_out,
@@ -40,9 +41,15 @@ def two_job_instance() -> Instance:
 
 
 def critical(inst: Instance) -> tuple[int, int, float, frozenset[int]]:
-    """(start, end, level, member ids) of the instance's first critical interval."""
+    """(start, end, level, member ids) of the instance's first critical interval, by the endpoint reference.
+
+    The arrival-by-deadline tables of ``_critical_arrays`` must give the
+    reference's interval, level and members exactly.
+    """
     ids, arrivals, deadlines, energies = _job_arrays(inst)
-    start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
+    start, end, level, mask = reference_critical_arrays(arrivals, deadlines, energies)
+    got = _critical_arrays(arrivals, deadlines, energies)
+    assert got[:3] == (start, end, level) and np.array_equal(got[3], mask)
     return start, end, level, frozenset(ids[mask].tolist())
 
 
@@ -62,6 +69,11 @@ class TestCriticalInterval:
         start, end, level, _ = critical(Instance([Job(1, 1, 1, 10.0), Job(2, 5, 9, 1.0)]))
         assert (start, end) == (1, 1)
         assert level == pytest.approx(10.0)
+
+    def test_ties_to_smallest_start_then_end(self):
+        # [1, 1], [1, 2], [1, 3], [2, 2], [2, 3] and [3, 3] all reach 2.0
+        inst = Instance([Job(1, 1, 1, 2.0), Job(2, 2, 2, 2.0), Job(3, 3, 3, 2.0)])
+        assert critical(inst) == (1, 1, 2.0, frozenset({1}))
 
     def test_empty_instance_rejected(self):
         with pytest.raises(ValueError):
@@ -260,7 +272,7 @@ class TestPeelKeptTables:
     def test_small_instances_on_kept_tables(self, monkeypatch):
         # with the size switch at 0 every round runs on the kept tables, so the
         # rectangle's edge cases come up: no new point at start - 1 or start,
-        # start the last point, the rectangle at column 0, a cut that adds a point
+        # start the last arrival point, the rectangle at column 0
         monkeypatch.setattr(scheduler, "_INCREMENTAL_MIN_POINTS", 0)
         rng = np.random.default_rng(20)
         for k in range(1000):
@@ -269,6 +281,51 @@ class TestPeelKeptTables:
             else:
                 inst = random_instance_in_horizon(rng, max_jobs=14, horizon=10, max_window=5)
             assert_peel_matches_reference(inst)
+
+    @pytest.mark.parametrize("switch", [0, 10**9])
+    def test_equal_energies_tie(self, monkeypatch, switch):
+        # unit energies make many intervals reach the same level; each round
+        # takes the row-major first maximum, on kept tables and on rebuilds
+        monkeypatch.setattr(scheduler, "_INCREMENTAL_MIN_POINTS", switch)
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            assert_peel_matches_reference(
+                random_instance_in_horizon(rng, max_jobs=12, horizon=8, max_window=4, energy_low=1.0, energy_high=1.0)
+            )
+
+    def test_cut_edge_cases(self, monkeypatch):
+        # every round on the kept tables, and each edge case of a cut [s, e] seen:
+        # a clamped arrival making row s, a clamped deadline making column s - 1,
+        # both from one old point, the rectangle at column 0, no row below row s
+        monkeypatch.setattr(scheduler, "_INCREMENTAL_MIN_POINTS", 0)
+        seen = dict.fromkeys(("row s", "column s - 1", "one point", "column 0", "no row below"), 0)
+        excise = scheduler._excise
+
+        def recorded(arrivals, deadlines, start, end):
+            clamped_a = arrivals[(arrivals > start) & (arrivals <= end)]
+            clamped_d = deadlines[(deadlines >= start) & (deadlines <= end)]
+            seen["row s"] += clamped_a.size > 0
+            seen["column s - 1"] += clamped_d.size > 0
+            seen["one point"] += np.intersect1d(clamped_a, clamped_d).size > 0
+            seen["column 0"] += bool(deadlines.min() >= start - 1)
+            seen["no row below"] += bool(arrivals.max() <= end + 1)
+            return excise(arrivals, deadlines, start, end)
+
+        monkeypatch.setattr(scheduler, "_excise", recorded)
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            assert_peel_matches_reference(random_instance_in_horizon(rng, max_jobs=16, horizon=9, max_window=6))
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("switch", [0, scheduler._INCREMENTAL_MIN_POINTS])
+    @pytest.mark.parametrize("shift", [2**53, 2**60])
+    def test_slots_past_float_precision(self, monkeypatch, switch, shift):
+        # spans are differences of int64 slots: a slot past 2^53 has no exact float
+        inst = generate_instance(GenParams(100, 3.0, 10.0, 1.0, 5.0, seed=2024))
+        monkeypatch.setattr(scheduler, "_INCREMENTAL_MIN_POINTS", switch)
+        far = Instance(Job(j.id, j.arrival + shift, j.deadline + shift, j.energy) for j in inst.jobs)
+        assert assert_peel_matches_reference(far) == 35
+        assert min_cost(far, QUAD) == min_cost(inst, QUAD) == 376.89563410265936
 
     @pytest.mark.parametrize("low, high", [(1.0, 5.0), (1e5, 1e6)])
     def test_generated_n400_and_its_online_attack(self, low, high):
@@ -333,9 +390,9 @@ class TestPeelComponents:
             return _critical_arrays(arrivals, deadlines, energies)
 
         class Kept(scheduler._PeelTables):
-            def __init__(self, points, *args):
-                widths.append(points.size)
-                super().__init__(points, *args)
+            def __init__(self, starts, ends, *args):
+                widths.append(np.union1d(starts, ends).size)
+                super().__init__(starts, ends, *args)
 
         monkeypatch.setattr(scheduler, "_critical_arrays", rebuilt)
         monkeypatch.setattr(scheduler, "_PeelTables", Kept)
