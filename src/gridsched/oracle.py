@@ -15,19 +15,15 @@ grid's slots, so it is refused past ``_LOAD_CELLS`` load cells as well as
 past ``ENUMERATION_GUARD`` assignments.
 
 The budgeted oracle peels a batch of altered instances at once
-(``_peel_rows``).  Each round builds the contained-energy and intensity
-tables of every unfinished row on one slot grid, in the summation order
-of ``scheduler._critical_arrays``; the grid's rows that are no arrival
-and columns that are no deadline add exact zeros, so each row finds the
-intervals and levels of its own peel bit for bit.  Levels are charged with Python's scalar
-``**``, as ``min_cost`` does: numpy's array ``**`` rounds the last bit
-differently on some loads.  The grid keeps one slot of each run of slots
-that no window covers, so it is at most the windows' total plus n slots
-wide, whatever the gaps between the jobs.  A grid so wide that one row's
-table would exceed ``_TABLE_CELLS`` is rejected before any enumeration.
-Altered sets are drawn only from the jobs whose window is wider than one
-slot: compressing a one-slot job changes nothing, so a set holding one is
-the same instance as the smaller set without it, already counted.
+(``_peel_rows``) with the controller's batched critical-interval search,
+``scheduler._critical_rows``: each row finds the intervals and levels of
+its own peel bit for bit, on tables of arrival rank by deadline rank whose
+size does not depend on the slots or the gaps between the jobs.  Levels
+are charged with Python's scalar ``**``, as ``min_cost`` does: numpy's
+array ``**`` rounds the last bit differently on some loads.  Altered sets
+are drawn only from the jobs whose window is wider than one slot:
+compressing a one-slot job changes nothing, so a set holding one is the
+same instance as the smaller set without it, already counted.
 """
 
 from __future__ import annotations
@@ -38,19 +34,10 @@ from itertools import combinations, islice
 import numpy as np
 
 from .model import CostModel, Instance, Schedule, _job_arrays
-from .scheduler import _components, _excise
+from .scheduler import _TABLE_CELLS, _components, _critical_rows
 
 ENUMERATION_GUARD = 10_000_000
 """Maximum number of joint assignments an oracle call may enumerate."""
-
-_TABLE_CELLS = 1 << 14
-"""Cells of one batch: the budgeted oracle's (rows, slots, slots) tables and
-the brute force's (rows, slots) loads.
-
-Bounds the rows enumerated together, and so a batch's memory.  On the
-benchmark's desk-scale oracle pass (Python 3.11, numpy 2.4) the peak RSS
-was the same at 2^14 and 2^16 cells and about 4 MiB higher at 2^18.
-"""
 
 _LOAD_CELLS = 100_000_000
 """Maximum assignments times grid slots the brute force may evaluate."""
@@ -103,13 +90,14 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
 def _altered_windows(arrivals: np.ndarray, deadlines: np.ndarray, movable: np.ndarray, size: int, rows: int):
     """Windows of every altered set of ``size`` jobs under every compression, ``rows`` at a time.
 
-    The sets are drawn from the job indices ``movable``.  Yields
-    (arrivals, deadlines) arrays of shape (rows, n), the last one possibly
+    The sets are drawn from the job indices ``movable``.  Yields (2, rows,
+    n) arrays of arrivals stacked on deadlines, the last one possibly
     shorter.  An altered job's window is the one slot it is compressed to.
     Sets come in ``combinations`` order and, within a set, compressions in
     ``product`` order; at most ``rows`` sets are held at once.
     """
     sets = combinations(movable.tolist(), size)
+    windows = np.array((arrivals, deadlines))
     while block := list(islice(sets, rows)):
         chosen = np.array(block, dtype=np.intp).reshape(len(block), size)
         widths = (deadlines - arrivals + 1)[chosen]
@@ -125,57 +113,20 @@ def _altered_windows(arrivals: np.ndarray, deadlines: np.ndarray, movable: np.nd
             owner = np.searchsorted(first, row, "right") - 1
             picked = chosen[owner]
             slots = arrivals[picked] + (row - first[owner])[:, None] // strides[owner] % widths[owner]
-            altered_a = np.repeat(arrivals[None], row.size, axis=0)
-            altered_d = np.repeat(deadlines[None], row.size, axis=0)
-            np.put_along_axis(altered_a, picked, slots, axis=1)
-            np.put_along_axis(altered_d, picked, slots, axis=1)
-            yield altered_a, altered_d
+            altered = np.repeat(windows[:, None], row.size, axis=1)
+            altered[:, np.arange(row.size)[:, None], picked] = slots
+            yield altered
 
 
-def _peel_rows(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray, cost: CostModel) -> np.ndarray:
-    """Optimal cost of every row's instance, all rows peeled at once.
+def _peel_rows(windows: np.ndarray, energies: np.ndarray, cost: CostModel) -> np.ndarray:
+    """Optimal cost of every row's instance of (2, rows, n) windows, all peeled at once by ``_critical_rows``.
 
-    ``arrivals`` and ``deadlines`` are (rows, n) windows on the slots
-    0..H-1, and ``energies`` are the n energies every row shares.  Each
-    round takes, per row, the first row-major maximum of the intensity
-    over slot pairs, adds ``width * cost(level)`` to the row's total, and
-    cuts the interval out with ``_excise``.  A maximum with
-    positive energy lies on an arrival and a deadline, where the grid's
-    table holds exactly the sums of ``_critical_arrays``' arrival by
-    deadline table (the grid's other rows and columns add zeros, and
-    repeat a sum over a longer span), so every row's total is bit for bit
-    that of its own peel.  Empty spans hold no energy and read 0 here
-    instead of -1; neither can be a positive maximum.
+    Every row shares the n ``energies``.  Each round adds, per row,
+    ``width * cost(level)`` of its critical interval, as ``min_cost`` does.
     """
-    grid = np.arange(int(deadlines.max()) + 1)
-    divisor = np.maximum(grid - grid[:, None] + 1, 1)  # the span j - i + 1 of slots i..j, or 1
-    totals = np.zeros(arrivals.shape[0])
-    todo = np.arange(arrivals.shape[0])
-    live = np.ones(arrivals.shape, dtype=bool)
-    shared = np.repeat(energies[None], todo.size, axis=0)
-    while todo.size:
-        count = todo.size
-        horizon = int(deadlines[live].max()) + 1  # every cut shortens each row's timeline
-        cells = (np.arange(count)[:, None] * horizon + arrivals) * horizon + deadlines
-        table = np.bincount(cells[live], weights=shared[live], minlength=count * horizon * horizon)
-        table = table.reshape(count, horizon, horizon)
-        # the energy of row r's live jobs with arrival >= i and deadline <= j, then over the span
-        upward = table[:, ::-1]
-        np.cumsum(upward, axis=1, out=upward)
-        np.cumsum(table, axis=2, out=table)
-        table /= divisor[:horizon, :horizon]
-        intensity = table.reshape(count, -1)
-        flat = intensity.argmax(axis=1)  # row-major first maximum: smallest start, then end
-        level = intensity[np.arange(count), flat]
-        start, end = np.divmod(flat, horizon)
-        totals[todo] += (end - start + 1) * np.array([cost(x) for x in level.tolist()])
-        start, end = start[:, None], end[:, None]
-        live &= (arrivals < start) | (deadlines > end)
-        arrivals, deadlines = _excise(arrivals, deadlines, start, end)
-        going = live.any(axis=1)
-        if not going.all():
-            todo, live, shared = todo[going], live[going], shared[going]
-            arrivals, deadlines = arrivals[going], deadlines[going]
+    totals = np.zeros(windows.shape[1])
+    for rows, start, end, level, *_ in _critical_rows(windows, np.broadcast_to(energies, windows.shape[1:])):
+        totals[rows] += (end - start + 1) * np.array([cost(x) for x in level.tolist()])
     return totals
 
 
@@ -187,13 +138,11 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
     altered instance.  Entry 0 is the unattacked optimum.  Guarded via
     the subset-times-compression count.
 
-    The altered instances of one set size are peeled in batches of at
-    most ``_TABLE_CELLS`` table cells by ``_peel_rows``, each level
-    charged with Python's scalar ``**``; every entry equals, bit for
-    bit, the maximum of ``min_cost`` over the enumerated instances.  Also
-    guarded: one row's table, the squeezed grid's slots squared, must fit
-    in ``_TABLE_CELLS``.  Sets holding a one-slot job are skipped: each is
-    the instance of the smaller set without that job.
+    The altered instances of one set size are peeled by ``_peel_rows``,
+    ``_TABLE_CELLS`` over n squared at a time (n jobs have at most n points
+    of each kind); every entry equals, bit for bit, the maximum of
+    ``min_cost`` over the enumerated instances.  Sets holding a one-slot
+    job are skipped: each is the instance of the smaller set without it.
     """
     if max_budget is not None and max_budget < 0:
         raise ValueError("budget must be non-negative")
@@ -204,26 +153,13 @@ def exact_limited_attack_curve(instance: Instance, cost: CostModel, max_budget: 
     _guarded_product([j.allowance + 2 for j in instance.jobs])
 
     _, arrivals, deadlines, energies = _job_arrays(instance)
-    # The peel is unchanged by a shift of every slot, and by the length of a
-    # run of uncovered slots: it peels the components on either side alone.
-    # So the grid starts at the first arrival and each run keeps one slot.
-    # Altered windows lie inside the original ones, so every run stays
-    # uncovered in every altered instance and in every round.
-    label, gaps = _components(arrivals, deadlines)
-    squeeze = np.concatenate(([arrivals.min()], gaps - 1)).cumsum()[label]
-    arrivals, deadlines = arrivals - squeeze, deadlines - squeeze
-    slots = int(deadlines.max()) + 1
-    if slots * slots > _TABLE_CELLS:
-        raise ValueError(
-            f"instance too large for exhaustive enumeration ({slots}-slot grid; {_TABLE_CELLS} table cells at most)"
-        )
-    rows = _TABLE_CELLS // (slots * slots)
+    rows = max(1, _TABLE_CELLS // (n * n))
     movable = np.flatnonzero(deadlines > arrivals)
     best = []
     top = -np.inf
     for size in range(cap + 1):
-        for altered_a, altered_d in _altered_windows(arrivals, deadlines, movable, size, rows):
-            top = max(top, float(_peel_rows(altered_a, altered_d, energies, cost).max()))
+        for altered in _altered_windows(arrivals, deadlines, movable, size, rows):
+            top = max(top, float(_peel_rows(altered, energies, cost).max()))
         best.append(top)
     return best
 

@@ -20,21 +20,23 @@ undoing the cuts latest first, not through a map as long as the horizon.
 The EDF fill takes each interval's members as arrays.
 
 Each round maximizes over tables of contained energy and intensity with
-one row per arrival point and one column per deadline point: a
-maximum-intensity interval starts at a release and ends at a deadline
-(Yao, Demers and Shenker, FOCS 1995).  Their first maximum in row-major
-order is, bit for bit, that of tables over every endpoint pair:
+one row per arrival point and one column per deadline point of the jobs
+left: a maximum-intensity interval starts at a release and ends at a
+deadline (Yao, Demers and Shenker, FOCS 1995).  One function,
+``_critical_rows``, builds every such table that is rebuilt each round,
+for a batch of instances at once: the small components of an instance,
+the last rounds of a large one, the exact oracle's enumerated instances.
+Each instance's first maximum in row-major order is, bit for bit, that of
+tables over every endpoint pair of its own jobs:
 
-- an endpoint row with no arrival adds only exact +0.0 to the sums, so
-  its cells hold those of the next arrival row over a strictly longer
-  span; their intensity is strictly lower (the energy is positive, and
-  below 2^52 slots C / span and C / (span + 1) round apart), so it never
-  holds the first maximum;
-- a column with no deadline repeats the previous column's sums, with the
-  same effect;
-- dropping those rows and columns removes only +0.0 terms, so every
-  other cell adds the same terms in the same order, and row-major order
-  is kept.
+- extra rows: a row with no arrival adds only exact +0.0, so it holds the
+  next row's sums over a longer span (below 2^52 slots C / span and
+  C / (span + 1) round apart) or zeros past the last arrival: lower;
+- extra columns: a column with no deadline repeats the previous column's
+  sums over an equal or longer span, so it is lower or ties later in
+  row-major order;
+- sum order: finished and padding jobs weigh +0.0, and zero terms change
+  no sum, so every other cell adds the same terms in the same order.
 
 Rebuilding the tables every round costs O(segments * rows * columns), so
 from ``_INCREMENTAL_MIN_POINTS`` table points up the peel keeps them
@@ -45,8 +47,7 @@ of s - 1 moves.  That rectangle is recomputed from the unchanged row
 below it and column left of it, so every sum adds the same terms in the
 same order as a rebuild, every cell is bit for bit a rebuild's, and the
 intervals, levels and members are too.  Spans are differences of int64
-slots, exact at any slot offset.  Below the switch a round rebuilds,
-which is cheaper on small tables.
+slots, exact at any slot offset.  Below the switch, rebuilding is cheaper.
 
 An online heuristic that spreads each job evenly over its own window is
 provided for comparison; it upper-bounds the offline optimum.  Both the
@@ -74,50 +75,90 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
-    """Maximizer of the intensity over arrival-deadline pairs, ties to smallest start then end.
+def _excise(windows: np.ndarray, start, end) -> np.ndarray:
+    """Relabel windows (arrivals stacked on deadlines) after cutting slots [start, end] out of the timeline.
 
-    Returns (start, end, intensity, member_mask) in the coordinates of the
-    given arrays.
+    ``start`` and ``end`` may be (rows, 1) columns, one cut per row of (2, rows, n) windows.
     """
-    starts = _distinct(arrivals)
-    ends = _distinct(deadlines)
-    width = ends.size
-    cell = np.searchsorted(starts, arrivals) * width + np.searchsorted(ends, deadlines)
-    weights = np.bincount(cell, weights=energies, minlength=starts.size * width).reshape(starts.size, width)
-    # contained[i, j] = total energy of jobs with arrival >= starts[i], deadline <= ends[j]
-    contained = weights[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
-    span = ends[None, :] - starts[:, None] + 1
-    intensity = np.where(span > 0, contained / np.maximum(span, 1), -1.0)
-    flat = int(intensity.argmax())  # row-major first maximum: smallest start, then end
-    i, j = divmod(flat, width)
-    start = int(starts[i])
-    end = int(ends[j])
-    level = float(intensity[i, j])
-    mask = (arrivals >= start) & (deadlines <= end)
-    return start, end, level, mask
+    clamp = start - np.array([0, 1]).reshape((2,) + (1,) * (windows.ndim - 1))  # a deadline clamps before the cut
+    return np.where(windows > end, windows - (end - start + 1), np.minimum(windows, clamp))
 
 
-def _excise(arrivals: np.ndarray, deadlines: np.ndarray, start: int, end: int):
-    """Relabel windows after cutting slots [start, end] out of the timeline.
+_TABLE_CELLS = 1 << 14
+"""Bounds a batch's memory: rows peeled together by ``_critical_rows`` times their largest job count
+squared, and the brute-force oracle's (rows, slots) loads.  On the benchmark's desk-scale oracle pass
+(Python 3.11, numpy 2.4) the peak RSS was the same at 2^14 and 2^16 cells and 4 MiB higher at 2^18."""
 
-    ``start`` and ``end`` may be (rows, 1) columns, one cut per row of
-    (rows, n) windows, as the batched oracle peel uses it.
+
+def _critical_rows(windows: np.ndarray, energies: np.ndarray):
+    """The peel loop on every row's instance at once, all rows in lockstep.
+
+    ``windows`` stacks the (rows, n) arrivals and deadlines, one instance
+    per row; a job of ``energies`` +0.0 pads a row and is never peeled.
+    Each round yields (rows, start, end, level, member, windows) for the
+    unfinished rows: their indices, critical intervals and levels, the mask
+    of their members and the windows they were found on.  Then each row's
+    interval is cut with ``_excise``.
+
+    A round ranks each row's live points densely from 1 up; rank 0 takes
+    only finished jobs and is dropped.  A cut keeps every row's order, so
+    each row is sorted once.
     """
-    width = end - start + 1
-    new_a = np.where(arrivals > end, arrivals - width, np.minimum(arrivals, start))
-    new_d = np.where(deadlines > end, deadlines - width, np.minimum(deadlines, start - 1))
-    return new_a, new_d
+    count, n = energies.shape
+    far, axes = np.iinfo(np.int64).max, np.arange(2)[:, None, None]  # axes: arrivals, deadlines
+    weights = np.array(energies, dtype=np.float64)
+    live = weights > 0.0
+    todo = np.arange(count)
+    order = windows.argsort(axis=2)
+    back = order.argsort(axis=2)  # each job's place in its row's order
+    while True:
+        line = np.arange(count)
+        base = np.arange(0, 2 * count * n, n).reshape(2, count, 1)  # each row's first flat index
+        order_at, back_at = order + base, back + base
+        # each row's live points in order with repeats, after a floor below every slot
+        seen = np.full((2, count, n + 1), -far)
+        while True:
+            np.maximum.accumulate(np.where(live, windows, -far).take(order_at), axis=2, out=seen[:, :, 1:])
+            rank = (seen[:, :, 1:] > seen[:, :, :-1]).cumsum(axis=2)  # 0 before the first live point
+            height, width = rank[:, :, -1].max(axis=1).tolist()
+            points = np.full((2, count, max(height, width) + 1), far)
+            points[axes, line[:, None], rank] = seen[:, :, 1:]
+            starts, ends = points[0, :, 1 : height + 1], points[1, :, 1 : width + 1]
+            at = rank.take(back_at)
+            cell = np.ravel_multi_index((line[:, None], at[0], at[1]), (count, height + 1, width + 1))
+            table = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=count * (height + 1) * (width + 1))
+            table = table.reshape(count, height + 1, width + 1)[:, :0:-1, 1:].cumsum(axis=1)[:, ::-1].cumsum(axis=2)
+            span = np.maximum(ends[:, None, :] - (starts[:, :, None] - 1), 1)  # int64; an empty span reads 0
+            table /= span
+            flat = table.reshape(count, -1)
+            best = flat.argmax(axis=1)  # row-major first maximum: smallest start, then end
+            level = flat[line, best]
+            i, j = np.divmod(best, width)
+            start, end = starts[line, i][:, None], ends[line, j][:, None]
+            member = (windows[0] >= start) & (windows[1] <= end) & live
+            yield todo, start[:, 0], end[:, 0], level, member, windows
+            live ^= member
+            weights[member] = 0.0
+            going = live.any(axis=1)
+            if not going.all():
+                break
+            windows = _excise(windows, start, end)
+        if not going.any():
+            return
+        todo, live, weights, order, back = todo[going], live[going], weights[going], order[:, going], back[:, going]
+        windows, count = _excise(windows[:, going], start[going], end[going]), todo.size
 
 
 # Below this many table points (arrival points plus deadline points) a round
-# rebuilds its tables with _critical_arrays: there the fixed numpy-call
-# overhead of an update outweighs the cells it saves.  Whole peels of
-# one-component generate_instance draws, every round on kept tables against
-# every round rebuilt (Python 3.11, numpy 2.4, shared 2-vCPU x86-64, CPU time,
-# best of 7): 1.1 vs 0.7 ms at 48 points, 2.5 vs 1.9 ms at 144, 4.4 vs 4.6 ms
-# at 210, 5.0 vs 6.5 ms at 249.  On fig3's 200 peels (about 190 points each)
-# switch values from 128 to 224 timed alike; 96 and 256 were slower in most runs.
+# rebuilds its tables, the component's jobs left peeled as one row of
+# _critical_rows: there the fixed numpy-call overhead of an update outweighs
+# the cells it saves.  Whole peels of one-component generate_instance draws,
+# every round on kept tables against every round rebuilt (Python 3.11, numpy
+# 2.4, shared 2-vCPU x86-64, CPU time, best of 7): 1.1 vs 0.7 ms at 48 points,
+# 2.5 vs 1.9 ms at 144, 4.4 vs 4.6 ms at 210, 5.0 vs 6.5 ms at 249.  On fig3's
+# 200 peels (about 190 points each) switch values from 128 to 224 timed alike;
+# 96 and 256 were slower in most runs.  Not re-timed since one-row rounds of
+# _critical_rows replaced a per-instance rebuild about a fifth cheaper.
 _INCREMENTAL_MIN_POINTS = 128
 
 
@@ -129,7 +170,7 @@ class _PeelTables:
     at ends[j] that arrive at starts[i] or later, summed from the last row
     up; ``C[i, j]`` sums row i of R from column 0 to j; ``I[i, j]`` is C
     over the span ends[j] - starts[i] + 1, or -1 where the span is empty.
-    Each is formed in the same order as in ``_critical_arrays``.  The
+    Each is formed in the same order as in ``_critical_rows``.  The
     tables sit at rows ``[row_offset, row_offset + starts.size)`` and
     columns ``[col_offset, col_offset + ends.size)`` of their buffers,
     which never grow; ``best`` and ``best_col`` hold each row's maximum
@@ -258,33 +299,39 @@ def _components(arrivals: np.ndarray, deadlines: np.ndarray) -> tuple[np.ndarray
     return label, gaps[gaps > 0]
 
 
-def _peel_component(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
-    """The peel loop on one component's jobs; yields as ``_peel`` does, in the component's own indices."""
-    index = np.arange(arrivals.size)
-    tables = None
-    if 2 * arrivals.size >= _INCREMENTAL_MIN_POINTS:  # n jobs have at most 2n table points
-        starts, ends = _distinct(arrivals), _distinct(deadlines)
-        if starts.size + ends.size >= _INCREMENTAL_MIN_POINTS:
-            tables = _PeelTables(starts, ends, arrivals, deadlines, energies)
+def _peel_batch(windows: np.ndarray, energies: np.ndarray, index: np.ndarray) -> list[list]:
+    """Each row's (start, end, level, picked, member windows) per interval, peeled by ``_critical_rows``.
+
+    ``index`` maps a row's columns to what ``picked`` reports."""
+    peels = [[] for _ in range(energies.shape[0])]
+    for rows, start, end, level, member, found in _critical_rows(windows, energies):
+        for q, (r, s, e, x) in enumerate(zip(rows.tolist(), start.tolist(), end.tolist(), level.tolist())):
+            mask = member[q]
+            peels[r].append((s, e, x, index[r][mask], found[:, q].compress(mask, axis=1)))
+    return peels
+
+
+def _peel_component(index: np.ndarray, windows: np.ndarray, energies: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """One component's intervals as ``_peel_batch`` lists them, from its arrival and deadline points on.
+
+    Kept tables while ``_INCREMENTAL_MIN_POINTS`` last, then the jobs left as one row of ``_critical_rows``.
+    """
+    tables = _PeelTables(starts, ends, *windows, energies)
     while True:
-        if tables is None:
-            start, end, level, mask = _critical_arrays(arrivals, deadlines, energies)
-        else:
-            start, end, level = tables.critical()
-            mask = (arrivals >= start) & (deadlines <= end)
-        yield start, end, level, index[mask], arrivals[mask], deadlines[mask]
+        start, end, level = tables.critical()
+        mask = (windows[0] >= start) & (windows[1] <= end)
+        yield start, end, level, index[mask], windows[:, mask]
         keep = ~mask
         if not keep.any():
             return
-        arrivals, deadlines = _excise(arrivals[keep], deadlines[keep], start, end)
+        windows = _excise(windows[:, keep], start, end)
         energies = energies[keep]
         index = index[keep]
-        if tables is not None:
-            starts, ends = _distinct(arrivals), _distinct(deadlines)
-            if starts.size + ends.size < _INCREMENTAL_MIN_POINTS:
-                tables = None
-            else:
-                tables = tables.cut(start, end, starts, ends, arrivals, deadlines, energies)
+        starts, ends = _distinct(windows[0]), _distinct(windows[1])
+        if starts.size + ends.size < _INCREMENTAL_MIN_POINTS:
+            break
+        tables = tables.cut(start, end, starts, ends, *windows, energies)
+    yield from _peel_batch(windows[:, None], energies[None], index[None])[0]
 
 
 def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -314,31 +361,44 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
     to the lower component index, and each yield is shifted left by the
     width already cut from the components to its left.
 
-    From ``_INCREMENTAL_MIN_POINTS`` table points (arrival points plus
-    deadline points) up, a component's tables are kept in ``_PeelTables``
-    and each cut recomputes only the rectangle it changes; every other
-    cell is bit for bit what a rebuild would give, so the intervals,
-    levels and members equal those of rebuilding every round with
-    ``_critical_arrays``.  Once a round finds fewer table points, the rest
-    of the component's peel rebuilds every round.
+    A component of ``_INCREMENTAL_MIN_POINTS`` table points or more is
+    peeled by ``_peel_component``.  The smaller ones are peeled together by
+    ``_critical_rows``, sorted by job count, in batches whose rows times
+    largest job count squared stay within ``_TABLE_CELLS``.
     """
     if not arrivals.size:
         return
     label, _ = _components(arrivals, deadlines)
     by_label = np.argsort(label, kind="stable")  # each component's jobs in input order
-    members = np.split(by_label, np.cumsum(np.bincount(label))[:-1])
-    peels = [
-        zip(repeat(k), _peel_component(arrivals[m], deadlines[m], energies[m])) for k, m in enumerate(members)
-    ]
+    sizes = np.bincount(label).tolist()
+    members = [by_label[hi - size : hi] for size, hi in zip(sizes, np.cumsum(sizes).tolist())]
+    windows = np.array((arrivals, deadlines))
+    peels: list = [None] * len(sizes)
+    small = []
+    for k, m in enumerate(members):
+        if 2 * m.size >= _INCREMENTAL_MIN_POINTS:  # n jobs have at most 2n table points
+            starts, ends = _distinct(arrivals[m]), _distinct(deadlines[m])
+            if starts.size + ends.size >= _INCREMENTAL_MIN_POINTS:
+                peels[k] = _peel_component(m, windows[:, m], energies[m], starts, ends)
+                continue
+        small.append(k)
+    small.sort(key=sizes.__getitem__)
+    while small:
+        rows = 1
+        while rows < len(small) and (rows + 1) * sizes[small[rows]] ** 2 <= _TABLE_CELLS:
+            rows += 1
+        batch, small = small[:rows], small[rows:]
+        index = np.full((rows, sizes[batch[-1]]), -1)  # a padding job repeats the last job, at weight +0.0
+        for row, k in zip(index, batch):
+            row[: sizes[k]] = members[k]
+        for k, peel in zip(batch, _peel_batch(windows[:, index], np.where(index >= 0, energies[index], 0.0), index)):
+            peels[k] = peel
     cut = [0] * len(peels)  # width cut so far from each component
-    for k, (start, end, level, picked, member_arrivals, member_deadlines) in heapq.merge(
-        *peels, key=lambda head: -head[1][2]
+    for k, (start, end, level, picked, member_windows) in heapq.merge(
+        *(zip(repeat(k), peel) for k, peel in enumerate(peels)), key=lambda head: -head[1][2]
     ):
         shift = sum(cut[:k])
-        yield (
-            start - shift, end - shift, level, members[k][picked],
-            member_arrivals - shift, member_deadlines - shift,
-        )
+        yield (start - shift, end - shift, level, picked, *(member_windows - shift))
         cut[k] += end - start + 1
 
 

@@ -63,9 +63,9 @@ def intensity(instance: Instance, start: int, end: int) -> float:
 def reference_critical_arrays(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
     """The first critical interval on q x q tables, one row and one column per endpoint.
 
-    Returns (start, end, intensity, member_mask) as
-    ``scheduler._critical_arrays`` does: the row-major first maximum of the
-    intensity, ties to the smallest start, then end.
+    Returns (start, end, intensity, member_mask): the row-major first
+    maximum of the intensity, ties to the smallest start, then end, as
+    ``scheduler._critical_rows`` finds it for one row.
     """
     points = np.unique(np.concatenate((arrivals, deadlines)))
     q = points.size
@@ -93,7 +93,7 @@ def reference_peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.nda
         keep = ~mask
         if not keep.any():
             return
-        arrivals, deadlines = _excise(arrivals[keep], deadlines[keep], start, end)
+        arrivals, deadlines = _excise(np.array((arrivals[keep], deadlines[keep])), start, end)
         energies = energies[keep]
         index = index[keep]
 

@@ -3,7 +3,9 @@
 import pytest
 
 from gridsched.cli import main
-from gridsched.model import Instance, Job, write_instance_csv
+from gridsched.model import CostModel, Instance, Job, write_instance_csv
+
+from helpers import reference_exact_limited_attack_curve
 
 
 @pytest.fixture()
@@ -171,13 +173,13 @@ def test_solve_min_full_output(tmp_path, capsys):
     )
 
 
-def test_oracle_maxmin_wide_grid_reports_error(tmp_path, capsys):
+def test_oracle_maxmin_wide_grid_prints_value(tmp_path, capsys):
+    inst = Instance([Job(0, 1, 200, 1.0), Job(1, 2, 3, 1.0)])
     path = tmp_path / "wide.csv"
-    write_instance_csv(Instance([Job(0, 1, 200, 1.0), Job(1, 2, 3, 1.0)]), path)
-    assert main(["oracle", "maxmin", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: instance too large for exhaustive enumeration" in captured.err
+    write_instance_csv(inst, path)
+    assert main(["oracle", "maxmin", str(path)]) == 0
+    value = reference_exact_limited_attack_curve(inst, CostModel(2.0))[2]  # beta 1 alters both jobs
+    assert capsys.readouterr().out == f"c_maxmin_exact = {value:.12g}\nbudget = 2\n"
 
 
 def test_oracle_pmax_too_many_load_cells_reports_error(tmp_path, capsys):

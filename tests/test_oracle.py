@@ -158,15 +158,15 @@ class TestExactCurveBatched:
     def test_one_row_per_batch_matches(self, monkeypatch):
         inst = random_instance(np.random.default_rng(37), max_jobs=5, min_jobs=5, max_window=3)
         expected = exact_limited_attack_curve(inst, CostModel(1.5))
-        slots = inst.horizon - min(j.arrival for j in inst.jobs) + 1
+        side = inst.n  # n jobs have at most n points of each kind
         batches = []
         peel_rows = oracle_mod._peel_rows
 
-        def recorded(arrivals, *args):
-            batches.append(arrivals.shape[0])
-            return peel_rows(arrivals, *args)
+        def recorded(windows, *args):
+            batches.append(windows.shape[1])
+            return peel_rows(windows, *args)
 
-        monkeypatch.setattr(oracle_mod, "_TABLE_CELLS", slots * slots)
+        monkeypatch.setattr(oracle_mod, "_TABLE_CELLS", side * side)
         monkeypatch.setattr(oracle_mod, "_peel_rows", recorded)
         assert exact_limited_attack_curve(inst, CostModel(1.5)) == expected
         assert set(batches) == {1}
@@ -177,10 +177,10 @@ class TestExactCurveBatched:
         peel_rows = oracle_mod._peel_rows
         rows = 0
 
-        def counted(arrivals, *args):
+        def counted(windows, *args):
             nonlocal rows
-            rows += arrivals.shape[0]
-            return peel_rows(arrivals, *args)
+            rows += windows.shape[1]
+            return peel_rows(windows, *args)
 
         monkeypatch.setattr(oracle_mod, "_peel_rows", counted)
         rng = np.random.default_rng(38)
@@ -193,7 +193,7 @@ class TestExactCurveBatched:
 
 
 class TestExactCurveGapped:
-    """Runs of uncovered slots shrink to one slot of the grid; the curves do not change."""
+    """The peel does not see the length of a run of uncovered slots; the curves do not change."""
 
     @staticmethod
     def two_clusters(gap: int) -> Instance:
@@ -203,19 +203,10 @@ class TestExactCurveGapped:
             jobs.append(Job(3 * c + 2, base + 2, base + 4, 3.0))
         return Instance(jobs)
 
-    def test_grid_squeezed_and_curve_unchanged(self, monkeypatch):
+    def test_grid_squeezed_and_curve_unchanged(self):
         expected = exact_limited_attack_curve(self.two_clusters(1), QUAD)
-        grids = []
-        peel_rows = oracle_mod._peel_rows
-
-        def recorded(arrivals, deadlines, *args):
-            grids.append(int(deadlines.max()) + 1)
-            return peel_rows(arrivals, deadlines, *args)
-
-        monkeypatch.setattr(oracle_mod, "_peel_rows", recorded)
-        # each cluster spans 5 slots; the 300 uncovered slots between them keep one
+        # each cluster spans 5 slots, with 1 or 300 uncovered slots between them
         assert exact_limited_attack_curve(self.two_clusters(300), QUAD) == expected
-        assert max(grids) == 11
 
     def test_equals_reference_loop_exactly(self):
         rng = np.random.default_rng(39)
@@ -224,29 +215,24 @@ class TestExactCurveGapped:
             assert exact_limited_attack_curve(inst, QUAD) == reference_exact_limited_attack_curve(inst, QUAD)
 
 
-class TestExactCurveGridGuard:
-    """A grid whose one-row table exceeds _TABLE_CELLS is rejected before anything is enumerated."""
+class TestExactCurveWideWindows:
+    """The rank tables do not grow with window widths: wide windows are solved, not refused."""
 
     @staticmethod
     def wide(width: int) -> Instance:
         return Instance([Job(0, 1, width, 1.0), Job(1, 2, 3, 1.0)])
 
-    def test_wide_window_rejected_at_once(self, monkeypatch):
-        def enumerated(*args):
-            raise AssertionError("enumerated a grid past the table limit")
+    def test_wide_window_solved(self):
+        # about 600 altered instances, each on tables of at most 2 x 2 cells
+        inst = self.wide(200)
+        assert exact_limited_attack_curve(inst, QUAD) == reference_exact_limited_attack_curve(inst, QUAD)
 
-        monkeypatch.setattr(oracle_mod, "_peel_rows", enumerated)
-        with pytest.raises(ValueError, match="too large"):
-            exact_limited_attack_curve(self.wide(200), QUAD)
-
-    def test_limit_is_one_row_table(self, monkeypatch):
-        # the squeezed grid of wide(w) is w slots
-        monkeypatch.setattr(oracle_mod, "_TABLE_CELLS", 25)
-        assert exact_limited_attack_curve(self.wide(5), QUAD) == reference_exact_limited_attack_curve(
-            self.wide(5), QUAD
-        )
-        with pytest.raises(ValueError, match="too large"):
-            exact_limited_attack_curve(self.wide(6), QUAD)
+    def test_table_cells_do_not_bound_the_window(self, monkeypatch):
+        # two jobs make one row of at most 4 cells, however wide the window
+        monkeypatch.setattr(oracle_mod, "_TABLE_CELLS", 4)
+        for width in (5, 6, 50):
+            inst = self.wide(width)
+            assert exact_limited_attack_curve(inst, QUAD) == reference_exact_limited_attack_curve(inst, QUAD)
 
 
 class TestExactCurvePinned:

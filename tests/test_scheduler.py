@@ -11,7 +11,7 @@ from gridsched.harness import GenParams, generate_instance, make_identical_insta
 from gridsched.model import CostModel, Instance, Job, _job_arrays, apply_attack, baseline_cost, evaluate_cost
 from gridsched.oracle import check_min_optimality
 from gridsched.scheduler import (
-    _critical_arrays,
+    _critical_rows,
     _peel,
     edf_fill,
     even_cost,
@@ -43,13 +43,15 @@ def two_job_instance() -> Instance:
 def critical(inst: Instance) -> tuple[int, int, float, frozenset[int]]:
     """(start, end, level, member ids) of the instance's first critical interval, by the endpoint reference.
 
-    The arrival-by-deadline tables of ``_critical_arrays`` must give the
-    reference's interval, level and members exactly.
+    The first round of ``_critical_rows`` on the instance as one row must
+    give the reference's interval, level and members exactly.
     """
     ids, arrivals, deadlines, energies = _job_arrays(inst)
     start, end, level, mask = reference_critical_arrays(arrivals, deadlines, energies)
-    got = _critical_arrays(arrivals, deadlines, energies)
-    assert got[:3] == (start, end, level) and np.array_equal(got[3], mask)
+    first_round = _critical_rows(np.array((arrivals, deadlines))[:, None], energies[None])
+    _, got_start, got_end, got_level, member, _ = next(first_round)
+    assert (got_start.tolist(), got_end.tolist(), got_level.tolist()) == ([start], [end], [level])
+    assert np.array_equal(member[0], mask)
     return start, end, level, frozenset(ids[mask].tolist())
 
 
@@ -301,7 +303,8 @@ class TestPeelKeptTables:
         seen = dict.fromkeys(("row s", "column s - 1", "one point", "column 0", "no row below"), 0)
         excise = scheduler._excise
 
-        def recorded(arrivals, deadlines, start, end):
+        def recorded(windows, start, end):
+            arrivals, deadlines = windows
             clamped_a = arrivals[(arrivals > start) & (arrivals <= end)]
             clamped_d = deadlines[(deadlines >= start) & (deadlines <= end)]
             seen["row s"] += clamped_a.size > 0
@@ -309,7 +312,7 @@ class TestPeelKeptTables:
             seen["one point"] += np.intersect1d(clamped_a, clamped_d).size > 0
             seen["column 0"] += bool(deadlines.min() >= start - 1)
             seen["no row below"] += bool(arrivals.max() <= end + 1)
-            return excise(arrivals, deadlines, start, end)
+            return excise(windows, start, end)
 
         monkeypatch.setattr(scheduler, "_excise", recorded)
         rng = np.random.default_rng(22)
@@ -337,16 +340,18 @@ class TestPeelKeptTables:
 
     def test_switch_to_rebuilds_partway(self, monkeypatch):
         inst = generate_instance(GenParams(100, 3.0, 10.0, 1.0, 5.0, seed=2024))
-        assert max(component_points(inst)) >= scheduler._INCREMENTAL_MIN_POINTS
+        points = component_points(inst)
+        assert len(points) == 1 and points[0] >= scheduler._INCREMENTAL_MIN_POINTS
         rebuilds = []
 
-        def counted(*args):
-            rebuilds.append(args)
-            return _critical_arrays(*args)
+        def counted(windows, energies):
+            assert energies.shape[0] == 1  # the one component's tail, as one row
+            for found in _critical_rows(windows, energies):
+                rebuilds.append(found)
+                yield found
 
-        monkeypatch.setattr(scheduler, "_critical_arrays", counted)
+        monkeypatch.setattr(scheduler, "_critical_rows", counted)
         segments = assert_peel_matches_reference(inst)
-        # the reference holds its own binding of _critical_arrays: only _peel's rebuilds count
         assert 0 < len(rebuilds) < segments
 
 
@@ -385,20 +390,77 @@ class TestPeelComponents:
         monkeypatch.setattr(scheduler, "_INCREMENTAL_MIN_POINTS", switch)
         widths = []
 
-        def rebuilt(arrivals, deadlines, energies):
-            widths.append(np.unique(np.concatenate((arrivals, deadlines))).size)
-            return _critical_arrays(arrivals, deadlines, energies)
+        def rebuilt(windows, energies):
+            # a batch's tables are as wide as its widest row's live points, at the first round
+            widths.append(max(np.unique(w[:, live]).size for w, live in zip(windows.swapaxes(0, 1), energies > 0)))
+            return _critical_rows(windows, energies)
 
         class Kept(scheduler._PeelTables):
             def __init__(self, starts, ends, *args):
                 widths.append(np.union1d(starts, ends).size)
                 super().__init__(starts, ends, *args)
 
-        monkeypatch.setattr(scheduler, "_critical_arrays", rebuilt)
+        monkeypatch.setattr(scheduler, "_critical_rows", rebuilt)
         monkeypatch.setattr(scheduler, "_PeelTables", Kept)
         inst = generate_instance(GenParams(200, 5.0, 5.0, 1.0, 5.0, seed=3))
         min_cost(inst, QUAD)
         assert widths and max(widths) <= max(component_points(inst)) < len(inst.endpoints()) // 10
+
+
+class TestCriticalRows:
+    """One batch of rows of mixed sizes, padded: each row's rounds equal its own peel's."""
+
+    @staticmethod
+    def rows() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        rng = np.random.default_rng(40)
+        rows = [_job_arrays(random_instance_in_horizon(rng, 12, 8, max_window=4))[1:] for _ in range(4)]
+        rows.append((np.ones(300, np.int64), np.full(300, 3), rng.uniform(1.0, 5.0, 300)))  # colliding windows
+        _, arrivals, deadlines, energies = _job_arrays(generate_instance(GenParams(40, 3.0, 5.0, 1.0, 5.0, seed=7)))
+        rows.append((arrivals + 2**60, deadlines + 2**60, energies))
+        big = 2**53  # one component whose window spans more than 2^53 slots
+        rows.append(
+            (np.array([1, 5, 9, big // 2, 3]), np.array([big + 7, 6, 9, big // 2 + 1, big + 7]),
+             np.array([3.0, 2.0, 1.5, 4.0, 0.5]))
+        )
+        return rows
+
+    def test_mixed_batch_equals_each_rows_peel(self):
+        rows = self.rows()
+        width = max(a.size for a, _, _ in rows) + 3
+        rng = np.random.default_rng(41)
+        windows = rng.integers(1, 2**62, (2, len(rows), width))  # the padding's windows: anything
+        energies = np.zeros((len(rows), width))  # padding weighs +0.0
+        columns = []
+        for r, (arrivals, deadlines, row_energies) in enumerate(rows):
+            cols = np.sort(rng.choice(width, arrivals.size, replace=False))  # padding before, between and after
+            windows[:, r, cols] = arrivals, deadlines
+            energies[r, cols] = row_energies
+            columns.append(cols)
+        got = [[] for _ in rows]
+        for todo, start, end, level, member, found in _critical_rows(windows, energies):
+            for q, r in enumerate(todo.tolist()):
+                got[r].append((start[q], end[q], level[q], np.flatnonzero(member[q]), found[:, q, member[q]]))
+        for r, (arrivals, deadlines, row_energies) in enumerate(rows):
+            expected = list(reference_peel(arrivals, deadlines, row_energies))
+            assert len(got[r]) == len(expected) > 0
+            for (start, end, level, cols, found), (*want, picked, want_a, want_d) in zip(got[r], expected):
+                assert (start, end, level) == tuple(want)
+                assert np.array_equal(cols, columns[r][picked])
+                assert np.array_equal(found, [want_a, want_d])
+
+    def test_table_grows_with_points_not_jobs(self, monkeypatch):
+        arrivals, deadlines, energies = self.rows()[4]
+        sizes = []
+        bincount = np.bincount
+
+        def recorded(*args, minlength=0, **kwargs):
+            sizes.append(minlength)
+            return bincount(*args, minlength=minlength, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", recorded)
+        rounds = list(_critical_rows(np.array((arrivals, deadlines))[:, None], energies[None]))
+        # 300 jobs in [1, 3]: one arrival point by one deadline point, and the front row and column
+        assert len(rounds) == 1 and sizes == [2 * 2]
 
 
 class TestScheduleOnlineEven:
