@@ -388,7 +388,7 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
         while rows < len(small) and (rows + 1) * sizes[small[rows]] ** 2 <= _TABLE_CELLS:
             rows += 1
         batch, small = small[:rows], small[rows:]
-        index = np.full((rows, sizes[batch[-1]]), -1)  # a padding job repeats the last job, at weight +0.0
+        index = np.full((rows, sizes[batch[-1]]), -1)  # -1 pads: the instance's last job, at weight +0.0
         for row, k in zip(index, batch):
             row[: sizes[k]] = members[k]
         for k, peel in zip(batch, _peel_batch(windows[:, index], np.where(index >= 0, energies[index], 0.0), index)):
