@@ -42,12 +42,13 @@ class Job:
     energy: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
-            raise ValueError(f"job id must be an integer >= 0, got {self.id!r}")
+        # every array path holds ids and slots as int64
+        if not isinstance(self.id, int) or isinstance(self.id, bool) or not 0 <= self.id <= 2**63 - 1:
+            raise ValueError(f"job id must be an integer in [0, 2^63 - 1], got {self.id!r}")
         for name in ("arrival", "deadline"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"job {self.id}: {name} must be an integer slot >= 1, got {value!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= 2**63 - 1:
+                raise ValueError(f"job {self.id}: {name} must be an integer slot in [1, 2^63 - 1], got {value!r}")
         if self.arrival > self.deadline:
             raise ValueError(f"job {self.id}: arrival {self.arrival} exceeds deadline {self.deadline}")
         object.__setattr__(self, "energy", float(self.energy))

@@ -28,6 +28,7 @@ same instance as the smaller set without it, already counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -195,7 +196,10 @@ def check_min_optimality(
     error in proportion to their size.  Single swaps are not enough:
     improving moves may need chains of transfers, hence the path search.
     Linear costs (exponent 1) make every admissible schedule optimal.
+    Raises ValueError unless ``tol`` is finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     if cost.exponent == 1.0:
         return MinOptimalityResult(True)
     loads: dict[int, float] = {}

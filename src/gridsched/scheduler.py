@@ -23,11 +23,11 @@ Each round maximizes over tables of contained energy and intensity with
 one row per arrival point and one column per deadline point of the jobs
 left: a maximum-intensity interval starts at a release and ends at a
 deadline (Yao, Demers and Shenker, FOCS 1995).  One function,
-``_critical_rows``, builds every such table that is rebuilt each round,
-for a batch of instances at once: the small components of an instance,
-the last rounds of a large one, the exact oracle's enumerated instances.
-Each instance's first maximum in row-major order is, bit for bit, that of
-tables over every endpoint pair of its own jobs:
+``_critical_rows``, rebuilds such tables every round for a batch of whole
+instances at once: the small components of an instance, or the exact
+oracle's enumerated instances.  Each instance's first maximum in
+row-major order is, bit for bit, that of tables over every endpoint pair
+of its own jobs:
 
 - extra rows: a row with no arrival adds only exact +0.0, so it holds the
   next row's sums over a longer span (below 2^52 slots C / span and
@@ -39,15 +39,16 @@ tables over every endpoint pair of its own jobs:
   no sum, so every other cell adds the same terms in the same order.
 
 Rebuilding the tables every round costs O(segments * rows * columns), so
-from ``_INCREMENTAL_MIN_POINTS`` table points up the peel keeps them
-(``_PeelTables``).  A cut [s, e] changes only the cells in rows whose
-arrival point is <= s and columns whose deadline point is >= s - 1,
-after the cut: rows to its right only shift, and no job in a column left
-of s - 1 moves.  That rectangle is recomputed from the unchanged row
-below it and column left of it, so every sum adds the same terms in the
-same order as a rebuild, every cell is bit for bit a rebuild's, and the
-intervals, levels and members are too.  Spans are differences of int64
-slots, exact at any slot offset.  Below the switch, rebuilding is cheaper.
+a component of ``_INCREMENTAL_MIN_POINTS`` table points or more keeps them
+from its first round to its last (``_PeelTables``).  A cut [s, e] changes
+only the cells in rows whose arrival point is <= s and columns whose
+deadline point is >= s - 1, after the cut: rows to its right only shift,
+and no job in a column left of s - 1 moves.  That rectangle is recomputed
+from the unchanged row below it and column left of it, so every sum adds
+the same terms in the same order as a rebuild, every cell is bit for bit
+a rebuild's, and the intervals, levels and members are too.  Spans are
+differences of int64 slots, exact at any slot offset.  Below the switch,
+the batched rebuild is cheaper.
 
 An online heuristic that spreads each job evenly over its own window is
 provided for comparison; it upper-bounds the offline optimum.  Both the
@@ -149,16 +150,16 @@ def _critical_rows(windows: np.ndarray, energies: np.ndarray):
         windows, count = _excise(windows[:, going], start[going], end[going]), todo.size
 
 
-# Below this many table points (arrival points plus deadline points) a round
-# rebuilds its tables, the component's jobs left peeled as one row of
-# _critical_rows: there the fixed numpy-call overhead of an update outweighs
-# the cells it saves.  Whole peels of one-component generate_instance draws,
-# every round on kept tables against every round rebuilt (Python 3.11, numpy
-# 2.4, shared 2-vCPU x86-64, CPU time, best of 7): 1.1 vs 0.7 ms at 48 points,
-# 2.5 vs 1.9 ms at 144, 4.4 vs 4.6 ms at 210, 5.0 vs 6.5 ms at 249.  On fig3's
-# 200 peels (about 190 points each) switch values from 128 to 224 timed alike;
-# 96 and 256 were slower in most runs.  Not re-timed since one-row rounds of
-# _critical_rows replaced a per-instance rebuild about a fifth cheaper.
+# A component of this many table points (arrival points plus deadline points)
+# or more is peeled on kept tables from its first round to its last; a smaller
+# one is rebuilt every round in a _critical_rows batch with the other small
+# components, where the fixed numpy-call overhead of an update outweighs the
+# cells it saves.  Median CPU time of fig3's 200 peels and controller-n400's 16
+# (its 8 draws and their online attacks), seed-1 draws, the values alternated
+# in one process over 12 rounds (Python 3.11, numpy 2.4, shared 2-vCPU x86-64),
+# at 96 / 128 / 192 / 256 points: fig3 0.689 / 0.571 / 0.569 / 0.594 s,
+# controller 0.158 / 0.162 / 0.156 / 0.161 s.  At seed 2 over 16 rounds, 128
+# against 192 read fig3 0.599 vs 0.603 s and controller 0.166 vs 0.158 s.
 _INCREMENTAL_MIN_POINTS = 128
 
 
@@ -299,23 +300,8 @@ def _components(arrivals: np.ndarray, deadlines: np.ndarray) -> tuple[np.ndarray
     return label, gaps[gaps > 0]
 
 
-def _peel_batch(windows: np.ndarray, energies: np.ndarray, index: np.ndarray) -> list[list]:
-    """Each row's (start, end, level, picked, member windows) per interval, peeled by ``_critical_rows``.
-
-    ``index`` maps a row's columns to what ``picked`` reports."""
-    peels = [[] for _ in range(energies.shape[0])]
-    for rows, start, end, level, member, found in _critical_rows(windows, energies):
-        for q, (r, s, e, x) in enumerate(zip(rows.tolist(), start.tolist(), end.tolist(), level.tolist())):
-            mask = member[q]
-            peels[r].append((s, e, x, index[r][mask], found[:, q].compress(mask, axis=1)))
-    return peels
-
-
 def _peel_component(index: np.ndarray, windows: np.ndarray, energies: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """One component's intervals as ``_peel_batch`` lists them, from its arrival and deadline points on.
-
-    Kept tables while ``_INCREMENTAL_MIN_POINTS`` last, then the jobs left as one row of ``_critical_rows``.
-    """
+    """One component's (start, end, level, picked, member windows) per interval, every round on its kept tables."""
     tables = _PeelTables(starts, ends, *windows, energies)
     while True:
         start, end, level = tables.critical()
@@ -327,11 +313,7 @@ def _peel_component(index: np.ndarray, windows: np.ndarray, energies: np.ndarray
         windows = _excise(windows[:, keep], start, end)
         energies = energies[keep]
         index = index[keep]
-        starts, ends = _distinct(windows[0]), _distinct(windows[1])
-        if starts.size + ends.size < _INCREMENTAL_MIN_POINTS:
-            break
-        tables = tables.cut(start, end, starts, ends, *windows, energies)
-    yield from _peel_batch(windows[:, None], energies[None], index[None])[0]
+        tables = tables.cut(start, end, _distinct(windows[0]), _distinct(windows[1]), *windows, energies)
 
 
 def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -361,9 +343,10 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
     to the lower component index, and each yield is shifted left by the
     width already cut from the components to its left.
 
-    A component of ``_INCREMENTAL_MIN_POINTS`` table points or more is
-    peeled by ``_peel_component``.  The smaller ones are peeled together by
-    ``_critical_rows``, sorted by job count, in batches whose rows times
+    Which tables a component is peeled on is decided once, at its first
+    round.  A component of ``_INCREMENTAL_MIN_POINTS`` table points or more
+    is peeled by ``_peel_component``.  The smaller ones are peeled together
+    by ``_critical_rows``, sorted by job count, in batches whose rows times
     largest job count squared stay within ``_TABLE_CELLS``.
     """
     if not arrivals.size:
@@ -373,7 +356,7 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
     sizes = np.bincount(label).tolist()
     members = [by_label[hi - size : hi] for size, hi in zip(sizes, np.cumsum(sizes).tolist())]
     windows = np.array((arrivals, deadlines))
-    peels: list = [None] * len(sizes)
+    peels: list = [[] for _ in sizes]
     small = []
     for k, m in enumerate(members):
         if 2 * m.size >= _INCREMENTAL_MIN_POINTS:  # n jobs have at most 2n table points
@@ -391,8 +374,12 @@ def _peel(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
         index = np.full((rows, sizes[batch[-1]]), -1)  # -1 pads: the instance's last job, at weight +0.0
         for row, k in zip(index, batch):
             row[: sizes[k]] = members[k]
-        for k, peel in zip(batch, _peel_batch(windows[:, index], np.where(index >= 0, energies[index], 0.0), index)):
-            peels[k] = peel
+        for todo, start, end, level, member, found in _critical_rows(
+            windows[:, index], np.where(index >= 0, energies[index], 0.0)
+        ):
+            for q, (r, s, e, x) in enumerate(zip(todo.tolist(), start.tolist(), end.tolist(), level.tolist())):
+                mask = member[q]
+                peels[batch[r]].append((s, e, x, index[r][mask], found[:, q].compress(mask, axis=1)))
     cut = [0] * len(peels)  # width cut so far from each component
     for k, (start, end, level, picked, member_windows) in heapq.merge(
         *(zip(repeat(k), peel) for k, peel in enumerate(peels)), key=lambda head: -head[1][2]

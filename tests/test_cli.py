@@ -106,6 +106,14 @@ def test_oracle_verify_min(instance_file, capsys):
     assert "optimal = true" in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_oracle_verify_min_invalid_tol_reports_error(instance_file, capsys, tol):
+    assert main(["oracle", "verify-min", instance_file, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tolerance must be finite and >= 0" in captured.err
+
+
 def test_custom_exponent(instance_file, capsys):
     assert main(["solve-min", instance_file, "--b", "1"]) == 0
     assert "c_min = 4" in capsys.readouterr().out
@@ -125,6 +133,15 @@ def test_missing_file_reports_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
     assert main(["solve-min", missing]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_slot_past_int64_reports_line(tmp_path, capsys):
+    path = tmp_path / "far.csv"
+    path.write_text("id,arrival,deadline,energy\n1,1,18446744073709551616,6.0\n")
+    assert main(["solve-min", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "line 2" in captured.err
 
 
 def test_invalid_beta_reports_error(instance_file, capsys):

@@ -53,11 +53,24 @@ class TestJob:
             dict(id=0, arrival=1, deadline=2, energy=0.0),
             dict(id=0, arrival=1, deadline=2, energy=-1.0),
             dict(id=0, arrival=1, deadline=2, energy=math.inf),
+            dict(id=2**63, arrival=1, deadline=2, energy=1.0),
+            dict(id=0, arrival=1, deadline=2**63, energy=1.0),
+            dict(id=0, arrival=2**63, deadline=2**63, energy=1.0),
         ],
     )
     def test_invalid_jobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Job(**kwargs)
+
+    def test_last_int64_slot_and_id(self):
+        from gridsched.attacker import full_attack_dp
+        from gridsched.scheduler import min_cost, schedule_optimal_offline
+
+        top = 2**63 - 1
+        inst = Instance([Job(top, top - 1, top, 6.0)])
+        assert min_cost(inst, QUAD) == 18.0
+        assert full_attack_dp(inst, QUAD)[2] == 36.0
+        assert schedule_optimal_offline(inst).allocations == {(top, top - 1): 3.0, (top, top): 3.0}
 
 
 class TestInstance:
@@ -368,6 +381,13 @@ class TestInstanceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("id,arrival,deadline,energy\n0,1,2,1.0\n1,5,4,1.0\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_instance_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,1,18446744073709551616,6.0", "9223372036854775808,1,3,6.0"])
+    def test_past_int64_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,arrival,deadline,energy\n0,1,2,1.0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: .*2\\^63 - 1"):
             read_instance_csv(path)
 
     def test_non_integer_slot_rejected(self, tmp_path):

@@ -295,6 +295,12 @@ class TestCheckMinOptimality:
         scaled = Instance([Job(1, 1, 2, 2e11), Job(2, 2, 3, 2e11)])
         assert not check_min_optimality(scaled, baseline_schedule(scaled), QUAD).optimal
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        inst = Instance([Job(1, 1, 3, 6.0)])
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            check_min_optimality(inst, Schedule(inst, {(1, 1): 6.0}), QUAD, tol=tol)
+
     def test_rejects_improvable_random_schedules(self):
         # an even spread is optimal only when no load-decreasing chain exists;
         # compare the certifier's verdict with a cost comparison against the optimum

@@ -338,21 +338,25 @@ class TestPeelKeptTables:
         plan, _, _ = online_edf_attack(inst, QUAD)
         assert_peel_matches_reference(apply_attack(inst, plan))
 
-    def test_switch_to_rebuilds_partway(self, monkeypatch):
+    def test_kept_tables_to_the_last_round(self, monkeypatch):
+        # a large component stays on its kept tables down to its last job
         inst = generate_instance(GenParams(100, 3.0, 10.0, 1.0, 5.0, seed=2024))
         points = component_points(inst)
         assert len(points) == 1 and points[0] >= scheduler._INCREMENTAL_MIN_POINTS
-        rebuilds = []
+        cuts = []
 
-        def counted(windows, energies):
-            assert energies.shape[0] == 1  # the one component's tail, as one row
-            for found in _critical_rows(windows, energies):
-                rebuilds.append(found)
-                yield found
+        def rebuilt(windows, energies):
+            raise AssertionError("a large component's rounds are rebuilt")
 
-        monkeypatch.setattr(scheduler, "_critical_rows", counted)
+        class Kept(scheduler._PeelTables):
+            def cut(self, *args):
+                cuts.append(args[:2])
+                return super().cut(*args)
+
+        monkeypatch.setattr(scheduler, "_critical_rows", rebuilt)
+        monkeypatch.setattr(scheduler, "_PeelTables", Kept)
         segments = assert_peel_matches_reference(inst)
-        assert 0 < len(rebuilds) < segments
+        assert len(cuts) == segments - 1
 
 
 class TestPeelComponents:
