@@ -163,28 +163,20 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
     Repeatedly take the earliest deadline among remaining jobs, gather
     every remaining job arriving by then into one block pinned at that
     deadline, and drop them.  Runs in O(n log n); the value never exceeds
-    the optimal attack.
+    the optimal attack.  A block's energies are added left to right, costed
+    with Python's scalar ``**``.
     """
-    jobs = instance.jobs
-    if not jobs:
-        return AttackPlan.empty(), CliquePartition(()), 0.0
-    suffix_min = [0] * len(jobs)
-    running = jobs[-1].deadline
-    for idx in range(len(jobs) - 1, -1, -1):
-        running = min(running, jobs[idx].deadline)
-        suffix_min[idx] = running
-
+    ids, arrivals, deadlines, energies = _job_arrays(instance)
+    pins = np.minimum.accumulate(deadlines[::-1])[::-1].tolist()  # the earliest deadline from each job on
+    ids, energies = ids.tolist(), energies.tolist()
     blocks: list[CliqueBlock] = []
     value = 0.0
-    idx = 0
-    while idx < len(jobs):
-        pin = suffix_min[idx]
-        group = []
-        while idx < len(jobs) and jobs[idx].arrival <= pin:
-            group.append(jobs[idx])
-            idx += 1
-        blocks.append(CliqueBlock(pin, frozenset(j.id for j in group)))
-        value += float(cost(_added(j.energy for j in group)))
+    first = 0
+    while first < len(ids):
+        stop = int(np.searchsorted(arrivals, pins[first], "right"))  # past the last job arriving by the pin
+        blocks.append(CliqueBlock(pins[first], frozenset(ids[first:stop])))
+        value += float(cost(_added(energies[first:stop])))
+        first = stop
     partition = CliquePartition(tuple(blocks))
     return partition.to_plan(instance), partition, value
 

@@ -5,8 +5,8 @@ arrival == deadline == t occupies exactly slot t, and a window [k, l]
 spans l - k + 1 slots.  Energies are real valued; attack slots are
 integers.  All types are immutable values after construction and every
 operation is a pure function, so everything here is safe to share across
-concurrent callers.  A ``Schedule`` keeps its allocations as a dict but
-checks them as numpy arrays, with the errors of an entry-by-entry loop.
+concurrent callers.  Computations read the numpy arrays that an ``Instance``
+keeps of its jobs and a ``Schedule`` of the entries it accepts.
 """
 
 from __future__ import annotations
@@ -99,18 +99,30 @@ class Instance:
         return max((j.deadline for j in self.jobs), default=0)
 
     @cached_property
-    def _by_id(self) -> dict[int, Job]:
-        return {j.id: j for j in self.jobs}
+    def _index(self) -> dict[int, int]:
+        return {j.id: k for k, j in enumerate(self.jobs)}
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        arrays = (
+            np.array([j.id for j in self.jobs], dtype=np.int64),
+            np.array([j.arrival for j in self.jobs], dtype=np.int64),
+            np.array([j.deadline for j in self.jobs], dtype=np.int64),
+            np.array([j.energy for j in self.jobs], dtype=np.float64),
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     def job(self, job_id: int) -> Job:
         try:
-            return self._by_id[job_id]
+            return self.jobs[self._index[job_id]]
         except KeyError:
             raise KeyError(f"unknown job id {job_id}") from None
 
     @property
     def job_ids(self) -> frozenset[int]:
-        return frozenset(self._by_id)
+        return frozenset(self._index)
 
     @cached_property
     def total_energy(self) -> float:
@@ -118,8 +130,7 @@ class Instance:
 
     def endpoints(self) -> tuple[int, ...]:
         """Sorted set of all arrival and deadline slots."""
-        points = {j.arrival for j in self.jobs} | {j.deadline for j in self.jobs}
-        return tuple(sorted(points))
+        return tuple(np.union1d(*self._arrays[1:3]).tolist())
 
     def allowance_range(self) -> tuple[int, int]:
         """(smallest, largest) allowance over the jobs; rejects empty instances."""
@@ -130,14 +141,8 @@ class Instance:
 
 
 def _job_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ids, arrivals, deadlines and energies of the jobs as numpy arrays, in instance order."""
-    jobs = instance.jobs
-    return (
-        np.array([j.id for j in jobs], dtype=np.int64),
-        np.array([j.arrival for j in jobs], dtype=np.int64),
-        np.array([j.deadline for j in jobs], dtype=np.int64),
-        np.array([j.energy for j in jobs], dtype=np.float64),
-    )
+    """Ids, arrivals, deadlines and energies of the jobs in instance order: read-only, built once per instance."""
+    return instance._arrays
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,7 @@ class Schedule:
     forms.  A failure raises for the first offending entry, checking its
     amount's finiteness, then its sign, its job id and its slot; once every
     entry passes, for the first job in instance order whose total misses
-    its energy.
+    its energy.  The kept entries' slots and amounts stay as arrays too.
     """
 
     instance: Instance
@@ -183,11 +188,10 @@ class Schedule:
 
     def __init__(self, instance: Instance, allocations: Mapping[tuple[int, int], float]) -> None:
         jobs, size = instance.jobs, len(allocations)
-        index = {job.id: k for k, job in enumerate(jobs)}
+        _, arrivals, deadlines, energies = _job_arrays(instance)
         # one window per job, and for unknown ids a last one that holds no slot
-        arrivals, deadlines = np.array([(job.arrival, job.deadline) for job in jobs] + [(1, 0)]).T
-        energies = np.array([job.energy for job in jobs])
-        where = np.fromiter(map(index.get, map(itemgetter(0), allocations), repeat(len(jobs))), np.intp, size)
+        arrivals, deadlines = np.append(arrivals, 1), np.append(deadlines, 0)
+        where = np.fromiter(map(instance._index.get, map(itemgetter(0), allocations), repeat(len(jobs))), np.intp, size)
         slots = list(map(itemgetter(1), allocations))
         amounts = np.fromiter(map(float, allocations.values()), np.float64, size)
         try:
@@ -218,15 +222,14 @@ class Schedule:
             raise ValueError(
                 f"job {jobs[k].id}: allocated {float(totals[k])!r} does not conserve energy {jobs[k].energy!r}"
             )
+        keep = ~zero  # every kept slot is a Python int inside a window, so it fits int64
         object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "allocations", dict(compress(zip(allocations, amounts.tolist()), (~zero).tolist())))
+        object.__setattr__(self, "allocations", dict(compress(zip(allocations, amounts.tolist()), keep.tolist())))
+        object.__setattr__(self, "_entries", (at[keep].astype(np.int64), amounts[keep]))
 
     def slot_loads(self) -> dict[int, float]:
         """Total load per slot, ascending by slot; zero-load slots omitted."""
-        loads: dict[int, float] = {}
-        for (_, slot), amount in self.allocations.items():
-            loads[slot] = loads.get(slot, 0.0) + amount
-        return dict(sorted(loads.items()))
+        return dict(zip(*(array.tolist() for array in _slot_loads(*self._entries))))
 
 
 @dataclass(frozen=True)
@@ -338,25 +341,25 @@ def _added(terms: Iterable[float]) -> float:
     return reduce(add, terms, 0.0)
 
 
+def _slot_loads(slots: np.ndarray, amounts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied slots, ascending, and their loads, each added in input order from 0.0 as a dict loop adds."""
+    occupied, where = np.unique(slots, return_inverse=True)
+    return occupied, np.bincount(where, weights=amounts, minlength=occupied.size)
+
+
 def _slot_cost(slots: np.ndarray, amounts: np.ndarray, cost: CostModel) -> float:
     """Total cost of the loads that ``amounts`` put on ``slots``.
 
-    Each slot's load is added up in input order (``np.bincount`` adds in
-    input order, as accumulating into a dict does), and cost(load) is summed
-    left to right over the occupied slots in ascending order with Python's
-    scalar pow: numpy's array ``**`` differs from it in the last bit on some
-    loads.
+    cost(load) is summed left to right over the occupied slots in ascending
+    order with Python's scalar pow: numpy's array ``**`` differs from it in
+    the last bit on some loads.
     """
-    occupied, where = np.unique(slots, return_inverse=True)
-    loads = np.bincount(where, weights=amounts, minlength=occupied.size)
-    return _added(cost(load) for load in loads.tolist())
+    return _added(cost(load) for load in _slot_loads(slots, amounts)[1].tolist())
 
 
 def evaluate_cost(schedule: Schedule, cost: CostModel) -> float:
-    """Total cost of a schedule: sum of the per-slot cost over its load profile."""
-    allocations = schedule.allocations
-    slots = np.fromiter(map(itemgetter(1), allocations), np.int64, len(allocations))
-    return _slot_cost(slots, np.fromiter(allocations.values(), np.float64, len(allocations)), cost)
+    """Total cost of a schedule: ``_slot_cost`` of the entries it kept, the cost of ``slot_loads()``."""
+    return _slot_cost(*schedule._entries, cost)
 
 
 def baseline_cost(instance: Instance, cost: CostModel) -> float:

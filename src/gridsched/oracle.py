@@ -70,8 +70,7 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
         return 0.0
     assignments = _guarded_product([j.allowance + 1 for j in instance.jobs])
     _, arrivals, deadlines, energies = _job_arrays(instance)
-    _, gaps = _components(arrivals, deadlines)
-    covered = int(deadlines.max() - arrivals.min() + 1 - gaps.sum())
+    _, covered = _components(arrivals, deadlines)
     if assignments * covered > _LOAD_CELLS:
         raise ValueError(
             f"instance too large for exhaustive enumeration ({assignments} assignments on a {covered}-slot grid"
@@ -202,14 +201,11 @@ def check_min_optimality(
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     if cost.exponent == 1.0:
         return MinOptimalityResult(True)
-    loads: dict[int, float] = {}
-    movers: dict[int, list[int]] = {}
-    for (jid, slot), amount in schedule.allocations.items():
-        loads[slot] = loads.get(slot, 0.0) + amount
+    loads = schedule.slot_loads()
+    movers: dict[int, list[int]] = {}  # each slot's movers by ascending id
+    for (jid, slot), amount in sorted(schedule.allocations.items()):
         if amount > tol:
             movers.setdefault(slot, []).append(jid)
-    for jobs_here in movers.values():
-        jobs_here.sort()
     gap_tol = tol * max(1.0, max(loads.values(), default=0.0))
 
     for source in sorted(movers):

@@ -90,6 +90,9 @@ _TABLE_CELLS = 1 << 14
 squared, and the brute-force oracle's (rows, slots) loads.  On the benchmark's desk-scale oracle pass
 (Python 3.11, numpy 2.4) the peak RSS was the same at 2^14 and 2^16 cells and 4 MiB higher at 2^18."""
 
+# Most entries a schedule or even spread may hold: 2^22 dict entries take ~1 GiB; the workloads build 2.2e4 at most.
+_MAX_ENTRIES = 1 << 22
+
 
 def _critical_rows(windows: np.ndarray, energies: np.ndarray):
     """The peel loop on every row's instance at once, all rows in lockstep.
@@ -284,20 +287,20 @@ class _PeelTables:
         self.best[:rows] = I[np.arange(rows), self.best_col[:rows]]
 
 
-def _components(arrivals: np.ndarray, deadlines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the jobs at the runs of slots that no window covers.
+def _components(arrivals: np.ndarray, deadlines: np.ndarray) -> tuple[np.ndarray, int]:
+    """Split the jobs, at least one, at the runs of slots that no window covers.
 
-    Returns each job's component, numbered left to right, and the length
-    of the uncovered run before each component but the first.  Sorted by
-    arrival, a job opens a new component when it arrives more than one
-    slot past every earlier deadline.
+    Returns each job's component, numbered left to right, and how many
+    slots the windows cover.  Sorted by arrival, a job opens a new
+    component when it arrives more than one slot past every earlier
+    deadline.
     """
     order = np.argsort(arrivals, kind="stable")
     reach = np.maximum.accumulate(deadlines[order])
     gaps = arrivals[order[1:]] - reach[:-1] - 1
     label = np.empty_like(order)
     label[order] = np.concatenate(([0], np.cumsum(gaps > 0)))
-    return label, gaps[gaps > 0]
+    return label, int(reach[-1] - arrivals[order[0]] + 1 - gaps[gaps > 0].sum())
 
 
 def _peel_component(index: np.ndarray, windows: np.ndarray, energies: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -483,6 +486,9 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     """
     del cost
     ids, arrivals, deadlines, energies = _job_arrays(instance)
+    # a slot's fill makes at most one entry besides those that finish a job
+    if ids.size and (entries := _components(arrivals, deadlines)[1] + ids.size) > _MAX_ENTRIES:
+        raise ValueError(f"the optimal schedule would hold up to {entries} entries, over the {_MAX_ENTRIES} allowed")
     # a job lies in one segment, so no two segments' fills share a key
     local: dict[tuple[int, int], float] = {}
     cuts = []  # (entries of the segments so far, start, width) per segment
@@ -499,6 +505,8 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
 def _even_spread(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
     """Job index, slot and share of every entry of the even spread, jobs in input order, slots ascending."""
     widths = deadlines - arrivals + 1
+    if (entries := sum(widths.tolist())) > _MAX_ENTRIES:  # Python ints: the widths may add past int64
+        raise ValueError(f"the even spread would hold {entries} entries, over the {_MAX_ENTRIES} allowed")
     job = np.repeat(np.arange(widths.size), widths)
     first = np.cumsum(widths) - widths  # position of each job's first entry
     slot = np.arange(job.size) + (arrivals - first)[job]

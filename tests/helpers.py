@@ -3,12 +3,27 @@
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
+import pytest
 
 from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
-from gridsched.model import ENERGY_TOL, AttackPlan, CostModel, Instance, Job, Schedule, _job_arrays
+from gridsched.model import (
+    ENERGY_TOL,
+    AttackPlan,
+    CliqueBlock,
+    CliquePartition,
+    CostModel,
+    Instance,
+    Job,
+    Schedule,
+    _added,
+    _job_arrays,
+)
 from gridsched.scheduler import _excise
 
 
@@ -52,6 +67,25 @@ def random_instance_in_horizon(
         energy = float(rng.uniform(energy_low, energy_high))
         jobs.append(Job(idx, arrival, deadline, energy))
     return Instance(jobs)
+
+
+@contextmanager
+def within_seconds(seconds: float):
+    """Fail the test once the block has run ``seconds`` of wall time, instead of letting it run on.
+
+    Needs POSIX timers, so call it from the main thread.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def intensity(instance: Instance, start: int, end: int) -> float:
@@ -201,15 +235,56 @@ def reference_online_even(instance: Instance) -> dict[tuple[int, int], float]:
     return allocations
 
 
-def reference_cost(allocations: dict[tuple[int, int], float], cost: CostModel) -> float:
-    """Loads accumulated per slot in insertion order, then scalar cost(load) summed over ascending slots."""
+def reference_slot_loads(allocations: dict[tuple[int, int], float]) -> dict[int, float]:
+    """Loads accumulated per slot in insertion order, ascending by slot.
+
+    The loop ``Schedule.slot_loads`` and the certifier's load map ran before
+    both read ``model._slot_loads``.
+    """
     loads: dict[int, float] = {}
     for (_, slot), amount in allocations.items():
         loads[slot] = loads.get(slot, 0.0) + amount
+    return dict(sorted(loads.items()))
+
+
+def reference_entry_arrays(allocations: dict[tuple[int, int], float]) -> tuple[np.ndarray, np.ndarray]:
+    """The slots and amounts of the allocations in insertion order: ``evaluate_cost``'s conversion of the dict."""
+    slots = np.fromiter(map(itemgetter(1), allocations), np.int64, len(allocations))
+    return slots, np.fromiter(allocations.values(), np.float64, len(allocations))
+
+
+def reference_cost(allocations: dict[tuple[int, int], float], cost: CostModel) -> float:
+    """Loads accumulated per slot in insertion order, then scalar cost(load) summed over ascending slots."""
     total = 0.0
-    for _, load in sorted(loads.items()):
+    for load in reference_slot_loads(allocations).values():
         total += cost(load)  # left to right; the built-in sum compensates from Python 3.12 on
     return total
+
+
+def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
+    """``online_edf_attack`` as two loops over the Job objects: suffix minima of the deadlines, then the blocks."""
+    jobs = instance.jobs
+    if not jobs:
+        return AttackPlan.empty(), CliquePartition(()), 0.0
+    suffix_min = [0] * len(jobs)
+    running = jobs[-1].deadline
+    for idx in range(len(jobs) - 1, -1, -1):
+        running = min(running, jobs[idx].deadline)
+        suffix_min[idx] = running
+
+    blocks: list[CliqueBlock] = []
+    value = 0.0
+    idx = 0
+    while idx < len(jobs):
+        pin = suffix_min[idx]
+        group = []
+        while idx < len(jobs) and jobs[idx].arrival <= pin:
+            group.append(jobs[idx])
+            idx += 1
+        blocks.append(CliqueBlock(pin, frozenset(j.id for j in group)))
+        value += float(cost(_added(j.energy for j in group)))
+    partition = CliquePartition(tuple(blocks))
+    return partition.to_plan(instance), partition, value
 
 
 def limited_greedy(instance: Instance, beta: float, cost: CostModel) -> tuple[AttackPlan, float]:

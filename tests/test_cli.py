@@ -5,7 +5,7 @@ import pytest
 from gridsched.cli import main
 from gridsched.model import CostModel, Instance, Job, write_instance_csv
 
-from helpers import reference_exact_limited_attack_curve
+from helpers import reference_exact_limited_attack_curve, within_seconds
 
 
 @pytest.fixture()
@@ -142,6 +142,17 @@ def test_slot_past_int64_reports_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "line 2" in captured.err
+
+
+@pytest.mark.parametrize("command", [["solve-min"], ["oracle", "verify-min"]])
+def test_widest_window_refused_at_once(tmp_path, capsys, command):
+    path = tmp_path / "wide.csv"
+    path.write_text("id,arrival,deadline,energy\n1,1,9223372036854775807,6.0\n")
+    with within_seconds(1.0):
+        assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "9223372036854775808 entries" in captured.err
 
 
 def test_invalid_beta_reports_error(instance_file, capsys):

@@ -15,6 +15,7 @@ from gridsched.model import (
     Instance,
     Job,
     Schedule,
+    _job_arrays,
     _slot_cost,
     apply_attack,
     baseline_cost,
@@ -100,6 +101,17 @@ class TestInstance:
         inst = two_job_instance()
         assert inst.endpoints() == (1, 2, 3)
         assert inst.allowance_range() == (1, 1)
+
+    def test_job_arrays_built_once_and_read_only(self):
+        inst = Instance([Job(7, 2, 4, 1.5), Job(3, 1, 1, 2.0)])
+        arrays = _job_arrays(inst)
+        assert all(again is first for again, first in zip(_job_arrays(inst), arrays))
+        assert [a.tolist() for a in arrays] == [[3, 7], [1, 2], [1, 4], [2.0, 1.5]]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(array, 1, out=array)
 
 
 class TestCostModel:

@@ -1,4 +1,4 @@
-"""Metamorphic properties of the attack DP, the peel and the budgeted attacks."""
+"""Metamorphic properties of the attack DP, the peel and the budgeted attacks, and the array paths' references."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,20 @@ from gridsched.attacker import (
     full_attack_dp,
     limited_attack_curve,
     limited_greedy_from_partition,
+    online_edf_attack,
 )
-from gridsched.model import CostModel, Instance, Job
+from gridsched.model import CostModel, Instance, Job, _slot_cost, apply_attack, evaluate_cost
 from gridsched.oracle import check_min_optimality, exact_limited_attack_curve
-from gridsched.scheduler import min_cost, schedule_optimal_offline
+from gridsched.scheduler import min_cost, schedule_online_even, schedule_optimal_offline
 
-from helpers import spread_out
+from helpers import (
+    baseline_schedule,
+    reference_cost,
+    reference_entry_arrays,
+    reference_online_edf_attack,
+    reference_slot_loads,
+    spread_out,
+)
 
 EXPONENTS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
 
@@ -119,3 +127,42 @@ def test_budget_curve_is_monotone(gaps, exponent):
     )
     curve = limited_attack_curve(inst, CostModel(exponent), inst.n + 1)
     assert all(curve[m] <= curve[m + 1] for m in range(inst.n + 1))
+
+
+def specs_of(max_arrival: int, max_allowance: int):
+    jobs = st.tuples(st.integers(1, max_arrival), st.integers(0, max_allowance), st.floats(0.5, 8.0))
+    return st.lists(jobs, max_size=12)
+
+
+# random (arrivals spread out), colliding (most jobs share an arrival) and pinned (every window one slot)
+ARRAY_INSTANCES = st.one_of(specs_of(40, 6), specs_of(3, 4), specs_of(8, 0)).map(build)
+
+
+@settings(max_examples=60)
+@given(ARRAY_INSTANCES, EXPONENTS)
+def test_online_attack_equals_job_loops(inst, exponent):
+    cost = CostModel(exponent)
+    plan, partition, value = online_edf_attack(inst, cost)
+    ref_plan, ref_partition, ref_value = reference_online_edf_attack(inst, cost)
+    assert (plan, partition, repr(value)) == (ref_plan, ref_partition, repr(ref_value))
+    # each block's members iterate as the reference's: built from ids in instance order
+    assert [list(b.members) for b in partition.blocks] == [list(b.members) for b in ref_partition.blocks]
+
+
+@settings(max_examples=60)
+@given(ARRAY_INSTANCES, EXPONENTS)
+def test_schedule_loads_and_cost_equal_dict_loops(inst, exponent):
+    cost = CostModel(exponent)
+    attacked = apply_attack(inst, online_edf_attack(inst, cost)[0])
+    schedules = (
+        schedule_optimal_offline(inst),
+        schedule_online_even(inst),
+        baseline_schedule(inst),
+        schedule_optimal_offline(attacked),
+    )
+    for schedule in schedules:
+        allocations = schedule.allocations
+        assert list(schedule.slot_loads().items()) == list(reference_slot_loads(allocations).items())
+        slots, amounts = reference_entry_arrays(allocations)
+        value = repr(evaluate_cost(schedule, cost))
+        assert value == repr(_slot_cost(slots, amounts, cost)) == repr(reference_cost(allocations, cost))

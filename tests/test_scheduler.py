@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridsched import scheduler
-from gridsched.attacker import online_edf_attack
+from gridsched.attacker import full_attack_dp, online_edf_attack
 from gridsched.harness import GenParams, generate_instance, make_identical_instance
 from gridsched.model import CostModel, Instance, Job, _job_arrays, apply_attack, baseline_cost, evaluate_cost
 from gridsched.oracle import check_min_optimality
@@ -31,6 +31,7 @@ from helpers import (
     reference_online_even,
     reference_peel,
     spread_out,
+    within_seconds,
 )
 
 QUAD = CostModel(2.0)
@@ -532,3 +533,31 @@ class TestEvenCost:
 
     def test_empty_instance(self):
         assert even_cost(Instance([]), QUAD) == 0.0
+
+
+class TestEntryBound:
+    """Schedules and even spreads past ``_MAX_ENTRIES`` entries are refused before any is built."""
+
+    def test_window_one_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "_MAX_ENTRIES", 10)
+        # the optimal schedule counts covered slots plus jobs, the even spread its window widths
+        inst = Instance([Job(1, 5, 14, 6.0)])
+        with pytest.raises(ValueError, match="optimal schedule would hold up to 11 entries, over the 10 allowed"):
+            schedule_optimal_offline(inst)
+        assert len(schedule_online_even(inst).allocations) == 10
+        assert len(schedule_optimal_offline(Instance([Job(1, 5, 13, 6.0)])).allocations) == 9
+        wider = Instance([Job(1, 5, 15, 6.0)])
+        for build in (schedule_online_even, lambda spread: even_cost(spread, QUAD)):
+            with pytest.raises(ValueError, match="even spread would hold 11 entries, over the 10 allowed"):
+                build(wider)
+
+    def test_widest_windows(self):
+        top = 2**63 - 1
+        inst = Instance([Job(1, 1, top, 6.0)])
+        with within_seconds(1.0), pytest.raises(ValueError, match=f"up to {top + 1} entries"):
+            schedule_optimal_offline(inst)
+        # the widths add past int64
+        with pytest.raises(ValueError, match=f"hold {2 * top} entries"):
+            even_cost(Instance([Job(1, 1, top, 6.0), Job(2, 1, top, 6.0)]), QUAD)
+        assert min_cost(inst, QUAD) == pytest.approx(36.0 / top, rel=1e-12)
+        assert full_attack_dp(inst, QUAD)[2] == 36.0
