@@ -168,12 +168,12 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
     """
     ids, arrivals, deadlines, energies = _job_arrays(instance)
     pins = np.minimum.accumulate(deadlines[::-1])[::-1].tolist()  # the earliest deadline from each job on
-    ids, energies = ids.tolist(), energies.tolist()
+    ids, arrivals, energies = ids.tolist(), arrivals.tolist(), energies.tolist()
     blocks: list[CliqueBlock] = []
     value = 0.0
     first = 0
     while first < len(ids):
-        stop = int(np.searchsorted(arrivals, pins[first], "right"))  # past the last job arriving by the pin
+        stop = bisect_right(arrivals, pins[first], first)  # past the last job arriving by the pin
         blocks.append(CliqueBlock(pins[first], frozenset(ids[first:stop])))
         value += float(cost(_added(energies[first:stop])))
         first = stop
