@@ -30,7 +30,7 @@ from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     AttackPlan,
@@ -99,12 +99,12 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     del weights  # the loop below holds four q-by-q tables and the half-size offsets
 
     # skewed read-only views, so that every operand of a width is a basic slice:
-    # by_start[i, m] = prefix[i, i+m], by_end[j, q-m] = prefix[j+1-m, j+1] (a view of
-    # prefix transposed) and diag[i, m] = prefix[i+m+1, i+m]; the views run past the
+    # by_start[i, m] = prefix[i, i+m], by_end[j, q-m] = prefix[j+1-m, j+1] (of prefix
+    # transposed) and diag[i, m] = prefix[i+m+1, i+m]; the first two are every
+    # (q + 2)-th window of q + 1 entries of the flat table, so they run past the
     # table edge into the next row, whose entries are never read
-    step = (q + 2) * prefix.itemsize, prefix.itemsize
-    by_start = as_strided(prefix, (q, q + 1), step, writeable=False)
-    by_end = as_strided(np.ascontiguousarray(prefix.T).ravel()[2:], (q, q + 1), step, writeable=False)
+    by_start = sliding_window_view(prefix.ravel(), q + 1)[:: q + 2]
+    by_end = sliding_window_view(np.ascontiguousarray(prefix.T).ravel()[2:], q + 1)[:: q + 2]
     diag = sliding_window_view(np.append(np.diagonal(prefix, -1), np.zeros(q)), q + 1)
 
     # lefts[i, k]: value of [i, i+k-1]; rights[j, q-m]: value of [j-m+1, j]
@@ -333,9 +333,8 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     per deadline point, plus a zero row and column that stand for none.
 
     The DP runs width by width.  Each width is evaluated in a few array
-    operations over every evaluated interval that contains a job and every
-    kept anchor of it; an anchor is kept when it has clique members or is
-    the first of a run of memberless anchors, which all split alike.  Budget
+    operations over every evaluated interval and every anchor of it, as one
+    dense block; an interval with no job comes out as exact zeros.  Budget
     vectors are non-decreasing and saturate once every contained job can
     be altered, so a width is solved only up to its largest contained job
     count, each interval's vector is held flat beyond its own count, and
@@ -398,24 +397,14 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     for width in range(q):
         i = starts[: np.searchsorted(starts, q - width)]
         i = i[is_deadline[i + width]]
-        j = i + width
-        contained = cnt[q, j + 1] - cnt[i, j + 1]
-        live = contained > 0
-        if not live.any():
+        if not i.size:
             continue
-        i, j, contained = i[live], j[live], contained[live]
-        caps = np.minimum(budget, contained)
+        j = i + width
+        caps = np.minimum(budget, cnt[q, j + 1] - cnt[i, j + 1])
         cols = int(caps.max()) + 1
-
-        z = i[:, None] + np.arange(width + 1, dtype=np.int64)[None, :]
-        ii, jj = i[:, None], (j + 1)[:, None]
-        has_members = (cnt[z + 1, jj] - cnt[ii, jj] - cnt[z + 1, z] + cnt[ii, z]) > 0
-        keep = has_members.copy()
-        keep[:, 0] = True
-        keep[:, 1:] |= has_members[:, :-1]
-        cell, offset = np.nonzero(keep)
-        ci, cj = i[cell], j[cell]
-        cz = ci + offset
+        # every interval with each of its width + 1 anchors, interval by interval
+        ci, cj = np.repeat(i, width + 1), np.repeat(j, width + 1)
+        cz = (i[:, None] + np.arange(width + 1)).ravel()
 
         # split: the best use of each budget on [i, z-1] and [z+1, j] together;
         # addition commutes exactly, so shift whichever side saturates first
@@ -454,7 +443,7 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         value = _maxplus_columns(gains.T, split, count)
         del gains, split  # keeps the peak at a few (budget, rows) arrays
         # back to rows grouped by interval, then the best anchor of each
-        best = np.maximum.reduceat(value[:, np.argsort(by_count)], np.flatnonzero(offset == 0), axis=1)
+        best = value[:, np.argsort(by_count)].reshape(cols, i.size, width + 1).max(axis=2)
         saturate = np.minimum(np.arange(budget + 1)[:, None], caps)
         table[first_arrival[i], last_deadline[j + 1]] = np.take_along_axis(best, saturate, axis=0).T
 

@@ -29,6 +29,7 @@ same instance as the smaller set without it, already counted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -196,12 +197,20 @@ def check_min_optimality(
     improving moves may need chains of transfers, hence the path search.
     Linear costs (exponent 1) make every admissible schedule optimal.
     Raises ValueError unless ``tol`` is finite and >= 0.
+
+    The search from a slot visits, in each mover's window, only the
+    occupied slots, in ascending order, so a window costs its occupied
+    slots and not its width.  An unoccupied slot has no movers; it is a
+    witness exactly when the source's own load exceeds the gap tolerance,
+    and then the window's first one is the witness a slot-by-slot walk
+    would return, so the walk stops there.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     if cost.exponent == 1.0:
         return MinOptimalityResult(True)
     loads = schedule.slot_loads()
+    occupied = list(loads)  # ascending
     movers: dict[int, list[int]] = {}  # each slot's movers by ascending id
     for (jid, slot), amount in sorted(schedule.allocations.items()):
         if amount > tol:
@@ -209,6 +218,7 @@ def check_min_optimality(
     gap_tol = tol * max(1.0, max(loads.values(), default=0.0))
 
     for source in sorted(movers):
+        to_empty = loads[source] > gap_tol  # whether an unoccupied slot is a witness
         seen = {source}
         parent: dict[int, tuple[int, int]] = {}
         frontier = [source]
@@ -217,7 +227,13 @@ def check_min_optimality(
             for here in frontier:
                 for jid in movers.get(here, ()):
                     job = instance.job(jid)
-                    for there in range(job.arrival, job.deadline + 1):
+                    window = occupied[bisect_left(occupied, job.arrival) : bisect_right(occupied, job.deadline)]
+                    if to_empty:
+                        # the window's occupied slots up to its first unoccupied one, then that one
+                        free = next((k for k, slot in enumerate(window) if slot != job.arrival + k), len(window))
+                        if job.arrival + free <= job.deadline:
+                            window = window[:free] + [job.arrival + free]
+                    for there in window:
                         if there in seen:
                             continue
                         seen.add(there)

@@ -24,6 +24,7 @@ from gridsched.model import (
     _added,
     _job_arrays,
 )
+from gridsched.oracle import MinOptimalityResult
 from gridsched.scheduler import _excise
 
 
@@ -259,6 +260,50 @@ def reference_cost(allocations: dict[tuple[int, int], float], cost: CostModel) -
     for load in reference_slot_loads(allocations).values():
         total += cost(load)  # left to right; the built-in sum compensates from Python 3.12 on
     return total
+
+
+def reference_check_min_optimality(
+    instance: Instance, schedule: Schedule, cost: CostModel, tol: float = 1e-7
+) -> MinOptimalityResult:
+    """The certifier's search visiting every slot of each mover's window, occupied or not.
+
+    ``check_min_optimality`` ran this walk before it visited only the
+    occupied slots; it costs each window's width.
+    """
+    if cost.exponent == 1.0:
+        return MinOptimalityResult(True)
+    loads = schedule.slot_loads()
+    movers: dict[int, list[int]] = {}  # each slot's movers by ascending id
+    for (jid, slot), amount in sorted(schedule.allocations.items()):
+        if amount > tol:
+            movers.setdefault(slot, []).append(jid)
+    gap_tol = tol * max(1.0, max(loads.values(), default=0.0))
+
+    for source in sorted(movers):
+        seen = {source}
+        parent: dict[int, tuple[int, int]] = {}
+        frontier = [source]
+        while frontier:
+            nxt: list[int] = []
+            for here in frontier:
+                for jid in movers.get(here, ()):
+                    job = instance.job(jid)
+                    for there in range(job.arrival, job.deadline + 1):
+                        if there in seen:
+                            continue
+                        seen.add(there)
+                        parent[there] = (here, jid)
+                        if loads[source] - loads.get(there, 0.0) > gap_tol:
+                            hops: list[tuple[int, int, int]] = []
+                            at = there
+                            while at != source:
+                                prev, via = parent[at]
+                                hops.append((prev, via, at))
+                                at = prev
+                            return MinOptimalityResult(False, tuple(reversed(hops)))
+                        nxt.append(there)
+            frontier = nxt
+    return MinOptimalityResult(True)
 
 
 def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:

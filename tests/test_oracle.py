@@ -8,6 +8,7 @@ from gridsched.attacker import limited_attack_curve
 from gridsched.harness import GenParams, generate_instance
 from gridsched.model import CostModel, Instance, Job, Schedule, evaluate_cost
 from gridsched.oracle import (
+    MinOptimalityResult,
     brute_force_max_cost,
     check_min_optimality,
     exact_limited_attack_curve,
@@ -16,6 +17,7 @@ from gridsched.scheduler import min_cost, schedule_optimal_offline
 
 from helpers import (
     baseline_schedule,
+    within_seconds,
     random_instance,
     random_instance_in_horizon,
     reference_exact_limited_attack_curve,
@@ -300,6 +302,17 @@ class TestCheckMinOptimality:
         inst = Instance([Job(1, 1, 3, 6.0)])
         with pytest.raises(ValueError, match=f"got {tol!r}"):
             check_min_optimality(inst, Schedule(inst, {(1, 1): 6.0}), QUAD, tol=tol)
+
+    def test_widest_window_costs_its_occupied_slots(self):
+        # a slot-by-slot walk of this window would visit 2^62 slots
+        width = 2**62 - 10
+        inst = Instance([Job(1, 1, width, 0.05), Job(2, width + 5, width + 5, 1e6)])
+        schedule = baseline_schedule(inst)
+        with within_seconds(1):
+            # the gap tolerance (1e-7 of the largest load) is above slot 1's load, so no slot beats it
+            assert check_min_optimality(inst, schedule, QUAD) == MinOptimalityResult(True)
+            # at tolerance 0 the first unoccupied slot of the window is the witness
+            assert check_min_optimality(inst, schedule, QUAD, tol=0.0).witness == ((1, 1, 2),)
 
     def test_rejects_improvable_random_schedules(self):
         # an even spread is optimal only when no load-decreasing chain exists;

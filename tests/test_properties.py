@@ -11,12 +11,13 @@ from gridsched.attacker import (
     limited_greedy_from_partition,
     online_edf_attack,
 )
-from gridsched.model import CostModel, Instance, Job, _slot_cost, apply_attack, evaluate_cost
+from gridsched.model import CostModel, Instance, Job, Schedule, _slot_cost, apply_attack, evaluate_cost
 from gridsched.oracle import check_min_optimality, exact_limited_attack_curve
 from gridsched.scheduler import min_cost, schedule_online_even, schedule_optimal_offline
 
 from helpers import (
     baseline_schedule,
+    reference_check_min_optimality,
     reference_cost,
     reference_entry_arrays,
     reference_online_edf_attack,
@@ -166,3 +167,32 @@ def test_schedule_loads_and_cost_equal_dict_loops(inst, exponent):
         slots, amounts = reference_entry_arrays(allocations)
         value = repr(evaluate_cost(schedule, cost))
         assert value == repr(_slot_cost(slots, amounts, cost)) == repr(reference_cost(allocations, cost))
+
+
+def perturbed_schedule(inst: Instance, seed: int) -> Schedule:
+    """An admissible schedule that splits each job at random over a random part of its window."""
+    rng = np.random.default_rng(seed)
+    allocations = {}
+    for job in inst.jobs:
+        shares = rng.random(job.allowance + 1) * (rng.random(job.allowance + 1) < 0.6)
+        if not shares.any():
+            shares[rng.integers(shares.size)] = 1.0
+        shares = shares / shares.sum() * job.energy
+        allocations.update(((job.id, job.arrival + k), float(share)) for k, share in enumerate(shares))
+    return Schedule(inst, allocations)
+
+
+@settings(max_examples=60)
+@given(ARRAY_INSTANCES, st.integers(0, 2**32 - 1))
+def test_certifier_equals_slot_by_slot_walk(inst, seed):
+    cost = CostModel(2.0)
+    schedules = (
+        schedule_optimal_offline(inst),
+        schedule_online_even(inst),
+        baseline_schedule(inst),
+        perturbed_schedule(inst, seed),
+    )
+    for schedule in schedules:
+        for tol in (0.0, 1e-7, 0.05):
+            verdict = check_min_optimality(inst, schedule, cost, tol)
+            assert verdict == reference_check_min_optimality(inst, schedule, cost, tol)
