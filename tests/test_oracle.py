@@ -17,10 +17,10 @@ from gridsched.scheduler import min_cost, schedule_optimal_offline
 
 from helpers import (
     baseline_schedule,
-    within_seconds,
     random_instance,
     random_instance_in_horizon,
     reference_exact_limited_attack_curve,
+    within_seconds,
 )
 
 QUAD = CostModel(2.0)
