@@ -2,10 +2,10 @@
 
 An unlimited attacker compresses every job to a single slot, which turns
 cost maximization into finding a clique partition of the induced interval
-graph that maximizes the summed per-clique cost.  Because every maximal
-clique of an interval graph is anchored at some window endpoint, an
-interval dynamic program over endpoint pairs solves this exactly; a
-single-pass EDF grouping gives an online alternative.
+graph that maximizes the summed per-clique cost.  Some optimum holds all
+the jobs covering some deadline point as one clique, so an interval DP
+over arrival-to-deadline intervals anchored at deadline points solves
+this exactly; a single-pass EDF grouping gives an online alternative.
 
 A budget-limited attacker alters at most floor(beta * n) jobs.  The
 greedy strategy (``limited_greedy_from_partition``) reuses the unlimited
@@ -30,7 +30,6 @@ from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     AttackPlan,
@@ -64,96 +63,117 @@ def _endpoint_index(arrivals: np.ndarray, deadlines: np.ndarray):
 def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
     """Optimal unlimited attack: maximum-cost clique partition by interval DP.
 
-    Solves, over endpoint pairs [k, l] in increasing width, the recursion
-    that anchors a maximal clique at some endpoint z of [k, l] (the
-    contained jobs covering z) and recurses on [k, z-1] and [z+1, l].
-    Returns the full-compression plan, the achieving partition, and the
-    maximum cost.  Ties prefer the smallest anchor slot.
+    Returns the full-compression plan, the achieving partition, and c_max,
+    the table's own value.  The table has a row r per arrival point A_r and
+    a column c per deadline point D_c; cell (r, c) is [A_r, D_c].  Its
+    anchors are the deadline points D_k inside it.  With s(k) the number of
+    arrival points <= D_k, the clique at D_k holds the jobs of arrival row
+    in [r, s(k)) and deadline column in [k, c], the left part is cell
+    (r, k - 1) and the right part cell (s(k), c), each worth 0 if it holds
+    no interval.  The smallest best anchor wins ties, and a block is pinned
+    at its latest member arrival, which every member covers.
 
-    Clique energies come from 2-D prefix sums by inclusion-exclusion.  For
-    a fixed width w every operand is affine in the interval start i and
-    the anchor offset k (z = i + k, j = i + w), so each is stored once in
-    a skewed table, indexed by start or by end, and a whole width is
-    evaluated on basic slices of those tables, in the same operation order
-    and with the same first-maximum tie rule as an anchor-by-anchor loop.
-    Each width is evaluated in place in one scratch buffer, allocated once
-    and sized for the largest width's (q - w) x (w + 1) block, about q^2/4
-    cells; ``np.power`` into that buffer equals ``cost`` bit for bit.
-    The rounding residue of the inclusion-exclusion can leave a clique that
-    contains no job a slightly negative energy, whose cost a non-integer
-    exponent makes NaN; such a cost counts as zero.  That scan runs only at
-    non-integer exponents: integer exponents make no NaN and keep the
-    residue's own cost, so their results stay bit for bit those of the
-    plain evaluation.
+    This is exact in real numbers: every interval holds the jobs of a cell,
+    and an optimum's largest block, pinned at its earliest member deadline,
+    can take every other job covering it without losing cost, by convexity.
+    In floats each clique energy is the inclusion-exclusion of 2-D prefix
+    sums, bit for bit as over all endpoint pairs; rounding residues decide
+    only exact ties, as at exponent 1, where every partition costs the same.
+
+    The DP runs one diagonal d = c - r at a time, both parts lying below,
+    as one block of rows by anchors.  Each operand is a strided view with a
+    contiguous anchor axis: the prefix sums by row and, at row s(k), by
+    column and anchor; the right parts by column and anchor.  The left table
+    holds -inf before each row's first anchor and 0 at it, and results go
+    back with ``np.maximum``, so a cell that holds no interval keeps its 0
+    or -inf.  Sums run in the order of an anchor-by-anchor loop, and
+    ``np.power`` equals ``cost`` bit for bit.  At non-integer exponents the
+    NaN cost of an empty clique's negative residue counts as zero, zeroed
+    before the mask is added.  A masked anchor's cost that overflows to inf
+    turns NaN under the mask, which raises.
     """
     if instance.n == 0:
         return AttackPlan.empty(), CliquePartition(()), 0.0
 
     job_ids, arrivals, deadlines, energies = _job_arrays(instance)
-    points, a_idx, d_idx = _endpoint_index(arrivals, deadlines)
-    q = points.size
+    starts, ends = np.unique(arrivals), np.unique(deadlines)
+    rows, cols = starts.size, ends.size
+    row, col = np.searchsorted(starts, arrivals), np.searchsorted(ends, deadlines)
+    first = np.searchsorted(ends, starts)  # each row's first anchor
+    after = np.searchsorted(starts, ends, side="right")  # s(k)
 
-    weights = np.bincount(a_idx * q + d_idx, weights=energies, minlength=q * q).reshape(q, q)
-    prefix = np.zeros((q + 1, q + 1))
-    prefix[1:, 1:] = weights.cumsum(axis=0).cumsum(axis=1)
-    del weights  # the loop below holds four q-by-q tables and the half-size offsets
+    # row r holds intervals on diagonals first[r] - r to cols - 1 - r: per diagonal, the first and last such row
+    slack = first - np.arange(rows)
+    diagonals = np.arange(slack.min(), cols)
+    low = np.searchsorted(-np.minimum.accumulate(slack), -diagonals)
+    last = np.searchsorted(np.minimum.accumulate(slack[::-1])[::-1], diagonals, side="right") - 1
+    high = np.minimum(last, cols - 1 - diagonals)
+    # and the smallest first-anchor offset k - r among the rows between them
+    least = np.minimum.reduceat(np.append(slack, 0), np.stack((low, high + 1), axis=1).ravel())[::2]
+    # float tables keep anchor (or column) k at entry pad + k, the pad holding the anchors k < 0 that a block reaches
+    pad = max(0, -int((low + least).min()))
+    stride = pad + cols + 1
 
-    # skewed read-only views, so that every operand of a width is a basic slice:
-    # by_start[i, m] = prefix[i, i+m], by_end[j, q-m] = prefix[j+1-m, j+1] (of prefix
-    # transposed) and diag[i, m] = prefix[i+m+1, i+m]; the first two are every
-    # (q + 2)-th window of q + 1 entries of the flat table, so they run past the
-    # table edge into the next row, whose entries are never read
-    by_start = sliding_window_view(prefix.ravel(), q + 1)[:: q + 2]
-    by_end = sliding_window_view(np.ascontiguousarray(prefix.T).ravel()[2:], q + 1)[:: q + 2]
-    diag = sliding_window_view(np.append(np.diagonal(prefix, -1), np.zeros(q)), q + 1)
+    by_row = np.zeros((rows + 1, stride))  # by_row[r, pad + c]: jobs of arrival row < r and deadline column < c
+    by_row[1:, pad + 1 :] = np.bincount(row * cols + col, energies, rows * cols).reshape(rows, cols).cumsum(0).cumsum(1)
+    # by_anchor[c, pad + k] = by_row[s(k), pad + c] and corner[pad + k] = by_row[s(k), pad + k]
+    by_anchor = np.pad(by_row[after, pad:].T.copy(), ((0, 0), (pad, 1)))
+    corner = np.pad(by_row[after, pad + np.arange(cols)], (pad, 1))
+    lefts = np.full((rows, stride), -np.inf)  # lefts[r, pad + k]: value of cell (r, k - 1)
+    lefts[np.arange(rows), pad + first] = 0.0
+    holds = np.append(first, cols)[after] <= np.arange(cols)[:, None]  # cell (s(k), c) holds an interval
+    rights = np.pad(np.where(holds, -np.inf, 0.0), ((0, 0), (pad, 1)))  # rights[c, pad + k]: value of cell (s(k), c)
+    # cell (s, s + d) is the right part of every anchor k with s(k) = s, at rights[s + d, pad + k]
+    shares, spots = np.bincount(after, minlength=rows + 1), after * stride + pad + np.arange(cols)
+    lower, upper = np.searchsorted(after, low), np.searchsorted(after, high, side="right")
+    anchors = np.empty((diagonals.size, rows), dtype=np.int32)  # anchors[d - diagonals[0], r]: best k - r
 
-    # lefts[i, k]: value of [i, i+k-1]; rights[j, q-m]: value of [j-m+1, j]
-    lefts = np.zeros((q, q + 1))
-    rights = np.zeros((q, q + 1))
-    offset = np.zeros((q, q), dtype=np.int32)  # offset[i, j]: best anchor of [i, j] minus i
-    diagonals = offset.ravel()  # diagonals[w :: q+1] runs along the intervals of width w
-    # every width is evaluated in place in one buffer, sized for the largest (q - w) x (w + 1)
-    scratch = np.empty(max((q - w) * (w + 1) for w in range(q)))
-    rows = np.arange(q)
-    integer_exponent = cost.exponent.is_integer()
+    scratch = np.empty(int(((high - low + 1) * (diagonals - least + 1)).max()))
+    index, flat_rights, integer_exponent = np.arange(rows), rights.ravel(), cost.exponent.is_integer()
+    down, skew = (8 * (stride + 1),), (8 * (stride + 1), 8)  # byte strides of the next row and the next anchor
+    bounds = zip(diagonals.tolist(), low.tolist(), high.tolist(), least.tolist(), lower.tolist(), upper.tolist())
     with np.errstate(invalid="ignore"):
-        for width in range(q):
-            count = q - width
-            # clique energy: jobs with arrival index in [i, z] and deadline index in [z, j]
-            clique = scratch[: count * (width + 1)].reshape(count, width + 1)
-            np.subtract(by_end[width:, q - width :], by_start[:count, width + 1 : width + 2], out=clique)
-            clique -= diag[:count, : width + 1]
-            clique += by_start[:count, : width + 1]
+        for d, lo, hi, t, k0, k1 in bounds:
+            shape = (hi - lo + 1, d - t + 1)
+            at = 8 * (lo * (stride + 1) + pad + t)  # byte offset of entry (lo, pad + lo + t) of a row table
+            # clique energy: jobs of arrival row in [r, s(k)) and deadline column in [k, r + d]
+            clique = scratch[: shape[0] * shape[1]].reshape(shape)
+            totals = np.ndarray(shape, float, by_row, at + 8 * (d + 1 - t), (down[0], 0))
+            np.subtract(np.ndarray(shape, float, by_anchor, at + 8 * (d + 1) * stride, skew), totals, out=clique)
+            clique -= np.ndarray(shape, float, corner, 8 * (pad + lo + t), (8, 8))
+            clique += np.ndarray(shape, float, by_row, at, skew)
             np.power(clique, cost.exponent, out=clique)
             if not integer_exponent:
-                # a clique with no job may carry a rounding residue just below zero, which a
-                # non-integer exponent (and only such) turns into NaN; such a clique costs nothing
                 np.copyto(clique, 0.0, where=np.isnan(clique))
-            clique += lefts[:count, : width + 1]
-            clique += rights[width:, q - width :]
+            clique += np.ndarray(shape, float, lefts, at, skew)
+            clique += np.ndarray(shape, float, rights, at + 8 * d * stride, skew)
             best = clique.argmax(axis=1)
-            diagonals[width :: q + 1][:count] = best
-            value = clique[rows[:count], best]
-            lefts[:count, width + 1] = value
-            rights[width:, q - width - 1] = value
-    c_max = float(lefts[0, q])
+            value = clique[index[: shape[0]], best]
+            np.add(best, t, out=anchors[d - diagonals[0], lo : hi + 1])
+            out = np.ndarray(shape[:1], float, lefts, at + 8 * (d + 1 - t), down)
+            np.maximum(out, value, out=out)
+            if k0 < k1:
+                spot = spots[k0:k1] + d * stride
+                flat_rights[spot] = np.maximum(flat_rights[spot], np.repeat(value, shares[lo : hi + 1]))
+    c_max = float(lefts[0, -1])
+    if math.isnan(c_max):
+        raise FloatingPointError("clique costs overflow float64")
 
-    blocks: list[CliqueBlock] = []
-    stack = [(0, q - 1)]
+    begin = np.searchsorted(row, np.arange(rows + 1))  # jobs come sorted by arrival: row r's run from begin[r]
+    reach = np.append(np.minimum.accumulate(col[::-1])[::-1], cols)[begin]  # earliest deadline column from row r on
+    blocks, stack = [], [(0, cols - 1)]
     while stack:
-        i, j = stack.pop()
-        if i > j:
-            continue
-        if prefix[q, j + 1] - prefix[i, j + 1] == 0.0:
+        r, c = stack.pop()
+        if c < reach[r]:
             continue  # no contained jobs
-        z = i + int(offset[i, j])
-        members = job_ids[(a_idx >= i) & (a_idx <= z) & (d_idx >= z) & (d_idx <= j)]
-        if members.size:
-            blocks.append(CliqueBlock(int(points[z]), frozenset(members.tolist())))
-        stack.append((i, z - 1))
-        stack.append((z + 1, j))
-    blocks.sort(key=lambda block: block.slot)
-    partition = CliquePartition(tuple(blocks))
+        k = r + int(anchors[c - r - diagonals[0], r])
+        jobs = slice(begin[r], begin[after[k]])
+        members = (col[jobs] >= k) & (col[jobs] <= c)
+        if members.any():
+            blocks.append(CliqueBlock(int(arrivals[jobs][members].max()), frozenset(job_ids[jobs][members].tolist())))
+        stack.append((r, k - 1))
+        stack.append((int(after[k]), c))
+    partition = CliquePartition(tuple(sorted(blocks, key=lambda block: block.slot)))
     return partition.to_plan(instance), partition, c_max
 
 
@@ -208,11 +228,11 @@ def limited_greedy_from_partition(
     forces (``realized_attack_cost``), and at beta = 1, where every clique
     fits, it is the partition's cost, which ``full_attack_dp`` reports.
     The three paths add the same energies and costs in different orders,
-    so in floating point either relation can miss by a few ulps.  On 300
-    generator draws (n = 5-59, b in {1, 1.5, 2, 3}) the beta = 1 value
-    differed from c_max on 1,059 of 1,200 results, by at most 3.1e-15
-    relative, and exceeded the realized cost on 324 of the 900 with
-    b > 1, by at most 8.7e-16 relative; at beta = 0.5 it never did.
+    so in floating point either relation can miss by a few ulps.  On the
+    draws GenParams(5 + s % 55, 3, 10, 1, 5, seed=s), s < 300, at b in
+    {1, 1.5, 2, 3}, the beta = 1 value differed from c_max on 969 of 1,200
+    results, by at most 3.2e-15 relative, and exceeded the realized cost on
+    336 of the 900 with b > 1, by at most 8e-16; at beta = 0.5 it never did.
     Clique values are added left to right, in ranking order.
     """
     budget = attack_budget(beta, instance.n)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import signal
+from bisect import bisect_right
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
 
@@ -386,59 +388,98 @@ def reference_limited_attack_curve(instance: Instance, cost, max_budget: int) ->
 
 
 def reference_full_attack_dp(instance: Instance, cost) -> tuple[float, list[tuple[int, frozenset[int]]]]:
-    """Interval-by-interval, anchor-by-anchor evaluation of full_attack_dp's recursion.
+    """Cell-by-cell, anchor-by-anchor evaluation of full_attack_dp's recursion.
 
-    Builds the same 2-D prefix sums, forms every sum in the same order and
-    lets the first best anchor win ties, so the two agree exactly.  Returns
-    the value and the partition as (slot, members) pairs sorted by slot.
+    One row per arrival point and one column per deadline point, with the
+    same 2-D prefix sums.  Every sum is formed in the same order and the
+    first best anchor wins ties, so the two agree exactly.  Returns the
+    value and the partition as (slot, members) pairs sorted by slot, each
+    block at its latest member arrival.
     """
     if instance.n == 0:
         return 0.0, []
-    points = sorted(instance.endpoints())
-    q = len(points)
-    a_idx = [points.index(j.arrival) for j in instance.jobs]
-    d_idx = [points.index(j.deadline) for j in instance.jobs]
-    weights = [[0.0] * q for _ in range(q)]
-    for job, a, d in zip(instance.jobs, a_idx, d_idx):
-        weights[a][d] += job.energy
-    column = [[0.0] * q for _ in range(q)]  # cumulative sums down each column
-    prefix = [[0.0] * (q + 1) for _ in range(q + 1)]
-    for r in range(q):
-        for c in range(q):
+    starts = sorted({job.arrival for job in instance.jobs})
+    ends = sorted({job.deadline for job in instance.jobs})
+    rows, cols = len(starts), len(ends)
+    row = [starts.index(job.arrival) for job in instance.jobs]
+    col = [ends.index(job.deadline) for job in instance.jobs]
+    weights = [[0.0] * cols for _ in range(rows)]
+    for job, r, c in zip(instance.jobs, row, col):
+        weights[r][c] += job.energy
+    column = [[0.0] * cols for _ in range(rows)]  # cumulative sums down each column
+    prefix = [[0.0] * (cols + 1) for _ in range(rows + 1)]
+    for r in range(rows):
+        for c in range(cols):
             column[r][c] = weights[r][c] if r == 0 else column[r - 1][c] + weights[r][c]
             prefix[r + 1][c + 1] = column[r][c] if c == 0 else prefix[r + 1][c] + column[r][c]
+    after = [bisect_right(starts, end) for end in ends]  # arrival points at or before each deadline point
 
-    value = [[0.0] * (q + 1) for _ in range(q + 1)]  # value[i][j + 1] of [i, j]; empty is 0
-    anchor = [[0] * q for _ in range(q)]
-    for width in range(q):
-        for i in range(q - width):
-            j = i + width
+    value: dict[tuple[int, int], float] = {}  # cells that hold an interval; any other part is worth 0
+    anchor: dict[tuple[int, int], int] = {}
+    for diagonal in range(1 - rows, cols):
+        for r in range(rows):
+            c = r + diagonal
+            if not 0 <= c < cols or ends[c] < starts[r]:
+                continue
+            ks = [k for k in range(c + 1) if ends[k] >= starts[r]]
             cliques = [
-                prefix[z + 1][j + 1] - prefix[i][j + 1] - prefix[z + 1][z] + prefix[i][z]
-                for z in range(i, j + 1)
+                prefix[after[k]][c + 1] - prefix[r][c + 1] - prefix[after[k]][k] + prefix[r][k] for k in ks
             ]
             with np.errstate(invalid="ignore"):
                 costs = np.asarray(cost(np.array(cliques)), dtype=np.float64)
-            best, best_z = -np.inf, i
-            for z, clique_cost in zip(range(i, j + 1), costs.tolist()):
-                total = (0.0 if np.isnan(clique_cost) else clique_cost) + value[i][z] + value[z + 1][j + 1]
+            best, best_k = -np.inf, None
+            for k, clique_cost in zip(ks, costs.tolist()):
+                clique_cost = 0.0 if np.isnan(clique_cost) else clique_cost
+                total = clique_cost + value.get((r, k - 1), 0.0) + value.get((after[k], c), 0.0)
                 if total > best:
-                    best, best_z = total, z
-            value[i][j + 1] = best
-            anchor[i][j] = best_z
+                    best, best_k = total, k
+            value[(r, c)] = best
+            anchor[(r, c)] = best_k
 
     blocks = []
-    stack = [(0, q - 1)]
+    stack = [(0, cols - 1)]
     while stack:
-        i, j = stack.pop()
-        if i > j or not any(i <= a and d <= j for a, d in zip(a_idx, d_idx)):
+        r, c = stack.pop()
+        if not any(r <= a and d <= c for a, d in zip(row, col)):
             continue
-        z = anchor[i][j]
-        members = frozenset(
-            job.id for job, a, d in zip(instance.jobs, a_idx, d_idx) if i <= a <= z <= d <= j
-        )
+        k = anchor[(r, c)]
+        members = [job for job, a, d in zip(instance.jobs, row, col) if r <= a < after[k] and k <= d <= c]
         if members:
-            blocks.append((points[z], members))
-        stack.append((i, z - 1))
-        stack.append((z + 1, j))
-    return value[0][q], sorted(blocks, key=lambda block: block[0])
+            blocks.append((max(job.arrival for job in members), frozenset(job.id for job in members)))
+        stack.append((r, k - 1))
+        stack.append((after[k], c))
+    return value[(0, cols - 1)], sorted(blocks, key=lambda block: block[0])
+
+
+def exact_max_cost(instance: Instance, exponent: int) -> Fraction:
+    """The maximum clique-partition cost in exact rational arithmetic.
+
+    An interval recursion over all endpoint pairs [i, j] and every endpoint
+    anchor z in it: the jobs of [i, j] covering z form one clique, and the
+    jobs before and after z recurse.  The energies convert to ``Fraction``
+    exactly and the exponent is an integer, so the value is the true
+    optimum of the inputs as given.
+    """
+    points = sorted(instance.endpoints())
+    jobs = [(points.index(job.arrival), points.index(job.deadline), Fraction(job.energy)) for job in instance.jobs]
+    best: dict[tuple[int, int], Fraction] = {}
+
+    def solve(i: int, j: int) -> Fraction:
+        if i > j:
+            return Fraction(0)
+        if (i, j) not in best:
+            inside = [job for job in jobs if i <= job[0] and job[1] <= j]
+            best[(i, j)] = max(
+                sum(energy for a, d, energy in inside if a <= z <= d) ** exponent + solve(i, z - 1) + solve(z + 1, j)
+                for z in range(i, j + 1)
+            )
+        return best[(i, j)]
+
+    return solve(0, len(points) - 1)
+
+
+def exact_partition_cost(instance: Instance, blocks, exponent: int) -> Fraction:
+    """The cost of a partition's blocks in exact rational arithmetic."""
+    return sum(
+        (sum(Fraction(instance.job(jid).energy) for jid in block.members) ** exponent for block in blocks), Fraction(0)
+    )

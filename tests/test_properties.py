@@ -59,6 +59,32 @@ def test_shifting_every_slot_changes_nothing(specs, shift, exponent):
     assert attack_and_peel(build(specs, shift=shift), cost) == attack_and_peel(build(specs), cost)
 
 
+INTEGER_EXPONENTS = st.sampled_from([1.0, 2.0, 3.0])
+
+
+@settings(max_examples=60)
+@given(JOB_SPECS, st.sampled_from([2**53, 2**60]), INTEGER_EXPONENTS)
+def test_far_shift_moves_the_attack_partition_and_keeps_its_value(specs, shift, exponent):
+    cost = CostModel(exponent)
+    _, partition, c_max = full_attack_dp(build(specs), cost)
+    _, shifted, shifted_max = full_attack_dp(build(specs, shift=shift), cost)
+    assert repr(shifted_max) == repr(c_max)
+    assert [(block.slot - shift, block.members) for block in shifted.blocks] == [
+        (block.slot, block.members) for block in partition.blocks
+    ]
+
+
+@settings(max_examples=60)
+@given(JOB_SPECS, INTEGER_EXPONENTS)
+def test_scaling_energies_by_1024_scales_the_attack_exactly(specs, exponent):
+    # a power of two scales every sum and power without rounding
+    cost = CostModel(exponent)
+    _, partition, c_max = full_attack_dp(build(specs), cost)
+    _, scaled, scaled_max = full_attack_dp(build(specs, scale=1024.0), cost)
+    assert scaled_max == c_max * 1024.0**exponent
+    assert scaled == partition
+
+
 def slot_free_results(instance: Instance, cost: CostModel):
     """min_cost, the sorted slot loads, the oracle curve and the certifier's verdict."""
     schedule = schedule_optimal_offline(instance, cost)
