@@ -74,11 +74,11 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     at its latest member arrival, which every member covers.
 
     This is exact in real numbers: every interval holds the jobs of a cell,
-    and an optimum's largest block, pinned at its earliest member deadline,
+    and an optimum's largest-energy block, pinned at its earliest deadline,
     can take every other job covering it without losing cost, by convexity.
     In floats each clique energy is the inclusion-exclusion of 2-D prefix
-    sums, bit for bit as over all endpoint pairs; rounding residues decide
-    only exact ties, as at exponent 1, where every partition costs the same.
+    sums, bit for bit as over all endpoint pairs; rounding residues can
+    still break ties, as at exponent 1, where every partition costs the same.
 
     The DP runs one diagonal d = c - r at a time, both parts lying below,
     as one block of rows by anchors.  Each operand is a strided view with a

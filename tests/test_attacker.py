@@ -150,7 +150,7 @@ class TestFullAttackDp:
                 assert value == pytest.approx(brute_force_max_cost(inst, cost), rel=1e-9)
 
     def test_overflowing_costs_raise_instead_of_looping(self):
-        # cliques of 3e154 cost inf at exponent 2, and so do the masked anchors before them
+        # cliques of 3e154 cost inf at exponent 2, and so can the negated energy at a masked anchor
         inst = Instance(
             Job(jid, arrival, deadline, 1e154)
             for jid, arrival, deadline in [(2, 2, 6), (9, 2, 7), (4, 3, 5), (6, 4, 4), (3, 7, 8), (7, 7, 8), (8, 8, 8)]
