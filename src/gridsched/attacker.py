@@ -7,6 +7,10 @@ the jobs covering some deadline point as one clique, so an interval DP
 over arrival-to-deadline intervals anchored at deadline points solves
 this exactly; a single-pass EDF grouping gives an online alternative.
 
+The DP, the online attack and the greedy all report ``model._plan_cost``
+of their plan's compressed jobs, what the optimal controller pays on
+their slots; the DP's table only chooses the partition.
+
 A budget-limited attacker alters at most floor(beta * n) jobs.  The
 greedy strategy (``limited_greedy_from_partition``) reuses the unlimited
 partition of ``full_attack_dp``, picks whole cliques by cost per member
@@ -14,7 +18,7 @@ and spends the leftover budget on the highest-energy members of the next
 clique, unless spending the whole budget inside that clique is worth
 more; members already pinned at their clique's slot, and cliques pinned
 whole, join for free.  It reports the cost of the compressed components
-only, a lower bound up to rounding.  A second dynamic program
+only, a lower bound on what its plan realizes.  A second dynamic program
 (``limited_attack_curve``) estimates an upper bound for every budget at
 once by optimizing the attack against a controller that serves demands
 inelastically at their arrival slots.  An interval's value there depends
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
@@ -37,8 +41,8 @@ from .model import (
     CliquePartition,
     CostModel,
     Instance,
-    _added,
     _job_arrays,
+    _plan_cost,
     apply_attack,
     evaluate_cost,
 )
@@ -54,18 +58,14 @@ def attack_budget(beta: float, n: int) -> int:
     return int(math.floor(beta * n + _BUDGET_EPS))
 
 
-def _endpoint_index(arrivals: np.ndarray, deadlines: np.ndarray):
-    """Sorted endpoint slots and each job's arrival and deadline position among them."""
-    points = np.unique(np.concatenate((arrivals, deadlines)))
-    return points, np.searchsorted(points, arrivals), np.searchsorted(points, deadlines)
-
-
 def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
     """Optimal unlimited attack: maximum-cost clique partition by interval DP.
 
     Returns the full-compression plan, the achieving partition, and c_max,
-    the table's own value.  The table has a row r per arrival point A_r and
-    a column c per deadline point D_c; cell (r, c) is [A_r, D_c].  Its
+    ``_plan_cost`` of the plan: exactly ``realized_attack_cost`` of the
+    plan and the baseline cost of the attacked instance.  The table only
+    chooses the partition.  It has a row r per arrival point A_r and a
+    column c per deadline point D_c; cell (r, c) is [A_r, D_c].  Its
     anchors are the deadline points D_k inside it.  With s(k) the number of
     arrival points <= D_k, the clique at D_k holds the jobs of arrival row
     in [r, s(k)) and deadline column in [k, c], the left part is cell
@@ -90,7 +90,8 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     ``np.power`` equals ``cost`` bit for bit.  At non-integer exponents the
     NaN cost of an empty clique's negative residue counts as zero, zeroed
     before the mask is added.  A masked anchor's cost that overflows to inf
-    turns NaN under the mask, which raises.
+    turns NaN under the mask, which raises ``FloatingPointError``; a chosen
+    clique's cost past float64 raises ``OverflowError`` in ``_plan_cost``.
     """
     if instance.n == 0:
         return AttackPlan.empty(), CliquePartition(()), 0.0
@@ -132,7 +133,7 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     index, flat_rights, integer_exponent = np.arange(rows), rights.ravel(), cost.exponent.is_integer()
     down, skew = (8 * (stride + 1),), (8 * (stride + 1), 8)  # byte strides of the next row and the next anchor
     bounds = zip(diagonals.tolist(), low.tolist(), high.tolist(), least.tolist(), lower.tolist(), upper.tolist())
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for d, lo, hi, t, k0, k1 in bounds:
             shape = (hi - lo + 1, d - t + 1)
             at = 8 * (lo * (stride + 1) + pad + t)  # byte offset of entry (lo, pad + lo + t) of a row table
@@ -155,13 +156,12 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
             if k0 < k1:
                 spot = spots[k0:k1] + d * stride
                 flat_rights[spot] = np.maximum(flat_rights[spot], np.repeat(value, shares[lo : hi + 1]))
-    c_max = float(lefts[0, -1])
-    if math.isnan(c_max):
+    if math.isnan(lefts[0, -1]):
         raise FloatingPointError("clique costs overflow float64")
 
     begin = np.searchsorted(row, np.arange(rows + 1))  # jobs come sorted by arrival: row r's run from begin[r]
     reach = np.append(np.minimum.accumulate(col[::-1])[::-1], cols)[begin]  # earliest deadline column from row r on
-    blocks, stack = [], [(0, cols - 1)]
+    slots, blocks, stack = np.empty(instance.n, dtype=np.int64), [], [(0, cols - 1)]
     while stack:
         r, c = stack.pop()
         if c < reach[r]:
@@ -170,11 +170,13 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
         jobs = slice(begin[r], begin[after[k]])
         members = (col[jobs] >= k) & (col[jobs] <= c)
         if members.any():
-            blocks.append(CliqueBlock(int(arrivals[jobs][members].max()), frozenset(job_ids[jobs][members].tolist())))
+            slot = int(arrivals[jobs][members].max())
+            slots[jobs][members] = slot
+            blocks.append(CliqueBlock(slot, frozenset(job_ids[jobs][members].tolist())))
         stack.append((r, k - 1))
         stack.append((int(after[k]), c))
     partition = CliquePartition(tuple(sorted(blocks, key=lambda block: block.slot)))
-    return partition.to_plan(instance), partition, c_max
+    return partition.to_plan(instance), partition, _plan_cost(job_ids, slots, energies, cost)
 
 
 def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
@@ -183,22 +185,21 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
     Repeatedly take the earliest deadline among remaining jobs, gather
     every remaining job arriving by then into one block pinned at that
     deadline, and drop them.  Runs in O(n log n); the value never exceeds
-    the optimal attack.  A block's energies are added left to right, costed
-    with Python's scalar ``**``.
+    the optimal attack.  The value is ``_plan_cost`` of the per-job pins,
+    exactly the plan's realized cost.
     """
     ids, arrivals, deadlines, energies = _job_arrays(instance)
-    pins = np.minimum.accumulate(deadlines[::-1])[::-1].tolist()  # the earliest deadline from each job on
-    ids, arrivals, energies = ids.tolist(), arrivals.tolist(), energies.tolist()
-    blocks: list[CliqueBlock] = []
-    value = 0.0
-    first = 0
-    while first < len(ids):
-        stop = bisect_right(arrivals, pins[first], first)  # past the last job arriving by the pin
-        blocks.append(CliqueBlock(pins[first], frozenset(ids[first:stop])))
-        value += float(cost(_added(energies[first:stop])))
+    slots = np.minimum.accumulate(deadlines[::-1])[::-1]  # the earliest deadline from each job on
+    id_list, arrival_list = ids.tolist(), arrivals.tolist()
+    blocks, first = [], 0
+    while first < instance.n:
+        pin = int(slots[first])
+        stop = bisect_right(arrival_list, pin, first)  # past the last job arriving by the pin
+        blocks.append(CliqueBlock(pin, frozenset(id_list[first:stop])))
+        slots[first:stop] = pin  # now each job's block pin
         first = stop
     partition = CliquePartition(tuple(blocks))
-    return partition.to_plan(instance), partition, value
+    return partition.to_plan(instance), partition, _plan_cost(ids, slots, energies, cost)
 
 
 def limited_greedy_from_partition(
@@ -224,66 +225,50 @@ def limited_greedy_from_partition(
     of the two is adopted (ties to (a)).  Only the compressed components
     are counted.
 
-    In exact arithmetic the value is then a lower bound on what the attack
-    forces (``realized_attack_cost``), and at beta = 1, where every clique
-    fits, it is the partition's cost, which ``full_attack_dp`` reports.
-    The three paths add the same energies and costs in different orders,
-    so in floating point either relation can miss by a few ulps.  On the
-    draws GenParams(5 + s % 55, 3, 10, 1, 5, seed=s), s < 300, at b in
-    {1, 1.5, 2, 3}, the beta = 1 value differed from c_max on 969 of 1,200
-    results, by at most 3.2e-15 relative, and exceeded the realized cost on
-    336 of the 900 with b > 1, by at most 8e-16; at beta = 0.5 it never did.
-    Clique values are added left to right, in ranking order.
+    The partition must hold every job once, in a block whose slot it
+    covers, which is checked on the arrays.  Cliques are ranked by the
+    costs of their ``np.bincount`` energies, and each selection, a mask over
+    the jobs, is valued by ``_plan_cost``.  That value is at most
+    ``realized_attack_cost`` of the plan, with no slack; at beta = 1, on a
+    partition from ``full_attack_dp``, it is c_max bit for bit.
     """
     budget = attack_budget(beta, instance.n)
+    ids, arrivals, deadlines, energies = _job_arrays(instance)
     blocks = partition.blocks
+    sizes = np.fromiter(map(len, (block.members for block in blocks)), np.int64, len(blocks))
+    members = np.fromiter(chain.from_iterable(block.members for block in blocks), np.int64, int(sizes.sum()))
+    by_id = np.argsort(ids)
+    if not np.array_equal(np.sort(members), ids[by_id]):
+        raise ValueError("the partition must hold every job of the instance once")
+    label = np.empty(instance.n, dtype=np.int64)  # each job's clique
+    label[by_id[np.searchsorted(ids, members, sorter=by_id)]] = np.repeat(np.arange(len(blocks)), sizes)
+    slot = np.fromiter((block.slot for block in blocks), np.int64, len(blocks))[label]
+    if ((slot < arrivals) | (slot > deadlines)).any():
+        raise ValueError("a block's slot lies outside a member's window")
+    pinned = (arrivals == slot) & (deadlines == slot)  # compressed without being altered
 
-    def value(job_ids) -> float:
-        return float(cost(_added(instance.job(jid).energy for jid in job_ids)))
-
-    values = [value(block.members) for block in blocks]
-    order = sorted(
-        range(len(blocks)), key=lambda idx: (-(values[idx] / len(blocks[idx].members)), -values[idx], idx)
-    )
-    ranked = [blocks[idx] for idx in order]
-    # per ranked clique: its members pinned at its slot, and those that compressing alters
-    pinned, altered = [], []
-    for block in ranked:
-        jobs = [instance.job(jid) for jid in block.members]
-        pinned.append([j.id for j in jobs if j.arrival == j.deadline == block.slot])
-        altered.append([j.id for j in jobs if not j.arrival == j.deadline == block.slot])
+    values = cost(np.bincount(label, energies, len(blocks)))
+    order = np.lexsort((np.arange(len(blocks)), -values, -values / sizes))
     # the whole cliques are the longest prefix of the ranking whose members fit the budget
-    count = bisect_right(list(accumulate(len(block.members) for block in ranked)), budget)
-    whole, beyond = range(count), range(count + 1, len(ranked))
-    next_slot, next_pinned, next_altered = None, [], []
-    if count < len(ranked):
-        next_slot, next_pinned, next_altered = ranked[count].slot, pinned[count], altered[count]
-    for members in (next_pinned, next_altered):
-        members.sort(key=lambda jid: (-instance.job(jid).energy, jid))
+    count = int(np.searchsorted(np.cumsum(sizes[order]), budget, side="right"))
+    place = np.argsort(order)[label]  # each job's clique's place in the ranking
+    whole = place < count
+    next_altered = np.flatnonzero((place == count) & ~pinned)
+    next_altered = next_altered[np.lexsort((ids[next_altered], -energies[next_altered]))]
 
-    leftover = budget - sum(len(altered[k]) for k in whole)
-    top_up = next_pinned + next_altered[:leftover]
-    inside = next_pinned + next_altered[:budget]
-    value_whole = _added(values[order[k]] for k in whole) + value(top_up)
-    value_inside = value(inside) + _added(value(pinned[k]) for k in whole)
-    slots = {jid: ranked[k].slot for k in (*whole, *beyond) for jid in pinned[k]}
-    if value_whole >= value_inside:
-        slots.update((jid, ranked[k].slot) for k in whole for jid in altered[k])
-        picked = top_up
-    else:
-        picked = inside
-    slots.update(dict.fromkeys(picked, next_slot))
-    beyond_pinned = _added(value(pinned[k]) for k in beyond)
-    return AttackPlan.from_compression(instance, slots), max(value_whole, value_inside) + beyond_pinned
+    top_up, inside = pinned | whole, pinned.copy()
+    top_up[next_altered[: budget - np.count_nonzero(whole & ~pinned)]] = True
+    inside[next_altered[:budget]] = True
+    value_whole, value_inside = (_plan_cost(ids[mask], slot[mask], energies[mask], cost) for mask in (top_up, inside))
+    picked = top_up if value_whole >= value_inside else inside
+    return AttackPlan(dict(zip(ids[picked].tolist(), slot[picked].tolist()))), max(value_whole, value_inside)
 
 
 def realized_attack_cost(instance: Instance, plan: AttackPlan, cost: CostModel) -> float:
     """Cost the optimal controller actually pays once the plan is applied.
 
-    In exact arithmetic at least the conservative value reported for the
-    same plan by the greedy attack, since uncompressed jobs only add load;
-    the two sum in different orders, so that value can exceed this one by
-    a few ulps.
+    Equal to ``_plan_cost`` of a full compression, and at least the
+    greedy's value for its plan: other jobs only add to those slots' loads.
     """
     altered = apply_attack(instance, plan)
     return evaluate_cost(schedule_optimal_offline(altered, cost), cost)
@@ -372,7 +357,8 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         return np.zeros(max_budget + 1)
 
     budget = min(max_budget, n)
-    points, a_idx, d_idx = _endpoint_index(arrivals, deadlines)
+    points = np.unique(np.concatenate((arrivals, deadlines)))  # the sorted endpoint slots
+    a_idx, d_idx = np.searchsorted(points, arrivals), np.searchsorted(points, deadlines)
     q = points.size
     single_cost = np.asarray(cost(energy), dtype=np.float64)
 

@@ -191,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # Python's float pow raises OverflowError where numpy returns inf
+        print(f"error: a cost overflows float64 ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

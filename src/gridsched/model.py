@@ -357,6 +357,15 @@ def _slot_cost(slots: np.ndarray, amounts: np.ndarray, cost: CostModel) -> float
     return _added(cost(load) for load in _slot_loads(slots, amounts)[1].tolist())
 
 
+def _plan_cost(ids: np.ndarray, slots: np.ndarray, energies: np.ndarray, cost: CostModel) -> float:
+    """``_slot_cost`` of jobs compressed to ``slots``, each slot's load added in id order.
+
+    The optimal controller fills a compressed slot in that order, one entry of exact energy per job (``edf_fill``).
+    """
+    order = np.argsort(ids, kind="stable")
+    return _slot_cost(slots[order], energies[order], cost)
+
+
 def evaluate_cost(schedule: Schedule, cost: CostModel) -> float:
     """Total cost of a schedule: ``_slot_cost`` of the entries it kept, the cost of ``slot_loads()``."""
     return _slot_cost(*schedule._entries, cost)

@@ -424,8 +424,10 @@ def edf_fill(
     they must all be contained in the interval and their total energy must
     equal level * width.  Slots are processed left to right; at each slot
     the unfinished arrived jobs are served in order of earliest deadline
-    (ties by smaller id).  Returns the positive allocations as a (job id,
-    slot) -> amount mapping of Python numbers.
+    (ties by smaller id), each taking the rest of its energy up to the
+    slot's remaining capacity, or all of it when it is at most ``fill_tol``
+    above.  Returns the positive allocations as a (job id, slot) -> amount
+    mapping of Python numbers.
 
     Raises RuntimeError when a slot cannot be filled or a deadline is
     missed; with a valid critical interval this cannot happen, so a raise
@@ -456,7 +458,7 @@ def edf_fill(
             deadline, jid = heap[0]
             if deadline < slot:
                 raise RuntimeError(f"EDF fill missed the deadline of job {jid}; infeasible input")
-            take = min(remaining[jid], capacity)
+            take = remaining[jid] if remaining[jid] <= capacity + fill_tol else capacity
             allocations[(jid, slot)] = take  # a job is taken at most once per slot
             remaining[jid] -= take
             capacity -= take

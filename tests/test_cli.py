@@ -155,6 +155,23 @@ def test_widest_window_refused_at_once(tmp_path, capsys, command):
     assert captured.err.startswith("error: ") and "9223372036854775808 entries" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["solve-min"], ["attack-full"], ["attack-online"], ["attack-limited", "--beta", "0.5"], ["bounds"],
+     ["oracle", "verify-min"]],
+    ids=lambda command: command[0],
+)
+def test_overflowing_costs_report_error(tmp_path, capsys, command):
+    # each slot's cost is (1e200)^2, past float64
+    path = tmp_path / "huge.csv"
+    path.write_text("id,arrival,deadline,energy\n0,1,2,1e200\n1,2,3,1e200\n")
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows float64" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_invalid_beta_reports_error(instance_file, capsys):
     assert main(["attack-limited", instance_file, "--beta", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err

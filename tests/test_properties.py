@@ -10,8 +10,9 @@ from gridsched.attacker import (
     limited_attack_curve,
     limited_greedy_from_partition,
     online_edf_attack,
+    realized_attack_cost,
 )
-from gridsched.model import CostModel, Instance, Job, Schedule, _slot_cost, apply_attack, evaluate_cost
+from gridsched.model import CostModel, Instance, Job, Schedule, _slot_cost, apply_attack, baseline_cost, evaluate_cost
 from gridsched.oracle import check_min_optimality, exact_limited_attack_curve
 from gridsched.scheduler import min_cost, schedule_online_even, schedule_optimal_offline
 
@@ -138,6 +139,32 @@ def test_full_budget_greedy_equals_optimal_attack(specs, exponent):
     _, partition, c_max = full_attack_dp(inst, cost)
     _, value = limited_greedy_from_partition(inst, partition, 1.0, cost)
     assert value == pytest.approx(c_max, rel=1e-12)
+
+
+# up to 12 jobs whose ids are shuffled against their arrival order, spread out or colliding
+SHUFFLED_IDS = st.tuples(
+    st.lists(st.tuples(st.integers(1, 20), st.integers(0, 5), st.floats(0.5, 8.0)), min_size=1, max_size=12),
+    st.randoms(use_true_random=False),
+).map(lambda drawn: build(drawn[0], ids=drawn[1].sample(range(len(drawn[0])), len(drawn[0]))))
+
+
+@settings(max_examples=40)
+@given(SHUFFLED_IDS, EXPONENTS)
+def test_attack_values_are_what_their_plans_realize(inst, exponent):
+    cost = CostModel(exponent)
+    for plan, _, value in (full_attack_dp(inst, cost), online_edf_attack(inst, cost)):
+        assert value == realized_attack_cost(inst, plan, cost) == baseline_cost(apply_attack(inst, plan), cost)
+
+
+@settings(max_examples=40)
+@given(SHUFFLED_IDS, EXPONENTS)
+def test_greedy_never_exceeds_what_its_plan_realizes_and_reaches_c_max(inst, exponent):
+    cost = CostModel(exponent)
+    _, partition, c_max = full_attack_dp(inst, cost)
+    for budget in range(inst.n + 1):
+        plan, value = limited_greedy_from_partition(inst, partition, budget / inst.n, cost)
+        assert value <= realized_attack_cost(inst, plan, cost)
+    assert value == c_max  # at beta = 1
 
 
 @settings(max_examples=30)

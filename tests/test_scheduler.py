@@ -214,7 +214,7 @@ class TestPeelPinned:
         assert _digest(segments) == "f70735cc54c25c518bef9a5596d23f0d5b8a4cd5fc751f8b41263f5b20acdcad"
         allocations = sorted(schedule_optimal_offline(inst, QUAD).allocations.items())
         assert len(allocations) == 363
-        assert _digest(allocations) == "735875994b8aca216261d181451abe3e2607314ce50c280638f4df4414254095"
+        assert _digest(allocations) == "ae7c303bed05c1a0994a71ede8ec63413beab0d640da545321f4cdf5c9dc6a5f"
 
     def test_colliding_arrivals(self):
         inst = random_instance_in_horizon(np.random.default_rng(7), max_jobs=14, horizon=8, max_window=4)
@@ -228,8 +228,8 @@ class TestPeelPinned:
             ((0, 6), 4.1027427609807745), ((1, 8), 1.9008287599623674), ((2, 1), 0.5692755188577672),
             ((2, 2), 3.9249382627272804), ((3, 8), 4.284913673531065), ((4, 1), 2.871739811374883),
             ((5, 7), 2.1137024484030933), ((6, 4), 2.7803052235305863), ((7, 3), 3.21398940829797),
-            ((8, 5), 4.170647676855012), ((9, 8), 3.48871691776465), ((10, 4), 0.9671523401241116),
-            ((10, 5), 0.413088768472023), ((10, 6), 0.48099368434626033), ((11, 7), 3.450158417092123),
+            ((8, 5), 4.170647676855012), ((9, 8), 3.4887169177646506), ((10, 4), 0.9671523401241116),
+            ((10, 5), 0.413088768472023), ((10, 6), 0.4809936843462612), ((11, 7), 3.450158417092123),
             ((12, 1), 1.1427211150943846), ((13, 2), 0.6587981825997544), ((13, 3), 1.369747037029065),
             ((13, 4), 0.836278881672337),
         ]
@@ -244,16 +244,16 @@ class TestOptimalSchedulePinned:
 
     def test_generated_n100_and_its_online_attack(self):
         inst = generate_instance(GenParams(100, 5.0, 50.0, 1.0, 5.0, seed=17))
-        assert self.items_digest(inst) == "f7348dedf549d4d3ece5e77ab8d24e19ea5180564c42b95020bde8a3ce850ca7"
+        assert self.items_digest(inst) == "4806a6ed856f9cf25f47bd74c4df90a985126122ac29966f4e55d66789d14a66"
         plan, _, _ = online_edf_attack(inst, QUAD)
         attacked = apply_attack(inst, plan)
         assert len(component_points(attacked)) == 23
-        assert self.items_digest(attacked) == "7a98a26b29041bb2fc3f4b0a05528d23aef1690c22c74f7c0a512e8be2fd026a"
+        assert self.items_digest(attacked) == "f5ba887a539a1cc07be735e9b7a4dadfc444c927ac4c6c1d6641b68413a3072e"
 
     def test_gapped_draw_shifted_far(self):
         inst = spread_out(generate_instance(GenParams(60, 6.0, 3.0, 1.0, 5.0, seed=17)), 10**7, 100)
         assert len(component_points(inst)) == 19 and inst.jobs[0].arrival > 10**7
-        assert self.items_digest(inst) == "c5bdf5399e6ecebd19d9ba40c752ecef716fccb6a82855cbc327ac195e356647"
+        assert self.items_digest(inst) == "8f7e49a15b6c952c61960d4cce538640c054fbb4dd275af880b574c1a6e03659"
 
 
 def assert_peel_matches_reference(inst: Instance) -> int:
