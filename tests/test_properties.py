@@ -156,7 +156,7 @@ def test_attack_values_are_what_their_plans_realize(inst, exponent):
         assert value == realized_attack_cost(inst, plan, cost) == baseline_cost(apply_attack(inst, plan), cost)
 
 
-@settings(max_examples=40)
+@settings(max_examples=25)
 @given(SHUFFLED_IDS, EXPONENTS)
 def test_greedy_never_exceeds_what_its_plan_realizes_and_reaches_c_max(inst, exponent):
     cost = CostModel(exponent)
