@@ -426,8 +426,10 @@ def edf_fill(
     the unfinished arrived jobs are served in order of earliest deadline
     (ties by smaller id), each taking the rest of its energy up to the
     slot's remaining capacity, or all of it when it is at most ``fill_tol``
-    above.  Returns the positive allocations as a (job id, slot) -> amount
-    mapping of Python numbers.
+    above; what a slot ends over or under ``level`` (at most ``fill_tol``)
+    goes to the next slot's capacity, so it never adds up.  Returns the
+    positive allocations as a (job id, slot) -> amount mapping of Python
+    numbers.
 
     Raises RuntimeError when a slot cannot be filled or a deadline is
     missed; with a valid critical interval this cannot happen, so a raise
@@ -448,12 +450,12 @@ def edf_fill(
     allocations: dict[tuple[int, int], float] = {}
     heap: list[tuple[int, int]] = []
     fill_tol = 1e-9 * max(1.0, level)
-    next_job = 0
+    next_job, capacity = 0, 0.0
     for slot in range(start, end + 1):
         while next_job < len(ordered) and ordered[next_job][0] <= slot:
             heapq.heappush(heap, ordered[next_job][1:3])  # (deadline, id)
             next_job += 1
-        capacity = level
+        capacity += level  # what the last slot left over or under, at most fill_tol, carries on
         while capacity > fill_tol and heap:
             deadline, jid = heap[0]
             if deadline < slot:

@@ -309,7 +309,10 @@ def reference_check_min_optimality(
 
 
 def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
-    """``online_edf_attack`` as two loops over the Job objects: suffix minima of the deadlines, then the blocks."""
+    """``online_edf_attack`` as two loops over the Job objects: suffix minima of the deadlines, then the blocks.
+
+    Each block's load adds its energies in id order, as ``online_edf_attack`` prices them.
+    """
     jobs = instance.jobs
     if not jobs:
         return AttackPlan.empty(), CliquePartition(()), 0.0
@@ -329,7 +332,7 @@ def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[At
             group.append(jobs[idx])
             idx += 1
         blocks.append(CliqueBlock(pin, frozenset(j.id for j in group)))
-        value += float(cost(_added(j.energy for j in group)))
+        value += float(cost(_added(j.energy for j in sorted(group, key=lambda j: j.id))))
     partition = CliquePartition(tuple(blocks))
     return partition.to_plan(instance), partition, value
 

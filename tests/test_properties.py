@@ -131,21 +131,20 @@ def test_scaling_energies_scales_costs_by_power(specs, scale, exponent):
     assert scaled == pytest.approx(expected, rel=1e-9)
 
 
-@settings(max_examples=40)
-@given(JOB_SPECS, EXPONENTS)
-def test_full_budget_greedy_equals_optimal_attack(specs, exponent):
-    cost = CostModel(exponent)
-    inst = build(specs)
-    _, partition, c_max = full_attack_dp(inst, cost)
-    _, value = limited_greedy_from_partition(inst, partition, 1.0, cost)
-    assert value == pytest.approx(c_max, rel=1e-12)
-
-
 # up to 12 jobs whose ids are shuffled against their arrival order, spread out or colliding
 SHUFFLED_IDS = st.tuples(
     st.lists(st.tuples(st.integers(1, 20), st.integers(0, 5), st.floats(0.5, 8.0)), min_size=1, max_size=12),
     st.randoms(use_true_random=False),
 ).map(lambda drawn: build(drawn[0], ids=drawn[1].sample(range(len(drawn[0])), len(drawn[0]))))
+
+
+@settings(max_examples=40)
+@given(SHUFFLED_IDS, EXPONENTS)
+def test_full_budget_greedy_equals_optimal_attack(inst, exponent):
+    cost = CostModel(exponent)
+    _, partition, c_max = full_attack_dp(inst, cost)
+    _, value = limited_greedy_from_partition(inst, partition, 1.0, cost)
+    assert value == c_max
 
 
 @settings(max_examples=40)
@@ -158,13 +157,12 @@ def test_attack_values_are_what_their_plans_realize(inst, exponent):
 
 @settings(max_examples=25)
 @given(SHUFFLED_IDS, EXPONENTS)
-def test_greedy_never_exceeds_what_its_plan_realizes_and_reaches_c_max(inst, exponent):
+def test_greedy_never_exceeds_what_its_plan_realizes(inst, exponent):
     cost = CostModel(exponent)
-    _, partition, c_max = full_attack_dp(inst, cost)
+    _, partition, _ = full_attack_dp(inst, cost)
     for budget in range(inst.n + 1):
         plan, value = limited_greedy_from_partition(inst, partition, budget / inst.n, cost)
         assert value <= realized_attack_cost(inst, plan, cost)
-    assert value == c_max  # at beta = 1
 
 
 @settings(max_examples=30)

@@ -156,6 +156,20 @@ class TestScheduleOptimalOffline:
         sched = schedule_optimal_offline(Instance([]), QUAD)
         assert sched.allocations == {}
 
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            # jobs 0 and 1 each finish up to fill_tol over a slot's level, so slot 3 gets less
+            [Job(0, 1, 3, 1 + 9e-10), Job(1, 1, 3, 1 + 9e-10), Job(2, 1, 3, 1 - 1.8e-9)],
+            # slots 1 and 3 each end up to fill_tol under the level, so slot 2 gets more
+            [Job(0, 1, 1, 200.0), Job(1, 3, 3, 200.0), Job(2, 1, 3, 200.0000003026706)],
+        ],
+    )
+    def test_what_a_slot_ends_over_or_under_its_level_carries_on(self, jobs):
+        sched = schedule_optimal_offline(Instance(jobs), QUAD)
+        level = sum(job.energy for job in jobs) / 3
+        assert sched.slot_loads() == pytest.approx({1: level, 2: level, 3: level}, rel=2e-9)
+
     def test_min_cost_matches_schedule(self):
         rng = np.random.default_rng(5)
         for _ in range(60):
