@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import chain
 
 import numpy as np
 
@@ -94,7 +93,7 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     clique's cost past float64 raises ``OverflowError`` in ``_plan_cost``.
     """
     if instance.n == 0:
-        return AttackPlan.empty(), CliquePartition(()), 0.0
+        return AttackPlan({}), CliquePartition(()), 0.0
 
     job_ids, arrivals, deadlines, energies = _job_arrays(instance)
     starts, ends = np.unique(arrivals), np.unique(deadlines)
@@ -176,7 +175,8 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
         stack.append((r, k - 1))
         stack.append((int(after[k]), c))
     partition = CliquePartition(tuple(sorted(blocks, key=lambda block: block.slot)))
-    return partition.to_plan(instance), partition, _plan_cost(job_ids, slots, energies, cost)
+    plan = AttackPlan(dict(zip(job_ids.tolist(), slots.tolist())))
+    return plan, partition, _plan_cost(job_ids, slots, energies, cost)
 
 
 def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
@@ -198,8 +198,8 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
         blocks.append(CliqueBlock(pin, frozenset(id_list[first:stop])))
         slots[first:stop] = pin  # now each job's block pin
         first = stop
-    partition = CliquePartition(tuple(blocks))
-    return partition.to_plan(instance), partition, _plan_cost(ids, slots, energies, cost)
+    plan = AttackPlan(dict(zip(id_list, slots.tolist())))
+    return plan, CliquePartition(tuple(blocks)), _plan_cost(ids, slots, energies, cost)
 
 
 def limited_greedy_from_partition(
@@ -226,7 +226,8 @@ def limited_greedy_from_partition(
     are counted.
 
     The partition must hold every job once, in a block whose slot it
-    covers, which is checked on the arrays.  Cliques are ranked by the
+    covers: the check ``CliquePartition.validate`` makes, with its errors,
+    which also gives each job's clique and slot.  Cliques are ranked by the
     costs of their ``np.bincount`` energies, and each selection, a mask over
     the jobs, is valued by ``_plan_cost``.  That value is at most
     ``realized_attack_cost`` of the plan, with no slack; at beta = 1, on a
@@ -234,21 +235,12 @@ def limited_greedy_from_partition(
     """
     budget = attack_budget(beta, instance.n)
     ids, arrivals, deadlines, energies = _job_arrays(instance)
-    blocks = partition.blocks
-    sizes = np.fromiter(map(len, (block.members for block in blocks)), np.int64, len(blocks))
-    members = np.fromiter(chain.from_iterable(block.members for block in blocks), np.int64, int(sizes.sum()))
-    by_id = np.argsort(ids)
-    if not np.array_equal(np.sort(members), ids[by_id]):
-        raise ValueError("the partition must hold every job of the instance once")
-    label = np.empty(instance.n, dtype=np.int64)  # each job's clique
-    label[by_id[np.searchsorted(ids, members, sorter=by_id)]] = np.repeat(np.arange(len(blocks)), sizes)
-    slot = np.fromiter((block.slot for block in blocks), np.int64, len(blocks))[label]
-    if ((slot < arrivals) | (slot > deadlines)).any():
-        raise ValueError("a block's slot lies outside a member's window")
+    label, slot = partition._assignment(instance)  # each job's clique and its slot
+    sizes = np.bincount(label, minlength=len(partition.blocks))
     pinned = (arrivals == slot) & (deadlines == slot)  # compressed without being altered
 
-    values = cost(np.bincount(label, energies, len(blocks)))
-    order = np.lexsort((np.arange(len(blocks)), -values, -values / sizes))
+    values = cost(np.bincount(label, energies, sizes.size))
+    order = np.lexsort((np.arange(sizes.size), -values, -values / sizes))
     # the whole cliques are the longest prefix of the ranking whose members fit the budget
     count = int(np.searchsorted(np.cumsum(sizes[order]), budget, side="right"))
     place = np.argsort(order)[label]  # each job's clique's place in the ranking

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -60,9 +60,6 @@ class Job:
         """Slack between deadline and arrival; the window spans allowance + 1 slots."""
         return self.deadline - self.arrival
 
-    def covers(self, slot: int) -> bool:
-        return self.arrival <= slot <= self.deadline
-
 
 @dataclass(frozen=True, init=False)
 class Instance:
@@ -76,12 +73,12 @@ class Instance:
             if not isinstance(job, Job):
                 raise TypeError(f"expected Job, got {type(job).__name__}")
         ordered = tuple(sorted(jobs, key=lambda j: (j.arrival, j.id)))
-        seen: set[int] = set()
-        for job in ordered:
-            if job.id in seen:
+        positions: dict[int, int] = {}  # each job id's position in ``jobs``
+        for k, job in enumerate(ordered):
+            if positions.setdefault(job.id, k) != k:
                 raise ValueError(f"duplicate job id {job.id}")
-            seen.add(job.id)
         object.__setattr__(self, "jobs", ordered)
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -99,10 +96,6 @@ class Instance:
         return max((j.deadline for j in self.jobs), default=0)
 
     @cached_property
-    def _index(self) -> dict[int, int]:
-        return {j.id: k for k, j in enumerate(self.jobs)}
-
-    @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         arrays = (
             np.array([j.id for j in self.jobs], dtype=np.int64),
@@ -116,13 +109,13 @@ class Instance:
 
     def job(self, job_id: int) -> Job:
         try:
-            return self.jobs[self._index[job_id]]
+            return self.jobs[self._positions[job_id]]
         except KeyError:
             raise KeyError(f"unknown job id {job_id}") from None
 
     @property
     def job_ids(self) -> frozenset[int]:
-        return frozenset(self._index)
+        return frozenset(self._positions)
 
     @cached_property
     def total_energy(self) -> float:
@@ -143,6 +136,25 @@ class Instance:
 def _job_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ids, arrivals, deadlines and energies of the jobs in instance order: read-only, built once per instance."""
     return instance._arrays
+
+
+def _placed(instance: Instance, ids: Iterable, slots: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each entry's job position in the instance, its slot as an array, and whether the slot lies in that job's window.
+
+    The one placement check of schedules, attack plans and partitions.  An
+    unknown id gets position n, whose window holds no slot.  Only a Python
+    ``int`` lies in a window; the slots are int64, or objects if one does not fit.
+    """
+    size, n = len(slots), instance.n
+    _, arrivals, deadlines, _ = _job_arrays(instance)
+    where = np.fromiter(map(instance._positions.get, ids, repeat(n)), np.intp, size)
+    try:
+        at = np.fromiter(slots, np.int64, size)
+    except (TypeError, ValueError, OverflowError):  # a slot past int64 or not a number: compare objects
+        at = np.array([slot if isinstance(slot, int) else 0 for slot in slots], dtype=object)
+    inside = (np.append(arrivals, 1)[where] <= at) & (at <= np.append(deadlines, 0)[where])
+    inside &= np.fromiter(map(isinstance, slots, repeat(int)), bool, size)
+    return where, at, inside
 
 
 @dataclass(frozen=True)
@@ -173,14 +185,13 @@ class Schedule:
     non-negative, stay inside each job's window, and sum to each job's
     energy within ENERGY_TOL * max(1, energy).  Zero entries are dropped.
 
-    The entries are checked as arrays: amounts through ``float``, job ids
-    by dict lookup, slots as Python ints (numpy integers and floats are
-    rejected) inside the job's window, and each job's total by
-    ``np.bincount`` in insertion order, the sum an entry-by-entry loop
-    forms.  A failure raises for the first offending entry, checking its
-    amount's finiteness, then its sign, its job id and its slot; once every
-    entry passes, for the first job in instance order whose total misses
-    its energy.  The kept entries' slots and amounts stay as arrays too.
+    The entries are checked as arrays: job ids and slots by ``_placed``,
+    amounts through ``float``, and each job's total by ``np.bincount`` in
+    insertion order, the sum an entry-by-entry loop forms.  A failure
+    raises for the first offending entry, checking its amount's finiteness,
+    then its sign, its job id and its slot; once every entry passes, for
+    the first job in instance order whose total misses its energy.  The
+    kept entries' slots and amounts stay as arrays too.
     """
 
     instance: Instance
@@ -188,31 +199,23 @@ class Schedule:
 
     def __init__(self, instance: Instance, allocations: Mapping[tuple[int, int], float]) -> None:
         jobs, size = instance.jobs, len(allocations)
-        _, arrivals, deadlines, energies = _job_arrays(instance)
-        # one window per job, and for unknown ids a last one that holds no slot
-        arrivals, deadlines = np.append(arrivals, 1), np.append(deadlines, 0)
-        where = np.fromiter(map(instance._index.get, map(itemgetter(0), allocations), repeat(len(jobs))), np.intp, size)
+        energies = _job_arrays(instance)[3]
         slots = list(map(itemgetter(1), allocations))
+        where, at, inside = _placed(instance, map(itemgetter(0), allocations), slots)
         amounts = np.fromiter(map(float, allocations.values()), np.float64, size)
-        try:
-            at = np.fromiter(slots, np.int64, size)
-        except (TypeError, ValueError, OverflowError):  # a slot past int64 or not a number: compare objects
-            at = np.array([slot if isinstance(slot, int) else 0 for slot in slots], dtype=object)
-        inside = (arrivals[where] <= at) & (at <= deadlines[where])
-        inside &= np.fromiter(map(isinstance, slots, repeat(int)), bool, size)
         zero = amounts == 0.0
         good = zero | np.isfinite(amounts) & (amounts > 0.0) & inside
         if not good.all():
-            (job_id, slot), amount = next(islice(allocations.items(), int(good.argmin()), None))
+            k = int(good.argmin())
+            (job_id, slot), amount = next(islice(allocations.items(), k, None))
             amount = float(amount)
             if not math.isfinite(amount):
                 raise ValueError(f"non-finite allocation {amount!r} for job {job_id} at slot {slot}")
             if amount < 0.0:
                 raise ValueError(f"negative allocation {amount!r} for job {job_id} at slot {slot}")
-            try:
-                job = instance.job(job_id)
-            except KeyError as exc:
-                raise ValueError(str(exc)) from None
+            if where[k] == len(jobs):
+                raise ValueError(f"unknown job id {job_id}")
+            job = jobs[where[k]]
             raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
         # zero entries add exact zeros; those of unknown ids land in the last bin
         totals = np.bincount(where, weights=amounts, minlength=len(jobs) + 1)[:-1]
@@ -238,46 +241,31 @@ class AttackPlan:
 
     A compressed job is forced to arrival == deadline == slot; a job whose
     window already equals (slot, slot) is compressed but not altered.
-    Energies are never modified.
+    Energies are never modified.  A plan is feasible when ``_placed`` puts
+    each slot in its job's window, as for a schedule's entries.
     """
 
     compressed: dict[int, int]
 
-    @classmethod
-    def empty(cls) -> "AttackPlan":
-        return cls({})
-
-    @classmethod
-    def from_compression(cls, instance: Instance, slots: Mapping[int, int]) -> "AttackPlan":
-        """Build a validated plan from a job id -> slot mapping."""
-        plan = cls({int(jid): int(slot) for jid, slot in slots.items()})
-        plan.validate(instance)
-        return plan
-
     def validate(self, instance: Instance) -> None:
         """Raise ValueError when the plan is infeasible (hence detectable) for the instance."""
-        for jid, slot in self.compressed.items():
-            job = _plan_job(instance, jid)
-            if not job.covers(slot):
-                raise ValueError(
-                    f"attack plan moves job {jid} to slot {slot} outside its window "
-                    f"[{job.arrival}, {job.deadline}]"
-                )
+        where, _, inside = _placed(instance, self.compressed, list(self.compressed.values()))
+        if not inside.all():
+            k = int(inside.argmin())
+            jid, slot = next(islice(self.compressed.items(), k, None))
+            if where[k] == instance.n:
+                raise ValueError(f"attack plan references unknown job id {jid}")
+            job = instance.jobs[where[k]]
+            window = f"[{job.arrival}, {job.deadline}]"
+            raise ValueError(f"attack plan moves job {jid} to slot {slot} outside its window {window}")
 
     def altered(self, instance: Instance) -> frozenset[int]:
-        """Ids of the jobs whose window the plan actually changes."""
-        return frozenset(
-            jid
-            for jid, slot in self.compressed.items()
-            if (instance.job(jid).arrival, instance.job(jid).deadline) != (slot, slot)
-        )
-
-
-def _plan_job(instance: Instance, job_id: int) -> Job:
-    try:
-        return instance.job(job_id)
-    except KeyError:
-        raise ValueError(f"attack plan references unknown job id {job_id}") from None
+        """Ids of the jobs whose window the plan actually changes; rejects what ``validate`` rejects."""
+        self.validate(instance)
+        where = _placed(instance, self.compressed, list(self.compressed.values()))[0]
+        _, arrivals, deadlines, _ = _job_arrays(instance)
+        # a slot inside a one-slot window is that slot
+        return frozenset(compress(self.compressed, (arrivals[where] != deadlines[where]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -290,28 +278,44 @@ class CliqueBlock:
 
 @dataclass(frozen=True)
 class CliquePartition:
-    """Blocks of jobs, each block pinned to one slot covered by all members."""
+    """Blocks of jobs, each block pinned to one slot covered by all members, every job in one block."""
 
     blocks: tuple[CliqueBlock, ...]
 
     def validate(self, instance: Instance) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            for jid in block.members:
-                if jid in seen:
-                    raise ValueError(f"job {jid} appears in more than one block")
-                seen.add(jid)
-                job = _plan_job(instance, jid)
-                if not job.covers(block.slot):
-                    raise ValueError(f"job {jid} does not cover block slot {block.slot}")
-        if seen != set(instance.job_ids):
-            missing = set(instance.job_ids) - seen
-            raise ValueError(f"blocks do not cover job ids {sorted(missing)}")
+        self._assignment(instance)
 
     def to_plan(self, instance: Instance) -> AttackPlan:
         """Compression plan sending every member to its block slot."""
-        slots = {jid: block.slot for block in self.blocks for jid in block.members}
-        return AttackPlan.from_compression(instance, slots)
+        _, slots = self._assignment(instance)
+        return AttackPlan(dict(zip(_job_arrays(instance)[0].tolist(), slots.tolist())))
+
+    def _assignment(self, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+        """Each job's block label and block slot in instance order; ``validate``, ``to_plan`` and the greedy share it.
+
+        Raises ValueError for the first member, in block order, that repeats
+        a job, is unknown or does not cover the block slot; then for the jobs
+        that no block holds.
+        """
+        sizes = [len(block.members) for block in self.blocks]
+        members = list(chain.from_iterable(block.members for block in self.blocks))
+        slots = list(chain.from_iterable(map(repeat, (block.slot for block in self.blocks), sizes)))
+        where, at, inside = _placed(instance, members, slots)
+        repeated = np.ones(len(members), dtype=bool)  # a job an earlier member already placed
+        repeated[np.unique(where, return_index=True)[1]] = False
+        if not inside.all() or repeated.any():
+            k = int((repeated | ~inside).argmax())
+            if repeated[k]:
+                raise ValueError(f"job {members[k]} appears in more than one block")
+            if where[k] == instance.n:
+                raise ValueError(f"blocks reference unknown job id {members[k]}")
+            job = instance.jobs[where[k]]
+            window = f"outside a member's window [{job.arrival}, {job.deadline}]"
+            raise ValueError(f"job {members[k]} does not cover block slot {slots[k]}: {window}")
+        if len(members) < instance.n:
+            raise ValueError(f"blocks do not cover every job: missing ids {sorted(instance.job_ids - set(members))}")
+        back = np.argsort(where)  # the members' positions are a permutation of the jobs'
+        return np.repeat(np.arange(len(sizes)), sizes)[back], at[back]
 
 
 def apply_attack(instance: Instance, plan: AttackPlan) -> Instance:

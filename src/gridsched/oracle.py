@@ -65,7 +65,8 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
     slot's load adds the jobs in job order, on the grid of covered slots.
     Guarded: the product of window sizes must not exceed
     ENUMERATION_GUARD, and that product times the grid's slots must not
-    exceed ``_LOAD_CELLS``.
+    exceed ``_LOAD_CELLS``.  A cost past float64 raises
+    ``FloatingPointError``, an ``ArithmeticError``.
     """
     if instance.n == 0:
         return 0.0
@@ -84,7 +85,8 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
         rows = len(slots)
         cells = np.arange(rows)[:, None] * grid.size + np.searchsorted(grid, slots)
         loads = np.bincount(cells.ravel(), weights=np.tile(energies, rows), minlength=rows * grid.size)
-        best = max(best, float(cost(loads.reshape(-1, grid.size)).sum(axis=1).max()))
+        with np.errstate(over="raise"):
+            best = max(best, float(cost(loads.reshape(-1, grid.size)).sum(axis=1).max()))
     return best
 
 

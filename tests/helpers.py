@@ -211,9 +211,9 @@ def reference_schedule(instance: Instance, allocations) -> dict[tuple[int, int],
             raise ValueError(f"negative allocation {amount!r} for job {job_id} at slot {slot}")
         try:
             job = instance.job(job_id)
-        except KeyError as exc:
-            raise ValueError(str(exc)) from None
-        if not isinstance(slot, int) or not job.covers(slot):
+        except KeyError:
+            raise ValueError(f"unknown job id {job_id}") from None
+        if not isinstance(slot, int) or not job.arrival <= slot <= job.deadline:
             raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
         cleaned[(job_id, slot)] = amount
         totals[job_id] += amount
@@ -315,7 +315,7 @@ def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[At
     """
     jobs = instance.jobs
     if not jobs:
-        return AttackPlan.empty(), CliquePartition(()), 0.0
+        return AttackPlan({}), CliquePartition(()), 0.0
     suffix_min = [0] * len(jobs)
     running = jobs[-1].deadline
     for idx in range(len(jobs) - 1, -1, -1):

@@ -282,6 +282,27 @@ class TestGreedySelection:
         with pytest.raises(ValueError, match="outside a member's window"):
             limited_greedy_from_partition(inst, moved, 1.0, LINEAR)
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (lambda blocks: blocks[:2], r"do not cover every job: missing ids \[3, 4, 5, 6\]$"),
+            (lambda blocks: (*blocks, CliqueBlock(2, frozenset({1}))), "job 1 appears in more than one block"),
+            (lambda blocks: (*blocks[:2], CliqueBlock(8, frozenset({3, 4, 5, 6, 9}))), "unknown job id 9"),
+            (lambda blocks: (CliqueBlock(3, frozenset({0})), *blocks[1:]), r"job 0 does not cover block slot 3: .*"
+             r"outside a member's window \[1, 2\]"),
+        ],
+        ids=["missing", "duplicated", "unknown-id", "outside-window"],
+    )
+    def test_every_partition_check_raises_the_same_error(self, blocks, message):
+        inst, partition = three_cliques()
+        bad = CliquePartition(blocks(partition.blocks))
+        errors = []
+        for check in (bad.validate, bad.to_plan, lambda inst: limited_greedy_from_partition(inst, bad, 1.0, LINEAR)):
+            with pytest.raises(ValueError, match=message) as raised:
+                check(inst)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] == errors[2]
+
 
 class TestLimitedGreedyAttack:
     def test_two_job_example(self):
@@ -439,12 +460,12 @@ class TestGreedyPinned:
 class TestRealizedAttackCost:
     def test_single_alteration_example(self):
         inst = two_job_instance()
-        plan = AttackPlan.from_compression(inst, {1: 2})
+        plan = AttackPlan({1: 2})
         assert realized_attack_cost(inst, plan, QUAD) == pytest.approx(8.0)
 
     def test_empty_plan_gives_unattacked_minimum(self):
         inst = two_job_instance()
-        assert realized_attack_cost(inst, AttackPlan.empty(), QUAD) == pytest.approx(16 / 3)
+        assert realized_attack_cost(inst, AttackPlan({}), QUAD) == pytest.approx(16 / 3)
 
     def test_invalid_plan_propagates(self):
         inst = two_job_instance()

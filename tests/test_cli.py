@@ -158,7 +158,7 @@ def test_widest_window_refused_at_once(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "command",
     [["solve-min"], ["attack-full"], ["attack-online"], ["attack-limited", "--beta", "0.5"], ["bounds"],
-     ["oracle", "verify-min"]],
+     ["oracle", "verify-min"], pytest.param(["oracle", "pmax"], id="oracle-pmax")],
     ids=lambda command: command[0],
 )
 def test_overflowing_costs_report_error(tmp_path, capsys, command):

@@ -109,7 +109,7 @@ class TestMakeIdenticalInstance:
         assert [j.arrival for j in inst.jobs] == list(range(1, 51))
         assert all(j.deadline == j.arrival + 50 for j in inst.jobs)
         # every window covers slot 50
-        assert all(j.covers(50) for j in inst.jobs)
+        assert all(j.arrival <= 50 <= j.deadline for j in inst.jobs)
 
     def test_single_job(self):
         inst = make_identical_instance(1, 2.0, 7, 3)

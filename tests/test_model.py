@@ -43,7 +43,7 @@ class TestJob:
     def test_fields_and_allowance(self):
         job = Job(3, 2, 5, 1.5)
         assert job.allowance == 3
-        assert job.covers(2) and job.covers(5) and not job.covers(6)
+        assert [job.arrival <= slot <= job.deadline for slot in (2, 5, 6)] == [True, True, False]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -239,17 +239,17 @@ class TestScheduleMatchesReference:
 class TestApplyAttack:
     def test_direct_substitution(self):
         inst = two_job_instance()
-        plan = AttackPlan.from_compression(inst, {1: 2, 2: 2})
+        plan = AttackPlan({1: 2, 2: 2})
         altered = apply_attack(inst, plan)
         assert [(j.arrival, j.deadline, j.energy) for j in altered.jobs] == [(2, 2, 2.0), (2, 2, 2.0)]
 
     def test_empty_plan_is_identity(self):
         inst = two_job_instance()
-        assert apply_attack(inst, AttackPlan.empty()) == inst
+        assert apply_attack(inst, AttackPlan({})) == inst
 
     def test_single_job_compression_and_altered_set(self):
         inst = Instance([Job(1, 1, 5, 3.0)])
-        plan = AttackPlan.from_compression(inst, {1: 3})
+        plan = AttackPlan({1: 3})
         assert plan.altered(inst) == frozenset({1})
         altered = apply_attack(inst, plan)
         assert altered.jobs[0] == Job(1, 3, 3, 3.0)
@@ -257,16 +257,26 @@ class TestApplyAttack:
     def test_unknown_id_rejected(self):
         inst = two_job_instance()
         with pytest.raises(ValueError, match="unknown"):
-            AttackPlan.from_compression(inst, {7: 2})
+            AttackPlan({7: 2}).validate(inst)
 
     def test_out_of_window_slot_rejected(self):
         inst = two_job_instance()
         with pytest.raises(ValueError, match="outside"):
-            AttackPlan.from_compression(inst, {1: 3})
+            AttackPlan({1: 3}).validate(inst)
+
+    @pytest.mark.parametrize("slot", [2.0, np.int64(2), 2**64], ids=["float", "numpy-integer", "past-int64"])
+    def test_slot_must_be_an_int_in_the_window_as_in_schedules(self, slot):
+        inst = two_job_instance()
+        with pytest.raises(ValueError, match=f"slot {slot} outside window"):
+            Schedule(inst, {(1, slot): 2.0, (2, 2): 2.0})
+        with pytest.raises(ValueError, match=f"to slot {slot} outside its window"):
+            AttackPlan({1: slot}).validate(inst)
+        with pytest.raises(ValueError, match=f"does not cover block slot {slot}"):
+            CliquePartition((CliqueBlock(slot, frozenset({1, 2})),)).validate(inst)
 
     def test_already_compressed_job_not_altered(self):
         inst = Instance([Job(1, 4, 4, 2.0)])
-        plan = AttackPlan.from_compression(inst, {1: 4})
+        plan = AttackPlan({1: 4})
         assert plan.altered(inst) == frozenset()
 
     def test_energy_preserved_and_resorted(self):
@@ -278,7 +288,7 @@ class TestApplyAttack:
                 for j in inst.jobs
                 if rng.random() < 0.6
             }
-            altered = apply_attack(inst, AttackPlan.from_compression(inst, slots))
+            altered = apply_attack(inst, AttackPlan(slots))
             assert altered.total_energy == pytest.approx(inst.total_energy, abs=1e-12)
             arrivals = [j.arrival for j in altered.jobs]
             assert arrivals == sorted(arrivals)
@@ -294,7 +304,7 @@ class TestApplyAttack:
         for _ in range(20):
             inst = random_instance(rng, max_jobs=6)
             slots = {j.id: int(rng.integers(j.arrival, j.deadline + 1)) for j in inst.jobs}
-            altered = apply_attack(inst, AttackPlan.from_compression(inst, slots))
+            altered = apply_attack(inst, AttackPlan(slots))
             sched = schedule_optimal_offline(altered)
             # re-validating the allocations against the original instance succeeds
             Schedule(inst, sched.allocations)

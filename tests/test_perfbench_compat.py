@@ -38,6 +38,7 @@ def test_schedule_takes_allocations_by_name():
 
 
 def test_every_package_name_the_workloads_use_exists():
-    used = set(re.findall(r"\bgs\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
-    assert used
+    # workloads.py binds the package to gs, and selftest.py imports it from there
+    used = {name for path in PERFBENCH.glob("*.py") for name in re.findall(r"\bgs\.(\w+)", path.read_text())}
+    assert {"full_attack_dp", "apply_attack", "optimal_load_segments", "exact_limited_attack_curve"} <= used
     assert sorted(name for name in used if not hasattr(gridsched, name)) == []

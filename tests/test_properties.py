@@ -155,6 +155,14 @@ def test_attack_values_are_what_their_plans_realize(inst, exponent):
         assert value == realized_attack_cost(inst, plan, cost) == baseline_cost(apply_attack(inst, plan), cost)
 
 
+@settings(max_examples=40)
+@given(SHUFFLED_IDS, EXPONENTS)
+def test_attack_plans_pin_every_job_at_its_block_slot(inst, exponent):
+    # the plans come from the attacks' own per-job slots; their partitions say the same
+    for plan, partition, _ in (full_attack_dp(inst, CostModel(exponent)), online_edf_attack(inst, CostModel(exponent))):
+        assert plan == partition.to_plan(inst)
+
+
 @settings(max_examples=25)
 @given(SHUFFLED_IDS, EXPONENTS)
 def test_greedy_never_exceeds_what_its_plan_realizes(inst, exponent):
