@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .model import (
     ENERGY_TOL,
     AttackPlan,
-    CliqueBlock,
     CliquePartition,
     CostModel,
     Instance,
@@ -15,7 +14,6 @@ from .model import (
     baseline_cost,
     evaluate_cost,
     read_instance_csv,
-    write_instance_csv,
 )
 from .scheduler import (
     even_cost,
@@ -48,7 +46,6 @@ from .oracle import (
 from .harness import (
     Experiment,
     ExperimentConfig,
-    ExperimentResult,
     GenParams,
     generate_instance,
     make_identical_instance,
@@ -59,12 +56,10 @@ __all__ = [
     "__version__",
     "ENERGY_TOL",
     "AttackPlan",
-    "CliqueBlock",
     "CliquePartition",
     "CostModel",
     "Experiment",
     "ExperimentConfig",
-    "ExperimentResult",
     "GenParams",
     "Instance",
     "Job",
@@ -96,5 +91,4 @@ __all__ = [
     "run_experiment",
     "schedule_online_even",
     "schedule_optimal_offline",
-    "write_instance_csv",
 ]

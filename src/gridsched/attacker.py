@@ -36,7 +36,6 @@ import numpy as np
 
 from .model import (
     AttackPlan,
-    CliqueBlock,
     CliquePartition,
     CostModel,
     Instance,
@@ -70,7 +69,8 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     in [r, s(k)) and deadline column in [k, c], the left part is cell
     (r, k - 1) and the right part cell (s(k), c), each worth 0 if it holds
     no interval.  The smallest best anchor wins ties, and a block is pinned
-    at its latest member arrival, which every member covers.
+    at its latest member arrival, which every member covers.  Blocks are
+    labelled 0, 1, ... by slot, ties in the order they are found.
 
     This is exact in real numbers: every interval holds the jobs of a cell,
     and an optimum's largest-energy block, pinned at its earliest deadline,
@@ -93,9 +93,9 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
     clique's cost past float64 raises ``OverflowError`` in ``_plan_cost``.
     """
     if instance.n == 0:
-        return AttackPlan({}), CliquePartition(()), 0.0
+        return AttackPlan({}), CliquePartition({}), 0.0
 
-    job_ids, arrivals, deadlines, energies = _job_arrays(instance)
+    ids, arrivals, deadlines, energies = _job_arrays(instance)
     starts, ends = np.unique(arrivals), np.unique(deadlines)
     rows, cols = starts.size, ends.size
     row, col = np.searchsorted(starts, arrivals), np.searchsorted(ends, deadlines)
@@ -160,7 +160,7 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
 
     begin = np.searchsorted(row, np.arange(rows + 1))  # jobs come sorted by arrival: row r's run from begin[r]
     reach = np.append(np.minimum.accumulate(col[::-1])[::-1], cols)[begin]  # earliest deadline column from row r on
-    slots, blocks, stack = np.empty(instance.n, dtype=np.int64), [], [(0, cols - 1)]
+    slots, found, pins, stack = np.empty(instance.n, np.int64), np.empty(instance.n, np.intp), [], [(0, cols - 1)]
     while stack:
         r, c = stack.pop()
         if c < reach[r]:
@@ -171,12 +171,13 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
         if members.any():
             slot = int(arrivals[jobs][members].max())
             slots[jobs][members] = slot
-            blocks.append(CliqueBlock(slot, frozenset(job_ids[jobs][members].tolist())))
+            found[jobs][members] = len(pins)
+            pins.append(slot)
         stack.append((r, k - 1))
         stack.append((int(after[k]), c))
-    partition = CliquePartition(tuple(sorted(blocks, key=lambda block: block.slot)))
-    plan = AttackPlan(dict(zip(job_ids.tolist(), slots.tolist())))
-    return plan, partition, _plan_cost(job_ids, slots, energies, cost)
+    labels = np.argsort(np.argsort(pins, kind="stable"))[found]  # blocks ranked by slot, ties as found
+    partition = CliquePartition(dict(zip(ids.tolist(), zip(labels.tolist(), slots.tolist()))))
+    return AttackPlan(dict(zip(ids.tolist(), slots.tolist()))), partition, _plan_cost(ids, slots, energies, cost)
 
 
 def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
@@ -186,20 +187,21 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
     every remaining job arriving by then into one block pinned at that
     deadline, and drop them.  Runs in O(n log n); the value never exceeds
     the optimal attack.  The value is ``_plan_cost`` of the per-job pins,
-    exactly the plan's realized cost.
+    exactly the plan's realized cost.  Blocks are labelled 0, 1, ... in
+    pin order.
     """
     ids, arrivals, deadlines, energies = _job_arrays(instance)
     slots = np.minimum.accumulate(deadlines[::-1])[::-1]  # the earliest deadline from each job on
-    id_list, arrival_list = ids.tolist(), arrivals.tolist()
-    blocks, first = [], 0
+    arrival_list, first = arrivals.tolist(), 0
     while first < instance.n:
         pin = int(slots[first])
         stop = bisect_right(arrival_list, pin, first)  # past the last job arriving by the pin
-        blocks.append(CliqueBlock(pin, frozenset(id_list[first:stop])))
         slots[first:stop] = pin  # now each job's block pin
         first = stop
-    plan = AttackPlan(dict(zip(id_list, slots.tolist())))
-    return plan, CliquePartition(tuple(blocks)), _plan_cost(ids, slots, energies, cost)
+    # each block's first job arrives after the last pin and is due no earlier, so the pins increase
+    labels = np.unique(slots, return_inverse=True)[1]
+    partition = CliquePartition(dict(zip(ids.tolist(), zip(labels.tolist(), slots.tolist()))))
+    return AttackPlan(dict(zip(ids.tolist(), slots.tolist()))), partition, _plan_cost(ids, slots, energies, cost)
 
 
 def limited_greedy_from_partition(
@@ -211,32 +213,31 @@ def limited_greedy_from_partition(
     """Budgeted greedy attack given an already-computed optimal clique partition.
 
     Whole cliques are ranked by cost per member (ties by larger cost, then
-    position in the partition) and compressed while their members fit the
-    budget; the first clique that does not fit is the next clique.  Two
-    selections are compared: (a) those whole cliques plus the
-    highest-energy members of the next clique that the leftover budget
-    pays for, and (b) the whole budget spent inside the next clique on its
-    highest-energy members.  A member already pinned at its clique's slot
-    (window [slot, slot]) is not altered by compressing it, so it uses no
-    budget: the leftover of (a) counts only the altered members of the
-    whole cliques, and both (a) and (b) take every pinned member of the
-    next clique.  In either selection, the pinned members of every clique
-    it leaves uncompressed join at their slot too, for free.  The better
-    of the two is adopted (ties to (a)).  Only the compressed components
-    are counted.
+    label) and compressed while their members fit the budget; the first
+    clique that does not fit is the next clique.  Two selections are
+    compared: (a) those whole cliques plus the highest-energy members of
+    the next clique that the leftover budget pays for, and (b) the whole
+    budget spent inside the next clique on its highest-energy members.  A
+    member already pinned at its clique's slot (window [slot, slot]) is
+    not altered by compressing it, so it uses no budget: the leftover of
+    (a) counts only the altered members of the whole cliques, and both (a)
+    and (b) take every pinned member of the next clique.  In either
+    selection, the pinned members of every clique it leaves uncompressed
+    join at their slot too, for free.  The better of the two is adopted
+    (ties to (a)).  Only the compressed components are counted.
 
-    The partition must hold every job once, in a block whose slot it
-    covers: the check ``CliquePartition.validate`` makes, with its errors,
-    which also gives each job's clique and slot.  Cliques are ranked by the
-    costs of their ``np.bincount`` energies, and each selection, a mask over
-    the jobs, is valued by ``_plan_cost``.  That value is at most
+    Every job needs a clique whose one slot lies in its window: the check
+    ``CliquePartition.validate`` makes, with its errors, which also gives
+    each job's clique rank and slot.  Cliques are ranked by the costs of
+    their ``np.bincount`` energies, and each selection, a mask over the
+    jobs, is valued by ``_plan_cost``.  That value is at most
     ``realized_attack_cost`` of the plan, with no slack; at beta = 1, on a
     partition from ``full_attack_dp``, it is c_max bit for bit.
     """
     budget = attack_budget(beta, instance.n)
     ids, arrivals, deadlines, energies = _job_arrays(instance)
-    label, slot = partition._assignment(instance)  # each job's clique and its slot
-    sizes = np.bincount(label, minlength=len(partition.blocks))
+    label, slot = partition._assignment(instance)  # each job's clique rank and its slot
+    sizes = np.bincount(label)  # every clique has a member
     pinned = (arrivals == slot) & (deadlines == slot)  # compressed without being altered
 
     values = cost(np.bincount(label, energies, sizes.size))

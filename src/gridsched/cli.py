@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 
 from .analysis import (
     allowance_ratio,
@@ -39,9 +40,9 @@ def _print_profile(schedule) -> None:
 
 
 def _print_blocks(partition) -> None:
-    for block in partition.blocks:
-        members = ",".join(str(jid) for jid in sorted(block.members))
-        print(f"  slot={block.slot} members={members}")
+    cliques = sorted((label, slot, jid) for jid, (label, slot) in partition.cliques.items())
+    for (_, slot), members in groupby(cliques, key=lambda clique: clique[:2]):
+        print(f"  slot={slot} members={','.join(str(jid) for *_, jid in members)}")
 
 
 def _cmd_solve_min(args) -> int:
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--b", type=float, default=2.0, help="cost exponent (default 2)")
     cmd.add_argument(
         "--tol", type=float, default=1e-7,
-        help="optimality tolerance, times the largest slot load when above 1 (verify-min only)",
+        help="optimality tolerance, times the largest slot load (verify-min only)",
     )
     cmd.set_defaults(handler=_cmd_oracle)
 

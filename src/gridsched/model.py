@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -25,8 +25,8 @@ import numpy as np
 ENERGY_TOL = 1e-9
 """Relative tolerance for energy-conservation checks on real-valued schedules.
 
-A job's allocations must sum to its energy within ENERGY_TOL * max(1, energy),
-so the check scales with the data and is absolute for energies below 1.
+A job's allocations must sum to its energy within ENERGY_TOL * energy at
+every energy scale, so scaling all energies by 2^k scales the bound with them.
 """
 
 INSTANCE_CSV_HEADER = ("id", "arrival", "deadline", "energy")
@@ -183,7 +183,7 @@ class Schedule:
 
     Invariants enforced at construction: allocations are finite and
     non-negative, stay inside each job's window, and sum to each job's
-    energy within ENERGY_TOL * max(1, energy).  Zero entries are dropped.
+    energy within ENERGY_TOL * energy.  Zero entries are dropped.
 
     The entries are checked as arrays: job ids and slots by ``_placed``,
     amounts through ``float``, and each job's total by ``np.bincount`` in
@@ -219,7 +219,7 @@ class Schedule:
             raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
         # zero entries add exact zeros; those of unknown ids land in the last bin
         totals = np.bincount(where, weights=amounts, minlength=len(jobs) + 1)[:-1]
-        short = ~(np.abs(totals - energies) <= ENERGY_TOL * np.maximum(1.0, energies))
+        short = ~(np.abs(totals - energies) <= ENERGY_TOL * energies)
         if short.any():
             k = int(short.argmax())
             raise ValueError(
@@ -269,53 +269,53 @@ class AttackPlan:
 
 
 @dataclass(frozen=True)
-class CliqueBlock:
-    """A set of job ids sharing a common feasible slot."""
-
-    slot: int
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
 class CliquePartition:
-    """Blocks of jobs, each block pinned to one slot covered by all members, every job in one block."""
+    """Jobs grouped into cliques, each pinned at one slot that all its members cover.
 
-    blocks: tuple[CliqueBlock, ...]
+    ``cliques`` maps each job id to its (clique label, clique slot), in
+    instance order.  Jobs that share a label form one clique and share its
+    slot, cliques rank by label, and every job is in exactly one clique, so
+    a clique with no member cannot be written down.
+    """
+
+    cliques: dict[int, tuple[int, int]]
 
     def validate(self, instance: Instance) -> None:
         self._assignment(instance)
 
     def to_plan(self, instance: Instance) -> AttackPlan:
-        """Compression plan sending every member to its block slot."""
+        """Compression plan sending every job to its clique's slot."""
         _, slots = self._assignment(instance)
         return AttackPlan(dict(zip(_job_arrays(instance)[0].tolist(), slots.tolist())))
 
     def _assignment(self, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-        """Each job's block label and block slot in instance order; ``validate``, ``to_plan`` and the greedy share it.
+        """Each job's clique rank (0, 1, ... in label order) and clique slot in instance order.
 
-        Raises ValueError for the first member, in block order, that repeats
-        a job, is unknown or does not cover the block slot; then for the jobs
-        that no block holds.
+        ``validate``, ``to_plan`` and the greedy share it.  Raises ValueError
+        for the first job, in mapping order, that is unknown or does not
+        cover its slot; then for the first whose slot differs from its
+        clique's first member's; then for the jobs the mapping leaves out.
         """
-        sizes = [len(block.members) for block in self.blocks]
-        members = list(chain.from_iterable(block.members for block in self.blocks))
-        slots = list(chain.from_iterable(map(repeat, (block.slot for block in self.blocks), sizes)))
-        where, at, inside = _placed(instance, members, slots)
-        repeated = np.ones(len(members), dtype=bool)  # a job an earlier member already placed
-        repeated[np.unique(where, return_index=True)[1]] = False
-        if not inside.all() or repeated.any():
-            k = int((repeated | ~inside).argmax())
-            if repeated[k]:
-                raise ValueError(f"job {members[k]} appears in more than one block")
+        ids = list(self.cliques)
+        labels = [label for label, _ in self.cliques.values()]
+        slots = [slot for _, slot in self.cliques.values()]
+        where, at, inside = _placed(instance, ids, slots)
+        if not inside.all():
+            k = int(inside.argmin())
             if where[k] == instance.n:
-                raise ValueError(f"blocks reference unknown job id {members[k]}")
+                raise ValueError(f"blocks reference unknown job id {ids[k]}")
             job = instance.jobs[where[k]]
             window = f"outside a member's window [{job.arrival}, {job.deadline}]"
-            raise ValueError(f"job {members[k]} does not cover block slot {slots[k]}: {window}")
-        if len(members) < instance.n:
-            raise ValueError(f"blocks do not cover every job: missing ids {sorted(instance.job_ids - set(members))}")
-        back = np.argsort(where)  # the members' positions are a permutation of the jobs'
-        return np.repeat(np.arange(len(sizes)), sizes)[back], at[back]
+            raise ValueError(f"job {ids[k]} does not cover block slot {slots[k]}: {window}")
+        _, first, rank = np.unique(labels, return_index=True, return_inverse=True)
+        clash = at != at[first[rank]]
+        if clash.any():
+            k = int(clash.argmax())
+            raise ValueError(f"clique {labels[k]} names two slots, {slots[first[rank[k]]]} and {slots[k]}")
+        if len(ids) < instance.n:
+            raise ValueError(f"blocks do not cover every job: missing ids {sorted(instance.job_ids - set(ids))}")
+        back = np.argsort(where)  # the mapped jobs' positions are a permutation of the jobs'
+        return rank[back], at[back]
 
 
 def apply_attack(instance: Instance, plan: AttackPlan) -> Instance:

@@ -191,14 +191,14 @@ def check_min_optimality(
     """Certify first-order optimality of an admissible schedule.
 
     Builds the residual slot graph with an arc t -> t' whenever some job
-    holds more than ``tol`` energy at t and t' lies inside its window.
-    The schedule minimizes every strictly convex separable cost iff no
-    slot can reach, along such arcs, a slot whose load is lower by more
-    than ``tol * max(1, largest slot load)``: the loads carry rounding
-    error in proportion to their size.  Single swaps are not enough:
-    improving moves may need chains of transfers, hence the path search.
-    Linear costs (exponent 1) make every admissible schedule optimal.
-    Raises ValueError unless ``tol`` is finite and >= 0.
+    holds more than g = ``tol`` * largest slot load at t and t' lies inside
+    its window.  The schedule minimizes every strictly convex separable cost
+    iff no slot can reach, along such arcs, a slot whose load is lower by
+    more than g: the loads carry rounding error in proportion to their size,
+    so scaling every energy by 2^k leaves the verdict as it is.  Single
+    swaps are not enough: improving moves may need chains of transfers,
+    hence the path search.  Linear costs (exponent 1) make every admissible
+    schedule optimal.  Raises ValueError unless ``tol`` is finite and >= 0.
 
     The search from a slot visits, in each mover's window, only the
     occupied slots, in ascending order, so a window costs its occupied
@@ -214,10 +214,10 @@ def check_min_optimality(
     loads = schedule.slot_loads()
     occupied = list(loads)  # ascending
     movers: dict[int, list[int]] = {}  # each slot's movers by ascending id
+    gap_tol = tol * max(loads.values(), default=0.0)
     for (jid, slot), amount in sorted(schedule.allocations.items()):
-        if amount > tol:
+        if amount > gap_tol:
             movers.setdefault(slot, []).append(jid)
-    gap_tol = tol * max(1.0, max(loads.values(), default=0.0))
 
     for source in sorted(movers):
         to_empty = loads[source] > gap_tol  # whether an unoccupied slot is a witness

@@ -422,14 +422,15 @@ def edf_fill(
 
     The jobs are given as parallel arrays, in the order of ``_job_arrays``;
     they must all be contained in the interval and their total energy must
-    equal level * width.  Slots are processed left to right; at each slot
-    the unfinished arrived jobs are served in order of earliest deadline
-    (ties by smaller id), each taking the rest of its energy up to the
-    slot's remaining capacity, or all of it when it is at most ``fill_tol``
-    above; what a slot ends over or under ``level`` (at most ``fill_tol``)
-    goes to the next slot's capacity, so it never adds up.  Returns the
-    positive allocations as a (job id, slot) -> amount mapping of Python
-    numbers.
+    equal level * width within 1e-9 * total.  Slots are processed left to
+    right; at each slot the unfinished arrived jobs are served in order of
+    earliest deadline (ties by smaller id), each taking the rest of its
+    energy up to the slot's remaining capacity, or all of it when it is at
+    most ``fill_tol`` = 1e-9 * level above; what a slot ends over or under
+    ``level`` (at most ``fill_tol``) goes to the next slot's capacity, so it
+    never adds up.  Both bounds are relative, so scaling the energies by
+    2^k scales every entry by 2^k exactly.  Returns the positive
+    allocations as a (job id, slot) -> amount mapping of Python numbers.
 
     Raises RuntimeError when a slot cannot be filled or a deadline is
     missed; with a valid critical interval this cannot happen, so a raise
@@ -443,13 +444,13 @@ def edf_fill(
         if arrival < start or deadline > end:
             raise ValueError(f"job {jid} window [{arrival}, {deadline}] not contained in [{start}, {end}]")
     total = _added(energy for *_, energy in ordered)
-    if abs(total - level * width) > 1e-9 * max(1.0, total):
+    if abs(total - level * width) > 1e-9 * total:
         raise ValueError(f"level {level!r} inconsistent with total energy {total!r} over {width} slots")
 
     remaining = {jid: energy for _, _, jid, energy in ordered}
     allocations: dict[tuple[int, int], float] = {}
     heap: list[tuple[int, int]] = []
-    fill_tol = 1e-9 * max(1.0, level)
+    fill_tol = 1e-9 * level
     next_job, capacity = 0, 0.0
     for slot in range(start, end + 1):
         while next_job < len(ordered) and ordered[next_job][0] <= slot:

@@ -17,7 +17,6 @@ from gridsched.attacker import full_attack_dp, limited_greedy_from_partition
 from gridsched.model import (
     ENERGY_TOL,
     AttackPlan,
-    CliqueBlock,
     CliquePartition,
     CostModel,
     Instance,
@@ -218,7 +217,7 @@ def reference_schedule(instance: Instance, allocations) -> dict[tuple[int, int],
         cleaned[(job_id, slot)] = amount
         totals[job_id] += amount
     for job in instance.jobs:
-        if not abs(totals[job.id] - job.energy) <= ENERGY_TOL * max(1.0, job.energy):
+        if not abs(totals[job.id] - job.energy) <= ENERGY_TOL * job.energy:
             raise ValueError(f"job {job.id}: allocated {totals[job.id]!r} does not conserve energy {job.energy!r}")
     return cleaned
 
@@ -276,10 +275,10 @@ def reference_check_min_optimality(
         return MinOptimalityResult(True)
     loads = schedule.slot_loads()
     movers: dict[int, list[int]] = {}  # each slot's movers by ascending id
+    gap_tol = tol * max(loads.values(), default=0.0)
     for (jid, slot), amount in sorted(schedule.allocations.items()):
-        if amount > tol:
+        if amount > gap_tol:
             movers.setdefault(slot, []).append(jid)
-    gap_tol = tol * max(1.0, max(loads.values(), default=0.0))
 
     for source in sorted(movers):
         seen = {source}
@@ -311,30 +310,46 @@ def reference_check_min_optimality(
 def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
     """``online_edf_attack`` as two loops over the Job objects: suffix minima of the deadlines, then the blocks.
 
-    Each block's load adds its energies in id order, as ``online_edf_attack`` prices them.
+    Each block's load adds its energies in id order, as ``online_edf_attack``
+    prices them.  The partition maps the jobs in instance order, the k-th
+    block's members to label k and its pin.
     """
     jobs = instance.jobs
     if not jobs:
-        return AttackPlan({}), CliquePartition(()), 0.0
+        return AttackPlan({}), CliquePartition({}), 0.0
     suffix_min = [0] * len(jobs)
     running = jobs[-1].deadline
     for idx in range(len(jobs) - 1, -1, -1):
         running = min(running, jobs[idx].deadline)
         suffix_min[idx] = running
 
-    blocks: list[CliqueBlock] = []
+    cliques: dict[int, tuple[int, int]] = {}
     value = 0.0
-    idx = 0
+    idx = label = 0
     while idx < len(jobs):
         pin = suffix_min[idx]
         group = []
         while idx < len(jobs) and jobs[idx].arrival <= pin:
             group.append(jobs[idx])
+            cliques[jobs[idx].id] = (label, pin)
             idx += 1
-        blocks.append(CliqueBlock(pin, frozenset(j.id for j in group)))
+        label += 1
         value += float(cost(_added(j.energy for j in sorted(group, key=lambda j: j.id))))
-    partition = CliquePartition(tuple(blocks))
+    partition = CliquePartition(cliques)
     return partition.to_plan(instance), partition, value
+
+
+def partition_blocks(partition: CliquePartition) -> list[tuple[int, frozenset[int]]]:
+    """The partition's cliques as (slot, members) pairs in label order; a clique's slot is its first member's."""
+    blocks: dict[int, tuple[int, set[int]]] = {}
+    for jid, (label, slot) in partition.cliques.items():
+        blocks.setdefault(label, (slot, set()))[1].add(jid)
+    return [(slot, frozenset(members)) for _, (slot, members) in sorted(blocks.items())]
+
+
+def partition_from_blocks(blocks) -> CliquePartition:
+    """The partition whose clique k is the k-th (slot, members) pair, its members mapped in ascending id order."""
+    return CliquePartition({jid: (k, slot) for k, (slot, members) in enumerate(blocks) for jid in sorted(members)})
 
 
 def limited_greedy(instance: Instance, beta: float, cost: CostModel) -> tuple[AttackPlan, float]:
@@ -482,7 +497,7 @@ def exact_max_cost(instance: Instance, exponent: int) -> Fraction:
 
 
 def exact_partition_cost(instance: Instance, blocks, exponent: int) -> Fraction:
-    """The cost of a partition's blocks in exact rational arithmetic."""
+    """The cost of a partition's (slot, members) blocks in exact rational arithmetic."""
     return sum(
-        (sum(Fraction(instance.job(jid).energy) for jid in block.members) ** exponent for block in blocks), Fraction(0)
+        (sum(Fraction(instance.job(jid).energy) for jid in members) ** exponent for _, members in blocks), Fraction(0)
     )

@@ -15,7 +15,7 @@ from gridsched.attacker import full_attack_dp, limited_greedy_from_partition, on
 from gridsched.model import CostModel, Instance, Job
 
 
-from helpers import random_instance
+from helpers import partition_blocks, random_instance
 
 
 def two_job_instance() -> Instance:
@@ -90,7 +90,7 @@ class TestArrivalPackingRatio:
         for _ in range(60):
             inst = random_instance(rng, max_jobs=12, min_jobs=2, min_window=2)
             ratio = arrival_packing_ratio(inst)
-            blocks = len(online_edf_attack(inst, CostModel(2.0))[1].blocks)
+            blocks = len(partition_blocks(online_edf_attack(inst, CostModel(2.0))[1]))
             assert blocks <= inst.n / ratio + 2 + 1e-9
 
 

@@ -17,7 +17,6 @@ from gridsched.attacker import (
 from gridsched.harness import GenParams, generate_instance, make_identical_instance
 from gridsched.model import (
     AttackPlan,
-    CliqueBlock,
     CliquePartition,
     CostModel,
     Instance,
@@ -33,6 +32,8 @@ from helpers import (
     exact_max_cost,
     exact_partition_cost,
     limited_greedy,
+    partition_blocks,
+    partition_from_blocks,
     random_instance,
     random_instance_in_horizon,
     reference_full_attack_dp,
@@ -48,8 +49,8 @@ def two_job_instance() -> Instance:
     return Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0)])
 
 
-def block_energy(instance: Instance, block: CliqueBlock) -> float:
-    return sum(instance.job(jid).energy for jid in block.members)
+def block_energy(instance: Instance, members: frozenset[int]) -> float:
+    return sum(instance.job(jid).energy for jid in members)
 
 
 def blocks_cost(instance: Instance, blocks, cost: CostModel) -> float:
@@ -79,25 +80,25 @@ class TestFullAttackDp:
     def test_two_job_example(self):
         plan, partition, value = full_attack_dp(two_job_instance(), QUAD)
         assert value == pytest.approx(16.0)
-        assert [(b.slot, set(b.members)) for b in partition.blocks] == [(2, {1, 2})]
+        assert partition_blocks(partition) == [(2, {1, 2})]
         assert plan.compressed == {1: 2, 2: 2}
 
     def test_single_job(self):
         inst = Instance([Job(1, 1, 5, 3.0)])
         _, partition, value = full_attack_dp(inst, QUAD)
         assert value == pytest.approx(9.0)
-        assert len(partition.blocks) == 1
+        assert len(partition_blocks(partition)) == 1
 
     def test_disjoint_jobs_cannot_merge(self):
         inst = Instance([Job(1, 1, 1, 3.0), Job(2, 10, 10, 1.0)])
         _, partition, value = full_attack_dp(inst, QUAD)
         assert value == pytest.approx(10.0)
-        assert sorted(len(b.members) for b in partition.blocks) == [1, 1]
+        assert sorted(len(members) for _, members in partition_blocks(partition)) == [1, 1]
 
     def test_empty_instance(self):
         plan, partition, value = full_attack_dp(Instance([]), QUAD)
         assert value == 0.0
-        assert partition.blocks == ()
+        assert partition_blocks(partition) == []
 
     def test_matches_brute_force_and_partition_valid(self):
         rng = np.random.default_rng(42)
@@ -130,7 +131,7 @@ class TestFullAttackDp:
                 _, partition, value = full_attack_dp(inst, cost)
                 # the reference's table value only picks its partition; c_max prices that partition
                 _, expected_blocks = reference_full_attack_dp(inst, cost)
-                assert [(block.slot, block.members) for block in partition.blocks] == expected_blocks
+                assert partition_blocks(partition) == expected_blocks
                 assert value == blocks_cost(inst, expected_blocks, cost)
 
     def test_exact_values_pinned(self):
@@ -138,7 +139,7 @@ class TestFullAttackDp:
         assert full_attack_dp(two_job_instance(), QUAD)[2] == 16.0
         _, partition, value = full_attack_dp(make_identical_instance(12, 5.0, 6, 2), QUAD)
         assert value == 1200.0
-        assert [(b.slot, sorted(b.members)) for b in partition.blocks] == [
+        assert [(slot, sorted(members)) for slot, members in partition_blocks(partition)] == [
             (7, [0, 1, 2, 3]), (15, [4, 5, 6, 7]), (23, [8, 9, 10, 11]),
         ]
         draw = generate_instance(GenParams(100, 5.0, 25.0, 1.0, 5.0, 11))
@@ -154,7 +155,7 @@ class TestFullAttackDp:
         _, partition, value = full_attack_dp(draw, cost)
         assert np.isfinite(value)
         partition.validate(draw)
-        recomputed = sum(cost(block_energy(draw, block)) for block in partition.blocks)
+        recomputed = sum(cost(block_energy(draw, members)) for _, members in partition_blocks(partition))
         assert recomputed == pytest.approx(value, rel=1e-12)
 
     def test_non_integer_exponent_matches_brute_force(self):
@@ -193,26 +194,26 @@ class TestFullAttackDp:
                 _, partition, value = full_attack_dp(inst, cost)
                 bound = 4 * inst.n * Fraction(np.finfo(float).eps) * exact
                 assert abs(Fraction(value) - exact) <= bound
-                assert abs(exact_partition_cost(inst, partition.blocks, exponent) - exact) <= bound
+                assert abs(exact_partition_cost(inst, partition_blocks(partition), exponent) - exact) <= bound
 
 
 class TestOnlineEdfAttack:
     def test_two_job_example(self):
         _, partition, value = online_edf_attack(two_job_instance(), QUAD)
         assert value == pytest.approx(16.0)
-        assert [(b.slot, set(b.members)) for b in partition.blocks] == [(2, {1, 2})]
+        assert partition_blocks(partition) == [(2, {1, 2})]
 
     def test_three_job_example(self):
         inst = Instance([Job(1, 1, 2, 1.0), Job(2, 2, 4, 1.0), Job(3, 3, 5, 1.0)])
         _, partition, value = online_edf_attack(inst, QUAD)
         assert value == pytest.approx(5.0)
-        assert [(b.slot, set(b.members)) for b in partition.blocks] == [(2, {1, 2}), (5, {3})]
+        assert partition_blocks(partition) == [(2, {1, 2}), (5, {3})]
 
     def test_single_job_pinned_at_deadline(self):
         inst = Instance([Job(1, 2, 7, 4.0)])
         _, partition, value = online_edf_attack(inst, QUAD)
-        assert partition.blocks == (partition.blocks[0],)
-        assert partition.blocks[0].slot == 7
+        assert len(partition_blocks(partition)) == 1
+        assert partition_blocks(partition)[0][0] == 7
         assert value == pytest.approx(16.0)
 
     def test_never_beats_optimal_attack(self):
@@ -228,12 +229,8 @@ class TestOnlineEdfAttack:
 def three_cliques() -> tuple[Instance, CliquePartition]:
     """Cliques of sizes 2, 1 and 4 whose values at b = 1 are 6, 5 and 4; no member is pinned."""
     jobs = [Job(0, 1, 2, 3.0), Job(1, 1, 2, 3.0), Job(2, 4, 5, 5.0)] + [Job(i, 7, 8, 1.0) for i in range(3, 7)]
-    blocks = (
-        CliqueBlock(2, frozenset({0, 1})),
-        CliqueBlock(5, frozenset({2})),
-        CliqueBlock(8, frozenset(range(3, 7))),
-    )
-    return Instance(jobs), CliquePartition(blocks)
+    blocks = [(2, frozenset({0, 1})), (5, frozenset({2})), (8, frozenset(range(3, 7)))]
+    return Instance(jobs), partition_from_blocks(blocks)
 
 
 class TestGreedySelection:
@@ -249,13 +246,13 @@ class TestGreedySelection:
     def test_ties_by_cost_then_position(self):
         # both cliques cost 2 per member: the larger cost ranks first and fills budget 2
         inst = Instance([Job(0, 1, 2, 2.0), Job(1, 4, 5, 2.0), Job(2, 4, 5, 2.0)])
-        partition = CliquePartition((CliqueBlock(2, frozenset({0})), CliqueBlock(5, frozenset({1, 2}))))
+        partition = partition_from_blocks([(2, {0}), (5, {1, 2})])
         plan, value = limited_greedy_from_partition(inst, partition, 2 / 3, LINEAR)
         assert value == 4.0
         assert plan.compressed == {1: 5, 2: 5}
-        # equal cost and size: the earlier position in the partition ranks first, whatever its slot
+        # equal cost and size: the smaller label ranks first, whatever its slot
         inst = Instance([Job(0, 1, 2, 3.0), Job(1, 4, 5, 3.0)])
-        partition = CliquePartition((CliqueBlock(5, frozenset({1})), CliqueBlock(2, frozenset({0}))))
+        partition = partition_from_blocks([(5, {1}), (2, {0})])
         plan, value = limited_greedy_from_partition(inst, partition, 1 / 2, LINEAR)
         assert value == 3.0
         assert plan.compressed == {1: 5}
@@ -277,31 +274,44 @@ class TestGreedySelection:
     def test_partition_must_cover_every_job_in_its_window(self):
         inst, partition = three_cliques()
         with pytest.raises(ValueError, match="every job"):
-            limited_greedy_from_partition(inst, CliquePartition(partition.blocks[:2]), 1.0, LINEAR)
-        moved = CliquePartition((CliqueBlock(3, frozenset({0, 1})), *partition.blocks[1:]))
+            limited_greedy_from_partition(inst, partition_from_blocks(partition_blocks(partition)[:2]), 1.0, LINEAR)
+        moved = partition_from_blocks([(3, {0, 1}), *partition_blocks(partition)[1:]])
         with pytest.raises(ValueError, match="outside a member's window"):
             limited_greedy_from_partition(inst, moved, 1.0, LINEAR)
 
     @pytest.mark.parametrize(
-        "blocks, message",
+        "build, message",
         [
-            (lambda blocks: blocks[:2], r"do not cover every job: missing ids \[3, 4, 5, 6\]$"),
-            (lambda blocks: (*blocks, CliqueBlock(2, frozenset({1}))), "job 1 appears in more than one block"),
-            (lambda blocks: (*blocks[:2], CliqueBlock(8, frozenset({3, 4, 5, 6, 9}))), "unknown job id 9"),
-            (lambda blocks: (CliqueBlock(3, frozenset({0})), *blocks[1:]), r"job 0 does not cover block slot 3: .*"
+            (lambda blocks: partition_from_blocks(blocks[:2]), r"do not cover every job: missing ids \[3, 4, 5, 6\]$"),
+            (lambda blocks: partition_from_blocks([*blocks[:2], (8, {3, 4, 5, 6, 9})]), "unknown job id 9"),
+            (lambda blocks: partition_from_blocks([(3, {0}), *blocks[1:]]), r"job 0 does not cover block slot 3: .*"
              r"outside a member's window \[1, 2\]"),
+            # job 2 joins clique 0, pinned at slot 2, at its own slot 5
+            (lambda blocks: CliquePartition({**partition_from_blocks(blocks).cliques, 2: (0, 5)}),
+             r"clique 0 names two slots, 2 and 5$"),
         ],
-        ids=["missing", "duplicated", "unknown-id", "outside-window"],
+        ids=["missing", "unknown-id", "outside-window", "two-slots"],
     )
-    def test_every_partition_check_raises_the_same_error(self, blocks, message):
+    def test_every_partition_check_raises_the_same_error(self, build, message):
         inst, partition = three_cliques()
-        bad = CliquePartition(blocks(partition.blocks))
+        bad = build(partition_blocks(partition))
         errors = []
         for check in (bad.validate, bad.to_plan, lambda inst: limited_greedy_from_partition(inst, bad, 1.0, LINEAR)):
             with pytest.raises(ValueError, match=message) as raised:
                 check(inst)
             errors.append(str(raised.value))
         assert errors[0] == errors[1] == errors[2]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sparse_labels_rank_densely(self):
+        # labels 5 and 0 are the cliques ranked 1 and 0: no empty clique lies between them to rank by 0 / 0
+        inst = Instance([Job(0, 1, 2, 3.0), Job(1, 4, 5, 3.0)])
+        partition = CliquePartition({0: (5, 2), 1: (0, 5)})
+        ranks, slots = partition._assignment(inst)
+        assert (ranks.tolist(), slots.tolist()) == ([1, 0], [2, 5])
+        # equal cost and size: label 0 ranks first
+        plan, value = limited_greedy_from_partition(inst, partition, 1 / 2, LINEAR)
+        assert (plan.compressed, value) == ({1: 5}, 3.0)
 
 
 class TestLimitedGreedyAttack:

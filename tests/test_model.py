@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gridsched.model import (
     AttackPlan,
-    CliqueBlock,
     CliquePartition,
     CostModel,
     Instance,
@@ -26,6 +25,7 @@ from gridsched.model import (
 
 from helpers import (
     baseline_schedule,
+    partition_from_blocks,
     random_instance,
     random_instance_in_horizon,
     reference_cost,
@@ -272,7 +272,7 @@ class TestApplyAttack:
         with pytest.raises(ValueError, match=f"to slot {slot} outside its window"):
             AttackPlan({1: slot}).validate(inst)
         with pytest.raises(ValueError, match=f"does not cover block slot {slot}"):
-            CliquePartition((CliqueBlock(slot, frozenset({1, 2})),)).validate(inst)
+            partition_from_blocks([(slot, {1, 2})]).validate(inst)
 
     def test_already_compressed_job_not_altered(self):
         inst = Instance([Job(1, 4, 4, 2.0)])
@@ -366,20 +366,19 @@ class TestCosts:
 class TestCliquePartition:
     def test_validate_covers_and_windows(self):
         inst = two_job_instance()
-        good = CliquePartition((CliqueBlock(2, frozenset({1, 2})),))
+        good = partition_from_blocks([(2, {1, 2})])
         good.validate(inst)
         with pytest.raises(ValueError, match="cover"):
-            CliquePartition((CliqueBlock(2, frozenset({1})),)).validate(inst)
-        with pytest.raises(ValueError, match="more than one"):
-            CliquePartition(
-                (CliqueBlock(2, frozenset({1, 2})), CliqueBlock(2, frozenset({2})))
-            ).validate(inst)
+            partition_from_blocks([(2, {1})]).validate(inst)
         with pytest.raises(ValueError, match="cover block slot"):
-            CliquePartition((CliqueBlock(1, frozenset({1, 2})),)).validate(inst)
+            partition_from_blocks([(1, {1, 2})]).validate(inst)
+        # a job is in one clique by construction, and a clique has one slot
+        with pytest.raises(ValueError, match="clique 0 names two slots, 2 and 3"):
+            CliquePartition({1: (0, 2), 2: (0, 3)}).validate(inst)
 
     def test_to_plan(self):
         inst = two_job_instance()
-        plan = CliquePartition((CliqueBlock(2, frozenset({1, 2})),)).to_plan(inst)
+        plan = partition_from_blocks([(2, {1, 2})]).to_plan(inst)
         assert plan.compressed == {1: 2, 2: 2}
         assert plan.altered(inst) == frozenset({1, 2})
 

@@ -18,6 +18,7 @@ from gridsched.scheduler import min_cost, schedule_online_even, schedule_optimal
 
 from helpers import (
     baseline_schedule,
+    partition_blocks,
     reference_check_min_optimality,
     reference_cost,
     reference_entry_arrays,
@@ -70,9 +71,7 @@ def test_far_shift_moves_the_attack_partition_and_keeps_its_value(specs, shift, 
     _, partition, c_max = full_attack_dp(build(specs), cost)
     _, shifted, shifted_max = full_attack_dp(build(specs, shift=shift), cost)
     assert repr(shifted_max) == repr(c_max)
-    assert [(block.slot - shift, block.members) for block in shifted.blocks] == [
-        (block.slot, block.members) for block in partition.blocks
-    ]
+    assert [(slot - shift, members) for slot, members in partition_blocks(shifted)] == partition_blocks(partition)
 
 
 @settings(max_examples=60)
@@ -84,6 +83,22 @@ def test_scaling_energies_by_1024_scales_the_attack_exactly(specs, exponent):
     _, scaled, scaled_max = full_attack_dp(build(specs, scale=1024.0), cost)
     assert scaled_max == c_max * 1024.0**exponent
     assert scaled == partition
+
+
+@settings(max_examples=60)
+@given(JOB_SPECS, st.integers(-80, 80), INTEGER_EXPONENTS)
+def test_scaling_energies_by_a_power_of_two_scales_the_schedule_exactly(specs, k, exponent):
+    # every tolerance is relative, so the fill and the certifier see the same numbers at any scale
+    cost, scale = CostModel(exponent), 2.0**k
+    inst, scaled_inst = build(specs), build(specs, scale=scale)
+    schedule, scaled = schedule_optimal_offline(inst), schedule_optimal_offline(scaled_inst)
+    assert scaled.allocations == {entry: amount * scale for entry, amount in schedule.allocations.items()}
+    assert evaluate_cost(scaled, cost) == evaluate_cost(schedule, cost) * scale**exponent
+    assert min_cost(scaled_inst, cost) == min_cost(inst, cost) * scale**exponent
+    assert check_min_optimality(scaled_inst, scaled, cost) == check_min_optimality(inst, schedule, cost)
+    # the inelastic schedule is rarely optimal: its verdict and witness must not move either
+    baseline = check_min_optimality(inst, baseline_schedule(inst), cost)
+    assert check_min_optimality(scaled_inst, baseline_schedule(scaled_inst), cost) == baseline
 
 
 def slot_free_results(instance: Instance, cost: CostModel):
@@ -205,8 +220,9 @@ def test_online_attack_equals_job_loops(inst, exponent):
     plan, partition, value = online_edf_attack(inst, cost)
     ref_plan, ref_partition, ref_value = reference_online_edf_attack(inst, cost)
     assert (plan, partition, repr(value)) == (ref_plan, ref_partition, repr(ref_value))
-    # each block's members iterate as the reference's: built from ids in instance order
-    assert [list(b.members) for b in partition.blocks] == [list(b.members) for b in ref_partition.blocks]
+    assert partition_blocks(partition) == partition_blocks(ref_partition)
+    # both map the jobs in instance order
+    assert list(partition.cliques.items()) == list(ref_partition.cliques.items())
 
 
 @settings(max_examples=60)

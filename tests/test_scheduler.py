@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 from gridsched import scheduler
-from gridsched.attacker import full_attack_dp, online_edf_attack
+from gridsched.attacker import full_attack_dp, online_edf_attack, realized_attack_cost
 from gridsched.harness import GenParams, generate_instance, make_identical_instance
-from gridsched.model import CostModel, Instance, Job, _job_arrays, apply_attack, baseline_cost, evaluate_cost
+from gridsched.model import (
+    AttackPlan,
+    CostModel,
+    Instance,
+    Job,
+    Schedule,
+    _job_arrays,
+    apply_attack,
+    baseline_cost,
+    evaluate_cost,
+)
 from gridsched.oracle import check_min_optimality
 from gridsched.scheduler import (
     _critical_rows,
@@ -202,6 +212,22 @@ class TestScheduleOptimalOffline:
             inst = generate_instance(GenParams(200, 2.0, 40.0, low, high, seed))
             sched = schedule_optimal_offline(inst, QUAD)
             assert evaluate_cost(sched, QUAD) <= baseline_cost(inst, QUAD) * (1 + 1e-12)
+
+    def test_tiny_energies_are_served_and_checked(self):
+        # energies of 1e-10 once fell under absolute floors: the fill served nothing, and no check noticed
+        inst = Instance([Job(1, 1, 2, 1e-10), Job(2, 2, 3, 3e-10)])
+        sched = schedule_optimal_offline(inst, QUAD)
+        assert sched.allocations == {(2, 2): 1.5e-10, (2, 3): 1.5e-10, (1, 1): 1e-10}
+        assert evaluate_cost(sched, QUAD) == min_cost(inst, QUAD) == pytest.approx(5.5e-20, rel=1e-15)
+        assert check_min_optimality(inst, sched, QUAD).optimal
+        with pytest.raises(ValueError, match="job 1: allocated 0.0 does not conserve energy 1e-10"):
+            Schedule(inst, {})
+        # job 1 can move from slot 2, loaded 4e-10, to the empty slot 1
+        stacked = Schedule(inst, {(1, 2): 1e-10, (2, 2): 3e-10})
+        assert check_min_optimality(inst, stacked, QUAD).witness == ((2, 1, 1),)
+        realized = realized_attack_cost(inst, AttackPlan({1: 2}), QUAD)
+        assert realized == pytest.approx(min_cost(apply_attack(inst, AttackPlan({1: 2})), QUAD), rel=1e-15)
+        assert realized == pytest.approx(8e-20, rel=1e-15)
 
     def test_certified_optimal_on_randoms(self):
         rng = np.random.default_rng(9)
