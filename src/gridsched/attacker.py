@@ -56,6 +56,12 @@ def attack_budget(beta: float, n: int) -> int:
     return int(math.floor(beta * n + _BUDGET_EPS))
 
 
+def _plan_and_partition(ids: np.ndarray, labels: np.ndarray, slots: np.ndarray) -> tuple[AttackPlan, CliquePartition]:
+    """The plan pinning each job at its slot, and the partition of each job's (label, slot)."""
+    ids, slots = ids.tolist(), slots.tolist()
+    return AttackPlan(dict(zip(ids, slots))), CliquePartition(dict(zip(ids, zip(labels.tolist(), slots))))
+
+
 def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
     """Optimal unlimited attack: maximum-cost clique partition by interval DP.
 
@@ -176,8 +182,7 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
         stack.append((r, k - 1))
         stack.append((int(after[k]), c))
     labels = np.argsort(np.argsort(pins, kind="stable"))[found]  # blocks ranked by slot, ties as found
-    partition = CliquePartition(dict(zip(ids.tolist(), zip(labels.tolist(), slots.tolist()))))
-    return AttackPlan(dict(zip(ids.tolist(), slots.tolist()))), partition, _plan_cost(ids, slots, energies, cost)
+    return *_plan_and_partition(ids, labels, slots), _plan_cost(ids, slots, energies, cost)
 
 
 def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, CliquePartition, float]:
@@ -200,8 +205,7 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
         first = stop
     # each block's first job arrives after the last pin and is due no earlier, so the pins increase
     labels = np.unique(slots, return_inverse=True)[1]
-    partition = CliquePartition(dict(zip(ids.tolist(), zip(labels.tolist(), slots.tolist()))))
-    return AttackPlan(dict(zip(ids.tolist(), slots.tolist()))), partition, _plan_cost(ids, slots, energies, cost)
+    return *_plan_and_partition(ids, labels, slots), _plan_cost(ids, slots, energies, cost)
 
 
 def limited_greedy_from_partition(

@@ -326,14 +326,10 @@ def apply_attack(instance: Instance, plan: AttackPlan) -> Instance:
     unknown ids or slots outside a job's window.
     """
     plan.validate(instance)
-    jobs = []
-    for job in instance.jobs:
-        slot = plan.compressed.get(job.id)
-        if slot is None:
-            jobs.append(job)
-        else:
-            jobs.append(Job(job.id, slot, slot, job.energy))
-    return Instance(jobs)
+    slots = plan.compressed
+    return Instance(
+        Job(job.id, slots[job.id], slots[job.id], job.energy) if job.id in slots else job for job in instance.jobs
+    )
 
 
 def _added(terms: Iterable[float]) -> float:

@@ -195,10 +195,12 @@ def check_min_optimality(
     its window.  The schedule minimizes every strictly convex separable cost
     iff no slot can reach, along such arcs, a slot whose load is lower by
     more than g: the loads carry rounding error in proportion to their size,
-    so scaling every energy by 2^k leaves the verdict as it is.  Single
-    swaps are not enough: improving moves may need chains of transfers,
-    hence the path search.  Linear costs (exponent 1) make every admissible
-    schedule optimal.  Raises ValueError unless ``tol`` is finite and >= 0.
+    so scaling every energy by 2^k leaves the verdict as it is.  g is
+    relative at every load: at a largest load of 1e6 and the default
+    ``tol``, a job holding 0.1 or less at a slot is no mover.  Single swaps
+    are not enough: improving moves may need chains of transfers, hence the
+    path search.  Linear costs (exponent 1) make every admissible schedule
+    optimal.  Raises ValueError unless ``tol`` is finite and >= 0.
 
     The search from a slot visits, in each mover's window, only the
     occupied slots, in ascending order, so a window costs its occupied

@@ -428,13 +428,13 @@ def edf_fill(
     energy up to the slot's remaining capacity, or all of it when it is at
     most ``fill_tol`` = 1e-9 * level above; what a slot ends over or under
     ``level`` (at most ``fill_tol``) goes to the next slot's capacity, so it
-    never adds up.  Both bounds are relative, so scaling the energies by
-    2^k scales every entry by 2^k exactly.  Returns the positive
-    allocations as a (job id, slot) -> amount mapping of Python numbers.
-
-    Raises RuntimeError when a slot cannot be filled or a deadline is
-    missed; with a valid critical interval this cannot happen, so a raise
-    indicates a caller bug.
+    never adds up.  A slot serves on while its capacity exceeds ``fill_tol``
+    or the first job's whole rest fits, so no job is too small to serve.
+    Both bounds are relative: energies scaled by 2^k scale every entry by
+    2^k exactly.  Returns the positive allocations as a (job id, slot) ->
+    amount mapping of Python numbers.  Raises RuntimeError when a slot
+    cannot be filled, a deadline is missed or energy is left unserved,
+    which a valid critical interval rules out: a raise is a caller bug.
     """
     ordered = sorted(zip(arrivals.tolist(), deadlines.tolist(), ids.tolist(), energies.tolist()))
     width = end - start + 1
@@ -457,7 +457,7 @@ def edf_fill(
             heapq.heappush(heap, ordered[next_job][1:3])  # (deadline, id)
             next_job += 1
         capacity += level  # what the last slot left over or under, at most fill_tol, carries on
-        while capacity > fill_tol and heap:
+        while heap and (capacity > fill_tol or remaining[heap[0][1]] <= capacity + fill_tol):
             deadline, jid = heap[0]
             if deadline < slot:
                 raise RuntimeError(f"EDF fill missed the deadline of job {jid}; infeasible input")
@@ -469,8 +469,7 @@ def edf_fill(
                 heapq.heappop(heap)
         if capacity > fill_tol:
             raise RuntimeError(f"EDF fill cannot raise slot {slot} to level {level!r}; infeasible input")
-    leftovers = {jid: rem for jid, rem in remaining.items() if rem > fill_tol}
-    if leftovers:
+    if leftovers := {jid: rem for jid, rem in remaining.items() if rem > 0.0}:
         raise RuntimeError(f"EDF fill left energy unserved: {leftovers!r}")
     return allocations
 

@@ -101,6 +101,26 @@ def test_scaling_energies_by_a_power_of_two_scales_the_schedule_exactly(specs, k
     assert check_min_optimality(scaled_inst, baseline_schedule(scaled_inst), cost) == baseline
 
 
+# energies whose ratios reach far below the fill's relative tolerance of 1e-9
+MIXED_SCALES = st.lists(
+    st.tuples(st.integers(1, 10), st.integers(0, 5), st.floats(0.5, 8.0), st.integers(-90, 0)),
+    min_size=1,
+    max_size=7,
+).map(lambda drawn: [(arrival, allowance, energy * 2.0**j) for arrival, allowance, energy, j in drawn])
+
+
+@settings(max_examples=60)
+@given(MIXED_SCALES, st.integers(-80, 80), INTEGER_EXPONENTS)
+def test_energies_of_every_scale_are_served(specs, k, exponent):
+    # Schedule refuses a job whose entries miss its energy by more than ENERGY_TOL of it
+    cost, scale = CostModel(exponent), 2.0**k
+    inst = build(specs)
+    schedule, scaled = schedule_optimal_offline(inst), schedule_optimal_offline(build(specs, scale=scale))
+    assert evaluate_cost(schedule, cost) == pytest.approx(min_cost(inst, cost), rel=1e-12)
+    assert check_min_optimality(inst, schedule, cost).optimal
+    assert scaled.allocations == {entry: amount * scale for entry, amount in schedule.allocations.items()}
+
+
 def slot_free_results(instance: Instance, cost: CostModel):
     """min_cost, the sorted slot loads, the oracle curve and the certifier's verdict."""
     schedule = schedule_optimal_offline(instance, cost)

@@ -229,6 +229,17 @@ class TestScheduleOptimalOffline:
         assert realized == pytest.approx(min_cost(apply_attack(inst, AttackPlan({1: 2})), QUAD), rel=1e-15)
         assert realized == pytest.approx(8e-20, rel=1e-15)
 
+    def test_a_job_far_below_the_fill_tolerance_is_served(self):
+        # job 1 leaves each slot within 1e-12 of the level, under fill_tol; job 2's 1e-12 must still fit there
+        inst = Instance([Job(1, 1, 2, 2.0), Job(2, 1, 2, 1e-12)])
+        sched = schedule_optimal_offline(inst, QUAD)
+        assert sched.allocations[(2, 2)] == 1e-12
+        assert sched.allocations[(1, 1)] + sched.allocations[(1, 2)] == pytest.approx(2.0, rel=1e-15)
+        assert evaluate_cost(sched, QUAD) == pytest.approx(min_cost(inst, QUAD), rel=1e-15)
+        assert check_min_optimality(inst, sched, QUAD).optimal
+        plan = AttackPlan({2: 1})
+        assert realized_attack_cost(inst, plan, QUAD) == pytest.approx(min_cost(apply_attack(inst, plan), QUAD), rel=1e-15)
+
     def test_certified_optimal_on_randoms(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
