@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, islice, repeat
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -138,22 +138,30 @@ def _job_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return instance._arrays
 
 
-def _placed(instance: Instance, ids: Iterable, slots: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _placed(instance: Instance, ids: Iterable, slots: list | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each entry's job position in the instance, its slot as an array, and whether the slot lies in that job's window.
 
     The one placement check of schedules, attack plans and partitions.  An
     unknown id gets position n, whose window holds no slot.  Only a Python
     ``int`` lies in a window; the slots are int64, or objects if one does not fit.
+    Given int64 arrays of ids and slots, as a schedule's entries hold them,
+    each id is looked up in the instance's sorted ids, with no per-entry object.
     """
     size, n = len(slots), instance.n
-    _, arrivals, deadlines, _ = _job_arrays(instance)
-    where = np.fromiter(map(instance._positions.get, ids, repeat(n)), np.intp, size)
-    try:
-        at = np.fromiter(slots, np.int64, size)
-    except (TypeError, ValueError, OverflowError):  # a slot past int64 or not a number: compare objects
-        at = np.array([slot if isinstance(slot, int) else 0 for slot in slots], dtype=object)
-    inside = (np.append(arrivals, 1)[where] <= at) & (at <= np.append(deadlines, 0)[where])
-    inside &= np.fromiter(map(isinstance, slots, repeat(int)), bool, size)
+    job_ids, arrivals, deadlines, _ = _job_arrays(instance)
+    if isinstance(slots, np.ndarray):
+        order = np.argsort(job_ids)
+        where = np.append(order, n)[np.searchsorted(job_ids, ids, sorter=order)]
+        where[np.append(job_ids, -1)[where] != ids] = n  # ids are non-negative, so -1 matches none
+        at, integral = slots, True
+    else:
+        where = np.fromiter(map(instance._positions.get, ids, repeat(n)), np.intp, size)
+        try:
+            at = np.fromiter(slots, np.int64, size)
+        except (TypeError, ValueError, OverflowError):  # a slot past int64 or not a number: compare objects
+            at = np.array([slot if isinstance(slot, int) else 0 for slot in slots], dtype=object)
+        integral = np.fromiter(map(isinstance, slots, repeat(int)), bool, size)
+    inside = (np.append(arrivals, 1)[where] <= at) & (at <= np.append(deadlines, 0)[where]) & integral
     return where, at, inside
 
 
@@ -177,6 +185,54 @@ class CostModel:
         return load ** self.exponent
 
 
+class _Entries(Mapping):
+    """A schedule's entries as a read-only (job id, slot) -> amount mapping over arrays in entry order.
+
+    The int64 job ids and slots and the float64 amounts are kept as given
+    and made read-only.  ``len``, iteration, ``keys``, ``values``, ``items``
+    and ``==`` read them directly; a key -> amount dict is built only on the
+    first lookup by key.
+    """
+
+    __slots__ = ("_ids", "_slots", "_amounts", "_index")
+
+    def __init__(self, ids: np.ndarray, slots: np.ndarray, amounts: np.ndarray) -> None:
+        for array in (ids, slots, amounts):
+            array.flags.writeable = False
+        self._ids, self._slots, self._amounts = ids, slots, amounts
+        self._index: dict[tuple[int, int], float] | None = None
+
+    def __len__(self) -> int:
+        return self._amounts.size
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._ids.tolist(), self._slots.tolist())
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        if self._index is None:
+            self._index = dict(self.items())
+        return self._index[key]
+
+    def values(self) -> ValuesView:
+        return _EntryAmounts(self)
+
+    def items(self) -> ItemsView:
+        return _EntryItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _EntryAmounts(ValuesView):
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._amounts.tolist())
+
+
+class _EntryItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], float]]:
+        return zip(self._mapping, self._mapping._amounts.tolist())
+
+
 @dataclass(frozen=True, init=False)
 class Schedule:
     """Energy allocations (job id, slot) -> amount for one instance.
@@ -187,22 +243,29 @@ class Schedule:
 
     The entries are checked as arrays: job ids and slots by ``_placed``,
     amounts through ``float``, and each job's total by ``np.bincount`` in
-    insertion order, the sum an entry-by-entry loop forms.  A failure
-    raises for the first offending entry, checking its amount's finiteness,
-    then its sign, its job id and its slot; once every entry passes, for
-    the first job in instance order whose total misses its energy.  The
-    kept entries' slots and amounts stay as arrays too.
+    entry order, the sum an entry-by-entry loop forms.  A failure raises
+    for the first offending entry, checking its amount's finiteness, then
+    its sign, its job id and its slot; once every entry passes, for the
+    first job in instance order whose total misses its energy.
+
+    ``allocations`` is a read-only mapping over the kept entries' arrays,
+    which ``_entries`` shares.  Another schedule's ``allocations`` are
+    taken as they are, arrays and all, and checked against the given
+    instance; any other mapping is read entry by entry.
     """
 
     instance: Instance
-    allocations: dict[tuple[int, int], float]
+    allocations: Mapping[tuple[int, int], float]
 
     def __init__(self, instance: Instance, allocations: Mapping[tuple[int, int], float]) -> None:
-        jobs, size = instance.jobs, len(allocations)
-        energies = _job_arrays(instance)[3]
-        slots = list(map(itemgetter(1), allocations))
-        where, at, inside = _placed(instance, map(itemgetter(0), allocations), slots)
-        amounts = np.fromiter(map(float, allocations.values()), np.float64, size)
+        jobs = instance.jobs
+        job_ids, _, _, energies = _job_arrays(instance)
+        if isinstance(allocations, _Entries):
+            ids, slots, amounts = allocations._ids, allocations._slots, allocations._amounts
+        else:
+            ids, slots = map(itemgetter(0), allocations), list(map(itemgetter(1), allocations))
+            amounts = np.fromiter(map(float, allocations.values()), np.float64, len(allocations))
+        where, at, inside = _placed(instance, ids, slots)
         zero = amounts == 0.0
         good = zero | np.isfinite(amounts) & (amounts > 0.0) & inside
         if not good.all():
@@ -225,10 +288,12 @@ class Schedule:
             raise ValueError(
                 f"job {jobs[k].id}: allocated {float(totals[k])!r} does not conserve energy {jobs[k].energy!r}"
             )
-        keep = ~zero  # every kept slot is a Python int inside a window, so it fits int64
+        if not isinstance(allocations, _Entries) or zero.any():
+            keep = ~zero  # every kept slot is a Python int inside a window, so it fits int64
+            allocations = _Entries(job_ids[where[keep]], at[keep].astype(np.int64), amounts[keep])
         object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "allocations", dict(compress(zip(allocations, amounts.tolist()), keep.tolist())))
-        object.__setattr__(self, "_entries", (at[keep].astype(np.int64), amounts[keep]))
+        object.__setattr__(self, "allocations", allocations)
+        object.__setattr__(self, "_entries", (allocations._slots, allocations._amounts))
 
     def slot_loads(self) -> dict[int, float]:
         """Total load per slot, ascending by slot; zero-load slots omitted."""

@@ -204,10 +204,20 @@ def check_min_optimality(
 
     The search from a slot visits, in each mover's window, only the
     occupied slots, in ascending order, so a window costs its occupied
-    slots and not its width.  An unoccupied slot has no movers; it is a
-    witness exactly when the source's own load exceeds the gap tolerance,
-    and then the window's first one is the witness a slot-by-slot walk
-    would return, so the walk stops there.
+    slots and not its width.  An unoccupied slot has no movers and a load
+    of 0, so it is a witness of every source searched (below), and the
+    window's first one is the witness a slot-by-slot walk would return:
+    the walk stops there.
+
+    Every slot reached by a search that finds no witness keeps a floor: a
+    lower bound on the loads reachable from it, the lowest load that search
+    reached, or a floor of a slot it did not expand.  No load is below 0, so
+    a slot without a floor has the floor 0.  A source whose load exceeds its
+    floor by at most g has no witness and is skipped.  A search checks a
+    slot whose floor passes that test against its source as a witness, but
+    does not expand it: nothing behind it is a witness, and every other
+    slot is found in the same order from the same parent.  So the verdict
+    and the witness chain are those of a search from every mover's slot.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
@@ -221,28 +231,31 @@ def check_min_optimality(
         if amount > gap_tol:
             movers.setdefault(slot, []).append(jid)
 
+    floor: dict[int, float] = {}
     for source in sorted(movers):
-        to_empty = loads[source] > gap_tol  # whether an unoccupied slot is a witness
+        top = loads[source]
+        if top - floor.get(source, 0.0) <= gap_tol:
+            continue
         seen = {source}
         parent: dict[int, tuple[int, int]] = {}
-        frontier = [source]
+        frontier, reached = [source], [source]
+        low = top  # the lowest load reached so far, through floors too
         while frontier:
             nxt: list[int] = []
             for here in frontier:
                 for jid in movers.get(here, ()):
                     job = instance.job(jid)
                     window = occupied[bisect_left(occupied, job.arrival) : bisect_right(occupied, job.deadline)]
-                    if to_empty:
-                        # the window's occupied slots up to its first unoccupied one, then that one
-                        free = next((k for k, slot in enumerate(window) if slot != job.arrival + k), len(window))
-                        if job.arrival + free <= job.deadline:
-                            window = window[:free] + [job.arrival + free]
+                    # the window's occupied slots up to its first unoccupied one, then that one
+                    free = next((k for k, slot in enumerate(window) if slot != job.arrival + k), len(window))
+                    if job.arrival + free <= job.deadline:
+                        window = window[:free] + [job.arrival + free]
                     for there in window:
                         if there in seen:
                             continue
                         seen.add(there)
                         parent[there] = (here, jid)
-                        if loads[source] - loads.get(there, 0.0) > gap_tol:
+                        if top - loads.get(there, 0.0) > gap_tol:
                             hops: list[tuple[int, int, int]] = []
                             at = there
                             while at != source:
@@ -250,6 +263,13 @@ def check_min_optimality(
                                 hops.append((prev, via, at))
                                 at = prev
                             return MinOptimalityResult(False, tuple(reversed(hops)))
-                        nxt.append(there)
+                        if there in floor and top - floor[there] <= gap_tol:
+                            low = min(low, floor[there])
+                        else:
+                            low = min(low, loads[there])
+                            nxt.append(there)
             frontier = nxt
+            reached += nxt
+        for slot in reached:
+            floor[slot] = max(low, floor.get(slot, low))
     return MinOptimalityResult(True)

@@ -65,7 +65,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import CostModel, Instance, Schedule, _added, _job_arrays, _slot_cost
+from .model import CostModel, Instance, Schedule, _added, _Entries, _job_arrays, _slot_cost
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -90,7 +90,8 @@ _TABLE_CELLS = 1 << 14
 squared, and the brute-force oracle's (rows, slots) loads.  On the benchmark's desk-scale oracle pass
 (Python 3.11, numpy 2.4) the peak RSS was the same at 2^14 and 2^16 cells and 4 MiB higher at 2^18."""
 
-# Most entries a schedule or even spread may hold: 2^22 dict entries take ~1 GiB; the workloads build 2.2e4 at most.
+# Most entries a schedule or even spread may hold: 2^22 entries take ~1 GiB as a dict (the optimal schedule's
+# fills, or a lookup by key in ``Schedule.allocations``); the workloads build 2.2e4 at most.
 _MAX_ENTRIES = 1 << 22
 
 
@@ -485,8 +486,9 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     earlier cuts.  After the peel every entry's slot is mapped back to the
     original timeline in one array: the cuts are undone latest first, each
     moving the later segments' slots at or past its start right by its
-    width.  The allocation dict is then built once, segment by segment in
-    peel order and each segment in its fill order.
+    width.  ``Schedule`` then takes the entries as arrays of job ids, slots
+    and amounts, segment by segment in peel order and each segment in its
+    fill order.
     """
     del cost
     ids, arrivals, deadlines, energies = _job_arrays(instance)
@@ -499,11 +501,13 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     for start, end, level, picked, member_arrivals, member_deadlines in _peel(arrivals, deadlines, energies):
         local.update(edf_fill(ids[picked], member_arrivals, member_deadlines, energies[picked], start, end, level))
         cuts.append((len(local), start, end - start + 1))
-    slots = np.fromiter(map(itemgetter(1), local), np.int64, len(local))
+    size = len(local)
+    slots = np.fromiter(map(itemgetter(1), local), np.int64, size)
     for bound, start, width in reversed(cuts[:-1]):
         later = slots[bound:]
         np.add(later, width, out=later, where=later >= start)
-    return Schedule(instance, dict(zip(zip(map(itemgetter(0), local), slots.tolist()), local.values())))
+    amounts = np.fromiter(local.values(), np.float64, size)
+    return Schedule(instance, _Entries(np.fromiter(map(itemgetter(0), local), np.int64, size), slots, amounts))
 
 
 def _even_spread(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
@@ -521,7 +525,7 @@ def schedule_online_even(instance: Instance) -> Schedule:
     """Spread each job's energy evenly over its own window."""
     ids, arrivals, deadlines, energies = _job_arrays(instance)
     job, slot, share = _even_spread(arrivals, deadlines, energies)
-    return Schedule(instance, dict(zip(zip(ids[job].tolist(), slot.tolist()), share.tolist())))
+    return Schedule(instance, _Entries(ids[job], slot, share))
 
 
 def even_cost(instance: Instance, cost: CostModel) -> float:

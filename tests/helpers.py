@@ -501,3 +501,34 @@ def exact_partition_cost(instance: Instance, blocks, exponent: int) -> Fraction:
     return sum(
         (sum(Fraction(instance.job(jid).energy) for jid in members) ** exponent for _, members in blocks), Fraction(0)
     )
+
+
+def exact_min_cost(instance: Instance, exponent: int) -> Fraction:
+    """The minimum cost in exact rational arithmetic: Yao, Demers and Shenker's peel on exact levels.
+
+    Each round takes an interval from an arrival to a deadline of the jobs
+    left whose contained energy per slot is largest, charges its width
+    times that level to the power, drops its jobs and cuts it from the
+    timeline as ``_excise`` does.  The optimal load profile is unique, so
+    the value does not depend on which of several tied intervals a round
+    takes.  Every energy is a dyadic rational, so with one common power-of-two
+    scale the contained energies are summed as exact integers.
+    """
+    scale = max((Fraction(job.energy).denominator for job in instance.jobs), default=1)
+    jobs = [(job.arrival, job.deadline, int(Fraction(job.energy) * scale)) for job in instance.jobs]
+    total = Fraction(0)
+    while jobs:
+        level, start, end = max(
+            (Fraction(sum(e for a, d, e in jobs if s <= a and d <= t), (t - s + 1) * scale), s, t)
+            for s in {a for a, _, _ in jobs}
+            for t in {d for _, d, _ in jobs}
+            if s <= t
+        )
+        width = end - start + 1
+        total += width * level**exponent
+        jobs = [
+            (a if a < start else max(a - width, start), d if d < start else max(d - width, start - 1), e)
+            for a, d, e in jobs
+            if not (start <= a and d <= end)
+        ]
+    return total

@@ -23,6 +23,8 @@ from gridsched.model import (
     write_instance_csv,
 )
 
+from gridsched.scheduler import schedule_online_even, schedule_optimal_offline
+
 from helpers import (
     baseline_schedule,
     partition_from_blocks,
@@ -162,6 +164,38 @@ class TestSchedule:
         sched = Schedule(inst, {(1, 1): 1.5, (1, 2): 0.5, (2, 2): 2.0})
         assert sched.slot_loads() == {1: 1.5, 2: 2.5}
 
+
+    def test_allocations_are_a_read_only_view(self):
+        inst = Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0), Job(3, 2, 4, 3.0)])
+        for sched in (schedule_optimal_offline(inst), schedule_online_even(inst), baseline_schedule(inst)):
+            expected = dict(sched.allocations)
+            with pytest.raises(TypeError):
+                sched.allocations[(1, 1)] = 5.0
+            with pytest.raises(TypeError):
+                del sched.allocations[next(iter(expected))]
+            assert dict(sched.allocations) == expected == sched.allocations
+            assert repr(sched.allocations) == repr(expected)
+            assert all(sched.allocations[key] == amount and key in sched.allocations for key, amount in expected.items())
+            assert (9, 1) not in sched.allocations and sched.allocations.get((9, 1)) is None
+
+    @pytest.mark.parametrize(
+        "jobs, match",
+        [
+            ([Job(1, 1, 2, 2.0), Job(7, 2, 3, 2.0), Job(3, 2, 4, 3.0)], "unknown job id 2"),
+            ([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0), Job(3, 4, 5, 3.0)], r"job 3: slot \d outside window \[4, 5\]"),
+            ([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.5), Job(3, 2, 4, 3.0)], "job 2: allocated 2.0 does not conserve"),
+        ],
+        ids=["unknown-id", "outside-window", "conservation"],
+    )
+    def test_a_view_raises_what_its_dict_raises(self, jobs, match):
+        inst = Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0), Job(3, 2, 4, 3.0)])
+        other = Instance(jobs)
+        for sched in (schedule_optimal_offline(inst), schedule_online_even(inst)):
+            with pytest.raises(ValueError, match=match) as from_dict:
+                Schedule(other, dict(sched.allocations))
+            with pytest.raises(ValueError) as from_view:
+                Schedule(other, sched.allocations)
+            assert str(from_view.value) == str(from_dict.value)
 
 # amounts that each trip a different check, or none
 ODD_AMOUNTS = st.sampled_from([0.0, -0.0, -1.0, 1e-300, math.nan, math.inf, -math.inf])

@@ -37,6 +37,25 @@ def test_schedule_takes_allocations_by_name():
     assert "allocations" in inspect.signature(gridsched.model.Schedule).parameters
 
 
+def test_the_tracer_counts_each_producers_entries(monkeypatch):
+    # as the tracer wraps Schedule: bind the arguments by name and count len(allocations)
+    original = gridsched.scheduler.Schedule
+    signature = inspect.signature(original)
+    counted = []
+
+    def traced(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        counted.append(len(bound.arguments["allocations"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gridsched.scheduler, "Schedule", traced)
+    inst = gridsched.generate_instance(gridsched.GenParams(30, 3.0, 5.0, 1.0, 5.0, seed=3))
+    for producer in (gridsched.scheduler.schedule_optimal_offline, gridsched.scheduler.schedule_online_even):
+        counted.clear()
+        schedule = producer(inst)
+        assert counted == [schedule._entries[0].size] and schedule._entries[0].size > inst.n
+
 def test_every_package_name_the_workloads_use_exists():
     # workloads.py binds the package to gs, and selftest.py imports it from there
     used = {name for path in PERFBENCH.glob("*.py") for name in re.findall(r"\bgs\.(\w+)", path.read_text())}

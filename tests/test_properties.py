@@ -198,6 +198,19 @@ def test_attack_plans_pin_every_job_at_its_block_slot(inst, exponent):
         assert plan == partition.to_plan(inst)
 
 
+@settings(max_examples=40)
+@given(SHUFFLED_IDS, EXPONENTS)
+def test_each_producers_schedule_equals_the_schedule_of_its_dict(inst, exponent):
+    cost = CostModel(exponent)
+    for schedule in (schedule_optimal_offline(inst), schedule_online_even(inst)):
+        rebuilt = Schedule(inst, dict(schedule.allocations))
+        assert repr(list(schedule.allocations.items())) == repr(list(rebuilt.allocations.items()))
+        for ours, theirs in zip(schedule._entries, rebuilt._entries):
+            assert (ours.dtype, ours.tobytes()) == (theirs.dtype, theirs.tobytes())
+        assert repr(evaluate_cost(schedule, cost)) == repr(evaluate_cost(rebuilt, cost))
+        assert list(schedule.slot_loads().items()) == list(rebuilt.slot_loads().items())
+
+
 @settings(max_examples=25)
 @given(SHUFFLED_IDS, EXPONENTS)
 def test_greedy_never_exceeds_what_its_plan_realizes(inst, exponent):

