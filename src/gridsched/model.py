@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, islice, repeat
@@ -47,7 +47,7 @@ class Job:
             raise ValueError(f"job id must be an integer in [0, 2^63 - 1], got {self.id!r}")
         for name in ("arrival", "deadline"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= 2**63 - 1:
+            if not _is_slot(value):
                 raise ValueError(f"job {self.id}: {name} must be an integer slot in [1, 2^63 - 1], got {value!r}")
         if self.arrival > self.deadline:
             raise ValueError(f"job {self.id}: arrival {self.arrival} exceeds deadline {self.deadline}")
@@ -133,19 +133,24 @@ class Instance:
         return min(allowances), max(allowances)
 
 
+def _is_slot(value) -> bool:
+    """The slot rule of jobs, schedules, plans and partitions: a Python ``int``, not ``bool``, in [1, 2^63 - 1]."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 2**63 - 1
+
+
 def _job_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ids, arrivals, deadlines and energies of the jobs in instance order: read-only, built once per instance."""
     return instance._arrays
 
 
 def _placed(instance: Instance, ids: Iterable, slots: list | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each entry's job position in the instance, its slot as an array, and whether the slot lies in that job's window.
+    """Each entry's job position in the instance, its slot as int64, and whether the slot lies in that job's window.
 
     The one placement check of schedules, attack plans and partitions.  An
-    unknown id gets position n, whose window holds no slot.  Only a Python
-    ``int`` lies in a window; the slots are int64, or objects if one does not fit.
-    Given int64 arrays of ids and slots, as a schedule's entries hold them,
-    each id is looked up in the instance's sorted ids, with no per-entry object.
+    unknown id gets position n, whose window holds no slot.  A listed slot
+    that ``_is_slot`` rejects is read as 0, which lies in no window.  Given
+    int64 arrays of ids and slots, as a schedule's entries hold them, each
+    id is looked up in the instance's sorted ids, with no per-entry object.
     """
     size, n = len(slots), instance.n
     job_ids, arrivals, deadlines, _ = _job_arrays(instance)
@@ -153,15 +158,11 @@ def _placed(instance: Instance, ids: Iterable, slots: list | np.ndarray) -> tupl
         order = np.argsort(job_ids)
         where = np.append(order, n)[np.searchsorted(job_ids, ids, sorter=order)]
         where[np.append(job_ids, -1)[where] != ids] = n  # ids are non-negative, so -1 matches none
-        at, integral = slots, True
+        at = slots
     else:
         where = np.fromiter(map(instance._positions.get, ids, repeat(n)), np.intp, size)
-        try:
-            at = np.fromiter(slots, np.int64, size)
-        except (TypeError, ValueError, OverflowError):  # a slot past int64 or not a number: compare objects
-            at = np.array([slot if isinstance(slot, int) else 0 for slot in slots], dtype=object)
-        integral = np.fromiter(map(isinstance, slots, repeat(int)), bool, size)
-    inside = (np.append(arrivals, 1)[where] <= at) & (at <= np.append(deadlines, 0)[where]) & integral
+        at = np.fromiter((slot if _is_slot(slot) else 0 for slot in slots), np.int64, size)
+    inside = (np.append(arrivals, 1)[where] <= at) & (at <= np.append(deadlines, 0)[where])
     return where, at, inside
 
 
@@ -189,9 +190,9 @@ class _Entries(Mapping):
     """A schedule's entries as a read-only (job id, slot) -> amount mapping over arrays in entry order.
 
     The int64 job ids and slots and the float64 amounts are kept as given
-    and made read-only.  ``len``, iteration, ``keys``, ``values``, ``items``
-    and ``==`` read them directly; a key -> amount dict is built only on the
-    first lookup by key.
+    and made read-only.  ``len`` and iteration read them directly; a key ->
+    amount dict is built from them on the first read by key, which
+    ``Mapping``'s ``values``, ``items`` and ``==`` go through, as ``repr`` does.
     """
 
     __slots__ = ("_ids", "_slots", "_amounts", "_index")
@@ -209,28 +210,15 @@ class _Entries(Mapping):
         return zip(self._ids.tolist(), self._slots.tolist())
 
     def __getitem__(self, key: tuple[int, int]) -> float:
-        if self._index is None:
-            self._index = dict(self.items())
-        return self._index[key]
-
-    def values(self) -> ValuesView:
-        return _EntryAmounts(self)
-
-    def items(self) -> ItemsView:
-        return _EntryItems(self)
+        return self._keyed()[key]
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
+        return repr(self._keyed())
 
-
-class _EntryAmounts(ValuesView):
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._mapping._amounts.tolist())
-
-
-class _EntryItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], float]]:
-        return zip(self._mapping, self._mapping._amounts.tolist())
+    def _keyed(self) -> dict[tuple[int, int], float]:
+        if self._index is None:
+            self._index = dict(zip(self, self._amounts.tolist()))
+        return self._index
 
 
 @dataclass(frozen=True, init=False)
@@ -289,8 +277,7 @@ class Schedule:
                 f"job {jobs[k].id}: allocated {float(totals[k])!r} does not conserve energy {jobs[k].energy!r}"
             )
         if not isinstance(allocations, _Entries) or zero.any():
-            keep = ~zero  # every kept slot is a Python int inside a window, so it fits int64
-            allocations = _Entries(job_ids[where[keep]], at[keep].astype(np.int64), amounts[keep])
+            allocations = _Entries(job_ids[where[~zero]], at[~zero], amounts[~zero])
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "allocations", allocations)
         object.__setattr__(self, "_entries", (allocations._slots, allocations._amounts))

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -90,8 +89,8 @@ _TABLE_CELLS = 1 << 14
 squared, and the brute-force oracle's (rows, slots) loads.  On the benchmark's desk-scale oracle pass
 (Python 3.11, numpy 2.4) the peak RSS was the same at 2^14 and 2^16 cells and 4 MiB higher at 2^18."""
 
-# Most entries a schedule or even spread may hold: 2^22 entries take ~1 GiB as a dict (the optimal schedule's
-# fills, or a lookup by key in ``Schedule.allocations``); the workloads build 2.2e4 at most.
+# Most entries a schedule or even spread may hold: 2^22 entries take ~0.7 GiB as the dict that only a read by key
+# of ``Schedule.allocations`` builds, and ~0.5 GiB in the EDF fill's entry list; the workloads build 2.2e4 at most.
 _MAX_ENTRIES = 1 << 22
 
 
@@ -418,7 +417,7 @@ def min_cost(instance: Instance, cost: CostModel) -> float:
 def edf_fill(
     ids: np.ndarray, arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray,
     start: int, end: int, level: float,
-) -> dict[tuple[int, int], float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill every slot of [start, end] to exactly ``level`` using EDF order.
 
     The jobs are given as parallel arrays, in the order of ``_job_arrays``;
@@ -432,8 +431,9 @@ def edf_fill(
     never adds up.  A slot serves on while its capacity exceeds ``fill_tol``
     or the first job's whole rest fits, so no job is too small to serve.
     Both bounds are relative: energies scaled by 2^k scale every entry by
-    2^k exactly.  Returns the positive allocations as a (job id, slot) ->
-    amount mapping of Python numbers.  Raises RuntimeError when a slot
+    2^k exactly.  Returns the positive allocations in fill order as three
+    arrays: int64 job ids, int64 slots and float64 amounts; a job is taken
+    at most once per slot.  Raises RuntimeError when a slot
     cannot be filled, a deadline is missed or energy is left unserved,
     which a valid critical interval rules out: a raise is a caller bug.
     """
@@ -449,7 +449,7 @@ def edf_fill(
         raise ValueError(f"level {level!r} inconsistent with total energy {total!r} over {width} slots")
 
     remaining = {jid: energy for _, _, jid, energy in ordered}
-    allocations: dict[tuple[int, int], float] = {}
+    entries: list[int | float] = []  # each entry's job id, slot and amount in turn, in fill order
     heap: list[tuple[int, int]] = []
     fill_tol = 1e-9 * level
     next_job, capacity = 0, 0.0
@@ -463,7 +463,7 @@ def edf_fill(
             if deadline < slot:
                 raise RuntimeError(f"EDF fill missed the deadline of job {jid}; infeasible input")
             take = remaining[jid] if remaining[jid] <= capacity + fill_tol else capacity
-            allocations[(jid, slot)] = take  # a job is taken at most once per slot
+            entries += jid, slot, take
             remaining[jid] -= take
             capacity -= take
             if remaining[jid] <= 0.0:
@@ -472,7 +472,7 @@ def edf_fill(
             raise RuntimeError(f"EDF fill cannot raise slot {slot} to level {level!r}; infeasible input")
     if leftovers := {jid: rem for jid, rem in remaining.items() if rem > 0.0}:
         raise RuntimeError(f"EDF fill left energy unserved: {leftovers!r}")
-    return allocations
+    return np.array(entries[::3], np.int64), np.array(entries[1::3], np.int64), np.array(entries[2::3], np.float64)
 
 
 def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) -> Schedule:
@@ -496,18 +496,18 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     if ids.size and (entries := _components(arrivals, deadlines)[1] + ids.size) > _MAX_ENTRIES:
         raise ValueError(f"the optimal schedule would hold up to {entries} entries, over the {_MAX_ENTRIES} allowed")
     # a job lies in one segment, so no two segments' fills share a key
-    local: dict[tuple[int, int], float] = {}
+    fills = [(ids[:0], ids[:0], energies[:0])]  # the empty instance's entries
     cuts = []  # (entries of the segments so far, start, width) per segment
+    filled = 0
     for start, end, level, picked, member_arrivals, member_deadlines in _peel(arrivals, deadlines, energies):
-        local.update(edf_fill(ids[picked], member_arrivals, member_deadlines, energies[picked], start, end, level))
-        cuts.append((len(local), start, end - start + 1))
-    size = len(local)
-    slots = np.fromiter(map(itemgetter(1), local), np.int64, size)
+        fills.append(edf_fill(ids[picked], member_arrivals, member_deadlines, energies[picked], start, end, level))
+        filled += fills[-1][0].size
+        cuts.append((filled, start, end - start + 1))
+    job_ids, slots, amounts = (np.concatenate(arrays) for arrays in zip(*fills))
     for bound, start, width in reversed(cuts[:-1]):
         later = slots[bound:]
         np.add(later, width, out=later, where=later >= start)
-    amounts = np.fromiter(local.values(), np.float64, size)
-    return Schedule(instance, _Entries(np.fromiter(map(itemgetter(0), local), np.int64, size), slots, amounts))
+    return Schedule(instance, _Entries(job_ids, slots, amounts))
 
 
 def _even_spread(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):

@@ -195,7 +195,8 @@ def reference_schedule(instance: Instance, allocations) -> dict[tuple[int, int],
 
     The first failing check of the first offending entry raises: a
     non-finite amount, then (zero amounts being dropped) a negative one, an
-    unknown job id, a slot that is not a Python int inside the window.
+    unknown job id, a slot that is not a Python int (``bool`` excluded, as
+    ``Job`` excludes it) inside the window.
     Then the first job in instance order whose total misses its energy.
     """
     cleaned: dict[tuple[int, int], float] = {}
@@ -212,7 +213,7 @@ def reference_schedule(instance: Instance, allocations) -> dict[tuple[int, int],
             job = instance.job(job_id)
         except KeyError:
             raise ValueError(f"unknown job id {job_id}") from None
-        if not isinstance(slot, int) or not job.arrival <= slot <= job.deadline:
+        if not isinstance(slot, int) or isinstance(slot, bool) or not job.arrival <= slot <= job.deadline:
             raise ValueError(f"job {job_id}: slot {slot} outside window [{job.arrival}, {job.deadline}]")
         cleaned[(job_id, slot)] = amount
         totals[job_id] += amount

@@ -110,10 +110,16 @@ class TestCriticalInterval:
             assert (start, end) == (-best[1], -best[2])
 
 
+def fill_items(ids: np.ndarray, slots: np.ndarray, amounts: np.ndarray) -> dict[tuple[int, int], float]:
+    """``edf_fill``'s entry arrays, checked for their dtypes, as a (job id, slot) -> amount dict in fill order."""
+    assert (ids.dtype, slots.dtype, amounts.dtype) == (np.int64, np.int64, np.float64)
+    return dict(zip(zip(ids.tolist(), slots.tolist()), amounts.tolist()))
+
+
 class TestEdfFill:
     def test_hand_simulated_split(self):
         jobs = [Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0)]
-        alloc = edf_fill(*_job_arrays(Instance(jobs)), 1, 3, 4 / 3)
+        alloc = fill_items(*edf_fill(*_job_arrays(Instance(jobs)), 1, 3, 4 / 3))
         assert alloc[(1, 1)] == pytest.approx(4 / 3)
         assert alloc[(1, 2)] == pytest.approx(2 / 3)
         assert alloc[(2, 2)] == pytest.approx(2 / 3)
@@ -125,11 +131,11 @@ class TestEdfFill:
         assert all(v == pytest.approx(4 / 3) for v in loads.values())
 
     def test_forced_even_split(self):
-        alloc = edf_fill(*_job_arrays(Instance([Job(1, 1, 2, 4.0)])), 1, 2, 2.0)
+        alloc = fill_items(*edf_fill(*_job_arrays(Instance([Job(1, 1, 2, 4.0)])), 1, 2, 2.0))
         assert alloc == {(1, 1): 2.0, (1, 2): 2.0}
 
     def test_single_slot_pair(self):
-        alloc = edf_fill(*_job_arrays(Instance([Job(1, 1, 1, 1.0), Job(2, 1, 1, 1.0)])), 1, 1, 2.0)
+        alloc = fill_items(*edf_fill(*_job_arrays(Instance([Job(1, 1, 1, 1.0), Job(2, 1, 1, 1.0)])), 1, 1, 2.0))
         assert alloc == {(1, 1): 1.0, (2, 1): 1.0}
 
     def test_not_contained_rejected(self):
