@@ -431,7 +431,17 @@ def edf_fill(
     never adds up.  A slot serves on while its capacity exceeds ``fill_tol``
     or the first job's whole rest fits, so no job is too small to serve.
     Both bounds are relative: energies scaled by 2^k scale every entry by
-    2^k exactly.  Returns the positive allocations in fill order as three
+    2^k exactly.
+
+    A job's rest drops by one subtraction per slot, and plain subtractions
+    would drift like width * eps * energy while ``fill_tol`` shrinks like
+    1 / width.  So each subtraction's rounding is kept exactly (TwoSum) in
+    a per-job term, which is folded into the rest once it passes
+    ``fill_tol`` / 4, keeping the fold's own rounding (Fast2Sum): the rest
+    stays within that of the unserved energy at any width.  The tests read
+    the rest alone, so a fill that never folds is the plain one bit for bit.
+
+    Returns the positive allocations in fill order as three
     arrays: int64 job ids, int64 slots and float64 amounts; a job is taken
     at most once per slot.  Raises RuntimeError when a slot
     cannot be filled, a deadline is missed or energy is left unserved,
@@ -449,9 +459,11 @@ def edf_fill(
         raise ValueError(f"level {level!r} inconsistent with total energy {total!r} over {width} slots")
 
     remaining = {jid: energy for _, _, jid, energy in ordered}
+    lost = dict.fromkeys(remaining, 0.0)  # each job's rest plus its lost rounding is its unserved energy
     entries: list[int | float] = []  # each entry's job id, slot and amount in turn, in fill order
     heap: list[tuple[int, int]] = []
     fill_tol = 1e-9 * level
+    fold_tol = fill_tol / 4
     next_job, capacity = 0, 0.0
     for slot in range(start, end + 1):
         while next_job < len(ordered) and ordered[next_job][0] <= slot:
@@ -462,11 +474,19 @@ def edf_fill(
             deadline, jid = heap[0]
             if deadline < slot:
                 raise RuntimeError(f"EDF fill missed the deadline of job {jid}; infeasible input")
-            take = remaining[jid] if remaining[jid] <= capacity + fill_tol else capacity
+            rest = remaining[jid]
+            take = rest if rest <= capacity + fill_tol else capacity
             entries += jid, slot, take
-            remaining[jid] -= take
+            left = rest - take
+            back = left - rest  # TwoSum: left plus this rounding is rest - take exactly
+            error = lost[jid] + ((rest - (left - back)) - (take + back))
+            if abs(error) > fold_tol:  # Fast2Sum: folded plus the new error is left + error exactly
+                folded = left + error
+                error -= folded - left
+                left = folded
+            remaining[jid], lost[jid] = left, error
             capacity -= take
-            if remaining[jid] <= 0.0:
+            if left <= 0.0:
                 heapq.heappop(heap)
         if capacity > fill_tol:
             raise RuntimeError(f"EDF fill cannot raise slot {slot} to level {level!r}; infeasible input")

@@ -155,6 +155,16 @@ def test_widest_window_refused_at_once(tmp_path, capsys, command):
     assert captured.err.startswith("error: ") and "9223372036854775808 entries" in captured.err
 
 
+@pytest.mark.parametrize("command", [["solve-min"], ["oracle", "verify-min"]])
+def test_wide_window_is_served(tmp_path, capsys, command):
+    # the EDF fill's rest once drifted past its tolerance here, and both commands exited 2
+    path = tmp_path / "wide.csv"
+    path.write_text("id,arrival,deadline,energy\n1,1,7000,1.3\n")
+    assert main([*command, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "c_min = 0.000241428571429" in captured.out
+
+
 @pytest.mark.parametrize(
     "command",
     [["solve-min"], ["attack-full"], ["attack-online"], ["attack-limited", "--beta", "0.5"], ["bounds"],

@@ -264,6 +264,29 @@ class TestScheduleOptimalOffline:
         plan = AttackPlan({2: 1})
         assert realized_attack_cost(inst, plan, QUAD) == pytest.approx(min_cost(apply_attack(inst, plan), QUAD), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            [Job(1, 1, 7000, 1.3)],
+            [Job(1, 1, 8000, 1.0)],
+            [Job(1, 1, 32768, 1.0), Job(2, 16385, 32770, 1.3)],
+            [Job(1, 1, 2**16, 1.3)],
+            [Job(1, 1, 2**16, 1e-300), Job(2, 2**15, 2**16, 7e-301)],
+            [Job(1, 1, 2**16 - 3, 1e6)],
+        ],
+        ids=["width-7000", "width-8000", "two-jobs-32770", "width-2^16", "width-2^16-tiny", "width-2^16-large"],
+    )
+    def test_wide_windows_are_served_and_conserved(self, jobs):
+        # one plain subtraction per slot drifted the rest like width * eps * energy, past fill_tol
+        inst = Instance(jobs)
+        sched = schedule_optimal_offline(inst, QUAD)  # Schedule checks that every job is conserved
+        width = max(j.deadline for j in jobs) - min(j.arrival for j in jobs) + 1
+        assert sched._entries[0].size >= width
+        # the cost adds one term per slot, so it may round up to width * eps away from min_cost
+        assert evaluate_cost(sched, CostModel(1.5)) == pytest.approx(
+            min_cost(inst, CostModel(1.5)), rel=4 * width * 2.0**-52
+        )
+
     def test_certified_optimal_on_randoms(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
