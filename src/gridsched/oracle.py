@@ -218,6 +218,11 @@ def check_min_optimality(
     does not expand it: nothing behind it is a witness, and every other
     slot is found in the same order from the same parent.  So the verdict
     and the witness chain are those of a search from every mover's slot.
+
+    A search expands each mover once: its window's slots are all found the
+    first time, so expanding it again from another slot it holds finds
+    nothing.  One job spread over W slots then costs O(W log W) and not
+    O(W^2).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
@@ -236,7 +241,7 @@ def check_min_optimality(
         top = loads[source]
         if top - floor.get(source, 0.0) <= gap_tol:
             continue
-        seen = {source}
+        seen, expanded = {source}, set()  # the slots found and the movers whose windows were, this search
         parent: dict[int, tuple[int, int]] = {}
         frontier, reached = [source], [source]
         low = top  # the lowest load reached so far, through floors too
@@ -244,6 +249,9 @@ def check_min_optimality(
             nxt: list[int] = []
             for here in frontier:
                 for jid in movers.get(here, ()):
+                    if jid in expanded:  # its window's slots were all found, from the same parents
+                        continue
+                    expanded.add(jid)
                     job = instance.job(jid)
                     window = occupied[bisect_left(occupied, job.arrival) : bisect_right(occupied, job.deadline)]
                     # the window's occupied slots up to its first unoccupied one, then that one

@@ -314,6 +314,18 @@ class TestCheckMinOptimality:
             # at tolerance 0 the first unoccupied slot of the window is the witness
             assert check_min_optimality(inst, schedule, QUAD, tol=0.0).witness == ((1, 1, 2),)
 
+    def test_wide_window_certifies_in_time_with_the_same_verdict(self):
+        # every search once expanded the one mover again from each of its slots: about 24 s at this width
+        width = 20_000
+        inst = Instance([Job(1, 1, width, width / 2)])
+        flat = schedule_optimal_offline(inst)
+        with within_seconds(0.5):
+            assert check_min_optimality(inst, flat, QUAD) == MinOptimalityResult(True)
+        assert check_min_optimality(inst, flat, QUAD, tol=0.0) == MinOptimalityResult(True)
+        rest = width / 4 / (width - 1)
+        heavy = Schedule(inst, {(1, 1): width / 4, **{(1, slot): rest for slot in range(2, width + 1)}})
+        assert check_min_optimality(inst, heavy, QUAD).witness == ((1, 1, 2),)
+
     def test_rejects_improvable_random_schedules(self):
         # an even spread is optimal only when no load-decreasing chain exists;
         # compare the certifier's verdict with a cost comparison against the optimum
