@@ -20,6 +20,7 @@ preamble keeps the field ``redraws=0``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -71,6 +72,8 @@ class GenParams:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+            if name.startswith("energy") and value < sys.float_info.min:  # as Job rejects a subnormal energy
+                raise ValueError(f"{name} must be a normal float, at least {sys.float_info.min!r}, got {value!r}")
         if self.energy_low > self.energy_high:
             raise ValueError(f"need energy_low <= energy_high, got ({self.energy_low}, {self.energy_high})")
         if not 0 <= self.seed < 2**64:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -34,7 +35,11 @@ INSTANCE_CSV_HEADER = ("id", "arrival", "deadline", "energy")
 
 @dataclass(frozen=True)
 class Job:
-    """A single energy demand: serve ``energy`` units within [arrival, deadline]."""
+    """A single energy demand: serve ``energy`` units within [arrival, deadline].
+
+    Arrival and deadline are slots by ``_is_slot``; the energy is a finite
+    normal float, so no subnormal energy reaches a schedule's tolerances.
+    """
 
     id: int
     arrival: int
@@ -52,8 +57,12 @@ class Job:
         if self.arrival > self.deadline:
             raise ValueError(f"job {self.id}: arrival {self.arrival} exceeds deadline {self.deadline}")
         object.__setattr__(self, "energy", float(self.energy))
-        if not math.isfinite(self.energy) or self.energy <= 0.0:
-            raise ValueError(f"job {self.id}: energy must be a finite positive real, got {self.energy!r}")
+        # below the smallest normal float ENERGY_TOL * energy underflows, and 5e-324 cannot be split at all
+        if not sys.float_info.min <= self.energy < math.inf:
+            raise ValueError(
+                f"job {self.id}: energy must be a finite real of at least {sys.float_info.min!r}"
+                f" (the smallest normal float), got {self.energy!r}"
+            )
 
     @property
     def allowance(self) -> int:

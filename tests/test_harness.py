@@ -42,6 +42,13 @@ class TestGenParams:
         with pytest.raises(ValueError, match=f"^{field} must be a finite positive real"):
             GenParams(**params)
 
+    @pytest.mark.parametrize("field", ["energy_low", "energy_high"])
+    def test_subnormal_energy_bounds_rejected(self, field):
+        params = dict(n=5, mean_interarrival=5.0, mean_allowance=5.0, energy_low=1e-320, energy_high=1e-310, seed=1)
+        params["energy_low" if field == "energy_high" else "energy_high"] = 1.0
+        with pytest.raises(ValueError, match=f"^{field} must be a normal float, at least 2.2250738585072014e-308"):
+            GenParams(**params)
+
     @pytest.mark.parametrize("n", [2.5, 3.0, True])
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be an integer >= 1"):

@@ -59,6 +59,10 @@ class TestJob:
             dict(id=2**63, arrival=1, deadline=2, energy=1.0),
             dict(id=0, arrival=1, deadline=2**63, energy=1.0),
             dict(id=0, arrival=2**63, deadline=2**63, energy=1.0),
+            # subnormal: ENERGY_TOL * energy underflows, and 5e-324 cannot be split over two slots
+            dict(id=0, arrival=1, deadline=3, energy=1e-315),
+            dict(id=0, arrival=1, deadline=3, energy=1e-320),
+            dict(id=0, arrival=1, deadline=3, energy=5e-324),
         ],
     )
     def test_invalid_jobs_rejected(self, kwargs):
@@ -298,14 +302,23 @@ class TestApplyAttack:
         with pytest.raises(ValueError, match="outside"):
             AttackPlan({1: 3}).validate(inst)
 
-    @pytest.mark.parametrize("slot", [2.0, np.int64(2), 2**64], ids=["float", "numpy-integer", "past-int64"])
+    @pytest.mark.parametrize(
+        "slot",
+        [2.0, np.int64(2), 2**64, True, False, 0, 2**63, 10**19],
+        ids=["float", "numpy-integer", "past-int64", "true", "false", "zero", "2^63", "10^19"],
+    )
     def test_slot_must_be_an_int_in_the_window_as_in_schedules(self, slot):
+        # what Job refuses as a slot lies in no window; True once passed as slot 1 until Job(...) refused it
         inst = two_job_instance()
-        with pytest.raises(ValueError, match=f"slot {slot} outside window"):
+        with pytest.raises(ValueError, match="job 1: arrival must be an integer slot"):
+            Job(1, slot, 2, 2.0)
+        with pytest.raises(ValueError, match=f"job 1: slot {slot} outside window"):
             Schedule(inst, {(1, slot): 2.0, (2, 2): 2.0})
-        with pytest.raises(ValueError, match=f"to slot {slot} outside its window"):
+        with pytest.raises(ValueError, match=f"moves job 1 to slot {slot} outside its window"):
             AttackPlan({1: slot}).validate(inst)
-        with pytest.raises(ValueError, match=f"does not cover block slot {slot}"):
+        with pytest.raises(ValueError, match=f"moves job 1 to slot {slot} outside its window"):
+            apply_attack(inst, AttackPlan({1: slot}))
+        with pytest.raises(ValueError, match=f"job 1 does not cover block slot {slot}"):
             partition_from_blocks([(slot, {1, 2})]).validate(inst)
 
     def test_already_compressed_job_not_altered(self):
@@ -443,6 +456,12 @@ class TestInstanceCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"id,arrival,deadline,energy\n0,1,2,1.0\n{row}\n")
         with pytest.raises(ValueError, match="line 3: .*2\\^63 - 1"):
+            read_instance_csv(path)
+
+    def test_subnormal_energy_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,arrival,deadline,energy\n0,1,2,1.0\n1,2,4,1e-320\n")
+        with pytest.raises(ValueError, match="line 3: job 1: energy must be a finite real of at least"):
             read_instance_csv(path)
 
     def test_non_integer_slot_rejected(self, tmp_path):

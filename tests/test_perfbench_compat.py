@@ -61,3 +61,21 @@ def test_every_package_name_the_workloads_use_exists():
     used = {name for path in PERFBENCH.glob("*.py") for name in re.findall(r"\bgs\.(\w+)", path.read_text())}
     assert {"full_attack_dp", "apply_attack", "optimal_load_segments", "exact_limited_attack_curve"} <= used
     assert sorted(name for name in used if not hasattr(gridsched, name)) == []
+
+
+def test_the_fill_runs_once_per_load_segment(monkeypatch):
+    # the self-test expects one traced edf_fill call per optimal_load_segments entry, wrapped as the tracer wraps it
+    original = gridsched.scheduler.edf_fill
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gridsched.scheduler, "edf_fill", traced)
+    inst = gridsched.generate_instance(gridsched.GenParams(60, 3.0, 8.0, 1.0, 5.0, seed=5))
+    plan = gridsched.online_edf_attack(inst, gridsched.CostModel(2.0))[0]
+    for instance in (inst, gridsched.apply_attack(inst, plan)):
+        calls.clear()
+        gridsched.scheduler.schedule_optimal_offline(instance)
+        assert len(calls) == len(gridsched.optimal_load_segments(instance)) > 1

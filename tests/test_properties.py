@@ -1,5 +1,7 @@
 """Metamorphic properties of the attack DP, the peel and the budgeted attacks, and the array paths' references."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,26 @@ def test_energies_of_every_scale_are_served(specs, k, exponent):
     assert evaluate_cost(schedule, cost) == pytest.approx(min_cost(inst, cost), rel=1e-12)
     assert check_min_optimality(inst, schedule, cost).optimal
     assert scaled.allocations == {entry: amount * scale for entry, amount in schedule.allocations.items()}
+
+
+# energies just above the smallest normal float, the least Job takes, in windows of at most 64 slots
+SMALLEST_NORMAL = st.lists(
+    st.tuples(st.integers(1, 64), st.integers(0, 63), st.floats(1.0, 16.0)),
+    min_size=1,
+    max_size=7,
+).map(lambda drawn: [(arrival, allowance, energy * sys.float_info.min) for arrival, allowance, energy in drawn])
+
+
+@settings(max_examples=40)
+@given(SMALLEST_NORMAL, EXPONENTS)
+def test_energies_at_the_smallest_normal_float_are_served_and_certified(specs, exponent):
+    # the shares and fill tolerances are subnormal here; Schedule still conserves within ENERGY_TOL * energy
+    cost, inst = CostModel(exponent), build(specs)
+    assert check_min_optimality(inst, schedule_optimal_offline(inst), cost).optimal
+    # the even spread gets the verdict of its copy at ordinary energies, scaled by 2^1000
+    scaled = build(specs, scale=2.0**1000)
+    even = check_min_optimality(inst, schedule_online_even(inst), cost)
+    assert even.optimal == check_min_optimality(scaled, schedule_online_even(scaled), cost).optimal
 
 
 def slot_free_results(instance: Instance, cost: CostModel):
