@@ -438,14 +438,15 @@ def edf_fill(
     1 / width.  So each subtraction's rounding is kept exactly (TwoSum) in
     a per-job term, which is folded into the rest once it passes
     ``fill_tol`` / 4, keeping the fold's own rounding (Fast2Sum): the rest
-    stays within that of the unserved energy at any width.  The tests read
-    the rest alone, so a fill that never folds is the plain one bit for bit.
+    stays within that of the unserved energy at any width.  Every
+    comparison reads the rest alone, so a fill that never folds is the
+    plain one bit for bit.
 
-    Returns the positive allocations in fill order as three
-    arrays: int64 job ids, int64 slots and float64 amounts; a job is taken
-    at most once per slot.  Raises RuntimeError when a slot
-    cannot be filled, a deadline is missed or energy is left unserved,
-    which a valid critical interval rules out: a raise is a caller bug.
+    Returns the positive allocations in fill order as three arrays: int64
+    job ids, int64 slots and float64 amounts; a job is taken at most once
+    per slot.  Raises RuntimeError when a slot cannot be filled, a deadline
+    is missed or energy is left unserved, which a valid critical interval
+    rules out: a raise is a caller bug.
     """
     ordered = sorted(zip(arrivals.tolist(), deadlines.tolist(), ids.tolist(), energies.tolist()))
     width = end - start + 1
@@ -503,12 +504,12 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     objective and does not influence the schedule.
 
     Each segment is filled by ``edf_fill`` in the timeline left by the
-    earlier cuts.  After the peel every entry's slot is mapped back to the
-    original timeline in one array: the cuts are undone latest first, each
-    moving the later segments' slots at or past its start right by its
-    width.  ``Schedule`` then takes the entries as arrays of job ids, slots
-    and amounts, segment by segment in peel order and each segment in its
-    fill order.
+    earlier cuts, and the fills' arrays are joined segment by segment in
+    peel order, each segment in its fill order.  Then every entry's slot is
+    mapped back to the original timeline in one array: the cuts are undone
+    latest first, each moving the later segments' slots at or past its
+    start right by its width.  ``Schedule`` takes the three arrays as they
+    are, with no dict between the peel and the view.
     """
     del cost
     ids, arrivals, deadlines, energies = _job_arrays(instance)
