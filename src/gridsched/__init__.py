@@ -16,7 +16,6 @@ from .model import (
     read_instance_csv,
 )
 from .scheduler import (
-    even_cost,
     min_cost,
     optimal_load_segments,
     schedule_online_even,
@@ -72,7 +71,6 @@ __all__ = [
     "brute_force_max_cost",
     "check_min_optimality",
     "evaluate_cost",
-    "even_cost",
     "exact_limited_attack_curve",
     "full_attack_dp",
     "generate_instance",

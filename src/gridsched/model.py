@@ -246,9 +246,9 @@ class Schedule:
     first job in instance order whose total misses its energy.
 
     ``allocations`` is a read-only mapping over the kept entries' arrays,
-    which ``_entries`` shares.  Another schedule's ``allocations`` are
-    taken as they are, arrays and all, and checked against the given
-    instance; any other mapping is read entry by entry.
+    which ``evaluate_cost`` and ``slot_loads`` read.  Another schedule's
+    ``allocations`` are taken as they are, arrays and all, and checked
+    against the given instance; any other mapping is read entry by entry.
     """
 
     instance: Instance
@@ -289,11 +289,11 @@ class Schedule:
             allocations = _Entries(job_ids[where[~zero]], at[~zero], amounts[~zero])
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "allocations", allocations)
-        object.__setattr__(self, "_entries", (allocations._slots, allocations._amounts))
 
     def slot_loads(self) -> dict[int, float]:
         """Total load per slot, ascending by slot; zero-load slots omitted."""
-        return dict(zip(*(array.tolist() for array in _slot_loads(*self._entries))))
+        loads = _slot_loads(self.allocations._slots, self.allocations._amounts)
+        return dict(zip(*(array.tolist() for array in loads)))
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,7 @@ def _plan_cost(ids: np.ndarray, slots: np.ndarray, energies: np.ndarray, cost: C
 
 def evaluate_cost(schedule: Schedule, cost: CostModel) -> float:
     """Total cost of a schedule: ``_slot_cost`` of the entries it kept, the cost of ``slot_loads()``."""
-    return _slot_cost(*schedule._entries, cost)
+    return _slot_cost(schedule.allocations._slots, schedule.allocations._amounts, cost)
 
 
 def baseline_cost(instance: Instance, cost: CostModel) -> float:

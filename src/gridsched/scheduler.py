@@ -8,7 +8,7 @@ flat at that intensity with EDF, excise the interval from the timeline
 and repeat until no jobs remain.  The resulting flat-by-segment profile
 simultaneously minimizes every non-decreasing convex per-slot cost.  One
 private generator, ``_peel``, runs that loop on numpy arrays; the optimal
-schedule, its load segments and its cost all iterate it.
+schedule and its load segments iterate it, and ``min_cost`` sums the latter.
 
 No critical interval spans a slot that no window covers, so ``_peel``
 splits the jobs at every run of such slots (``_components``), peels each
@@ -51,10 +51,8 @@ differences of int64 slots, exact at any slot offset.  Below the switch,
 the batched rebuild is cheaper.
 
 An online heuristic that spreads each job evenly over its own window is
-provided for comparison; it upper-bounds the offline optimum.  Both the
-schedule and its cost come from one array form of the spread,
-``_even_spread``; ``even_cost`` sums the slot loads without building a
-``Schedule``, bit for bit the cost of the materialized one.
+provided for comparison; it upper-bounds the offline optimum.  Its cost is
+``evaluate_cost`` of its ``Schedule``, which views the spread's arrays.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import CostModel, Instance, Schedule, _added, _Entries, _job_arrays, _slot_cost
+from .model import CostModel, Instance, Schedule, _added, _Entries, _job_arrays
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -405,13 +403,11 @@ def optimal_load_segments(instance: Instance) -> list[tuple[int, float]]:
 def min_cost(instance: Instance, cost: CostModel) -> float:
     """Optimal (minimum) total cost without materializing the schedule.
 
-    Each segment is charged ``width * cost(level)`` with Python's scalar
-    ``**``, summed in peel order.
+    Each of ``optimal_load_segments`` is charged ``width * cost(level)``
+    with Python's scalar ``**``, summed in peel order: not bit for bit the
+    optimal schedule's ``evaluate_cost``, which adds one term per slot.
     """
-    total = 0.0
-    for start, end, level, *_ in _peel(*_job_arrays(instance)[1:]):
-        total += (end - start + 1) * cost(level)
-    return total
+    return _added(width * cost(level) for width, level in optimal_load_segments(instance))
 
 
 def edf_fill(
@@ -537,26 +533,14 @@ def schedule_optimal_offline(instance: Instance, cost: CostModel | None = None) 
     return Schedule(instance, _Entries(job_ids, slots, amounts))
 
 
-def _even_spread(arrivals: np.ndarray, deadlines: np.ndarray, energies: np.ndarray):
-    """Job index, slot and share of every entry of the even spread, jobs in input order, slots ascending."""
+def schedule_online_even(instance: Instance) -> Schedule:
+    """Spread each job's energy evenly over its own window: jobs in instance order, each job's slots ascending."""
+    ids, arrivals, deadlines, energies = _job_arrays(instance)
     widths = deadlines - arrivals + 1
     if (entries := sum(widths.tolist())) > _MAX_ENTRIES:  # Python ints: the widths may add past int64
         raise ValueError(f"the even spread would hold {entries} entries, over the {_MAX_ENTRIES} allowed")
     job = np.repeat(np.arange(widths.size), widths)
     first = np.cumsum(widths) - widths  # position of each job's first entry
     slot = np.arange(job.size) + (arrivals - first)[job]
-    return job, slot, (energies / widths)[job]
-
-
-def schedule_online_even(instance: Instance) -> Schedule:
-    """Spread each job's energy evenly over its own window."""
-    ids, arrivals, deadlines, energies = _job_arrays(instance)
-    job, slot, share = _even_spread(arrivals, deadlines, energies)
+    share = (energies / widths)[job]
     return Schedule(instance, _Entries(ids[job], slot, share))
-
-
-def even_cost(instance: Instance, cost: CostModel) -> float:
-    """Cost of the even spread without materializing the schedule."""
-    _, arrivals, deadlines, energies = _job_arrays(instance)
-    _, slot, share = _even_spread(arrivals, deadlines, energies)
-    return _slot_cost(slot, share, cost)

@@ -54,7 +54,7 @@ def test_the_tracer_counts_each_producers_entries(monkeypatch):
     for producer in (gridsched.scheduler.schedule_optimal_offline, gridsched.scheduler.schedule_online_even):
         counted.clear()
         schedule = producer(inst)
-        assert counted == [schedule._entries[0].size] and schedule._entries[0].size > inst.n
+        assert counted == [len(schedule.allocations)] and len(schedule.allocations) > inst.n
 
 def test_every_package_name_the_workloads_use_exists():
     # workloads.py binds the package to gs, and selftest.py imports it from there

@@ -227,7 +227,8 @@ def test_each_producers_schedule_equals_the_schedule_of_its_dict(inst, exponent)
     for schedule in (schedule_optimal_offline(inst), schedule_online_even(inst)):
         rebuilt = Schedule(inst, dict(schedule.allocations))
         assert repr(list(schedule.allocations.items())) == repr(list(rebuilt.allocations.items()))
-        for ours, theirs in zip(schedule._entries, rebuilt._entries):
+        arrays = [(s.allocations._ids, s.allocations._slots, s.allocations._amounts) for s in (schedule, rebuilt)]
+        for ours, theirs in zip(*arrays):
             assert (ours.dtype, ours.tobytes()) == (theirs.dtype, theirs.tobytes())
         assert repr(evaluate_cost(schedule, cost)) == repr(evaluate_cost(rebuilt, cost))
         assert list(schedule.slot_loads().items()) == list(rebuilt.slot_loads().items())
