@@ -148,8 +148,8 @@ class ExperimentConfig:
     Defaults encode the reference setups of the four experiments; the parts
     of a setup that no run varies (fig2's grid, the generator's means and
     energy ranges, fig5's identical job) are module constants.  ``default``
-    builds a config for a given experiment and ``validate`` checks the
-    parameters the experiment actually uses.
+    builds a config for a given experiment.  Construction, and so
+    ``dataclasses.replace``, checks the parameters the experiment uses.
     """
 
     experiment: Experiment
@@ -174,16 +174,14 @@ class ExperimentConfig:
         trials: int | None = None,
         exponent: float = 2.0,
     ) -> "ExperimentConfig":
-        config = cls(
+        return cls(
             experiment=experiment,
             seed=seed,
             trials=trials if trials is not None else _DEFAULT_TRIALS[experiment],
             exponent=exponent,
         )
-        config.validate()
-        return config
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         CostModel(self.exponent)  # rejects an exponent below 1 or not finite
@@ -245,7 +243,6 @@ def _trial_seed(master_seed: int, *key: int) -> int:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment and return its rows; ``ExperimentResult.write`` writes them as CSV."""
-    config.validate()
     runner = {
         Experiment.FIG2_BOUND: _run_fig2,
         Experiment.FIG3_COSTS: _run_fig3,

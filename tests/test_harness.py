@@ -1,6 +1,7 @@
 """Instance generation and the experiment harness: determinism, stats, row invariants."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from gridsched.harness import (
     Experiment,
     ExperimentConfig,
     GenParams,
+    _trial_seed,
     generate_instance,
     make_identical_instance,
     run_experiment,
@@ -53,6 +55,11 @@ class TestGenParams:
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be an integer >= 1"):
             GenParams(n, 5.0, 5.0, 1.0, 5.0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
+            GenParams(5, 5.0, 5.0, 1.0, 5.0, seed=seed)
 
 
 class TestGenerateInstance:
@@ -138,7 +145,7 @@ class TestMakeIdenticalInstance:
 class TestExperimentConfig:
     def test_defaults_validate(self):
         for experiment in Experiment:
-            ExperimentConfig.default(experiment, seed=1).validate()
+            ExperimentConfig.default(experiment, seed=1)
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
@@ -154,17 +161,41 @@ class TestExperimentConfig:
     def test_non_finite_allowance_mean_rejected(self, mean):
         config = ExperimentConfig.default(Experiment.FIG3_COSTS, seed=1)
         with pytest.raises(ValueError, match="^mean_allowance must be a finite positive real"):
-            replace(config, allowance_means=(5.0, mean)).validate()
+            replace(config, allowance_means=(5.0, mean))
 
     def test_non_integer_spacing_rejected(self):
         config = ExperimentConfig.default(Experiment.FIG5_ORDERED_RATIO, seed=1)
         with pytest.raises(ValueError, match="^interarrival must be an integer >= 1"):
-            replace(config, interarrival_grid=(1, 2.5)).validate()
+            replace(config, interarrival_grid=(1, 2.5))
 
     def test_unknown_beta_rejected(self):
         config = ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=1)
         with pytest.raises(ValueError):
-            replace(config, betas=(1.5,)).validate()
+            replace(config, betas=(1.5,))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected_at_construction(self, seed):
+        # before any run, as Job, GenParams and CostModel reject their bad fields
+        with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
+            ExperimentConfig(Experiment.FIG3_COSTS, seed=seed, trials=1)
+        with pytest.raises(ValueError, match="^seed must be"):
+            ExperimentConfig.default(Experiment.FIG2_BOUND, seed=seed)
+
+    @pytest.mark.parametrize(
+        "experiment, field, grid, message",
+        [
+            (Experiment.FIG3_COSTS, "allowance_means", (), "fig3 needs an allowance-mean sweep"),
+            (Experiment.FIG4_MAXMIN_BOUNDS, "betas", (), "fig4 needs a beta grid inside [0, 1]"),
+            (Experiment.FIG5_ORDERED_RATIO, "fig5_betas", (0.5, 1.5), "fig5 needs a beta grid inside [0, 1]"),
+            (Experiment.FIG5_ORDERED_RATIO, "fig5_betas", (-0.1,), "fig5 needs a beta grid inside [0, 1]"),
+            (Experiment.FIG5_ORDERED_RATIO, "interarrival_grid", (), "fig5 needs an interarrival grid"),
+        ],
+        ids=["fig3-no-means", "fig4-no-betas", "fig5-beta-above-1", "fig5-beta-below-0", "fig5-no-spacings"],
+    )
+    def test_empty_or_out_of_range_sweep_rejected(self, experiment, field, grid, message):
+        config = ExperimentConfig.default(experiment, seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(config, **{field: grid})
 
 
 class TestRunExperimentFig2:
@@ -230,6 +261,30 @@ class TestRunExperimentFig5:
         assert len(rows) == 50
         for row in rows:
             assert row["ratio"] == pytest.approx(row["beta"] ** 2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "config, context",
+    [
+        (quick_fig3_config(seed=3), "fig3 trial failed (allowance_mean=5.0, trial=0, seed={seed})"),
+        (
+            replace(ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=3, trials=1), fig4_jobs=12),
+            "fig4 trial failed (trial=0, seed={seed})",
+        ),
+    ],
+    ids=["fig3", "fig4"],
+)
+def test_a_failing_trial_names_its_trial_and_seed(monkeypatch, config, context):
+    cause = ArithmeticError("the attack failed")
+
+    def failing(*args, **kwargs):
+        raise cause
+
+    monkeypatch.setattr("gridsched.harness.full_attack_dp", failing)
+    message = context.format(seed=_trial_seed(3, 0, 0)) + ": the attack failed"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$") as raised:
+        run_experiment(config)
+    assert raised.value.__cause__ is cause
 
 
 class TestDeterminism:
