@@ -72,7 +72,7 @@ class Job:
 
 @dataclass(frozen=True, init=False)
 class Instance:
-    """An ordered collection of jobs, sorted by arrival (ties by id)."""
+    """One demand set: its ``jobs`` sorted by arrival (ties by id), counted by ``n``."""
 
     jobs: tuple[Job, ...]
 
@@ -88,12 +88,6 @@ class Instance:
                 raise ValueError(f"duplicate job id {job.id}")
         object.__setattr__(self, "jobs", ordered)
         object.__setattr__(self, "_positions", positions)
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __iter__(self) -> Iterator[Job]:
-        return iter(self.jobs)
 
     @property
     def n(self) -> int:

@@ -73,6 +73,12 @@ class TestOnlineAttackFactor:
         assert allowance_ratio(3, 10) == 5
         assert allowance_ratio(7, 7) == 2
 
+    def test_invalid_allowances_rejected(self):
+        with pytest.raises(ValueError, match="^minimum allowance must be >= 1, got 0$"):
+            allowance_ratio(0, 3)
+        with pytest.raises(ValueError, match="^l_max 2 smaller than l_min 3$"):
+            allowance_ratio(3, 2)
+
 
 class TestArrivalPackingRatio:
     def test_value_and_block_cap(self):
@@ -84,6 +90,10 @@ class TestArrivalPackingRatio:
 
         inst = Instance([Job(0, 1, 3, 1.0), Job(1, 1, 5, 1.0)])
         assert arrival_packing_ratio(inst) == math.inf
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^packing ratio undefined for an empty instance$"):
+            arrival_packing_ratio(Instance([]))
 
     def test_bounds_online_block_count(self):
         rng = np.random.default_rng(85)

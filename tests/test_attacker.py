@@ -522,6 +522,9 @@ class TestLimitedAttackDp:
         curve = limited_attack_curve(inst, QUAD, 5)
         assert curve[2] == curve[3] == curve[4] == curve[5]
 
+    def test_empty_instance_gives_zeros(self):
+        assert limited_attack_curve(Instance([]), QUAD, 3).tolist() == [0.0] * 4
+
     def test_curve_matches_reference_exactly(self):
         rng = np.random.default_rng(55)
         for exponent in (1.0, 1.5, 2.0, 3.0):

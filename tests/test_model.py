@@ -1,6 +1,7 @@
 """Domain type invariants, attack application, and cost evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,4 +469,27 @@ class TestInstanceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("id,arrival,deadline,energy\n0,1.5,2,1.0\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_instance_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: missing header id,arrival,deadline,energy"),
+            ("id,arrival,deadline,energy\n0,1,2,1.0\n1,2,4\n", "line 3: expected 4 fields, got 3"),
+            ("id,arrival,deadline,energy\n1,1,2,1.0\n1,3,4,1.0\n", "duplicate job id 1"),
+        ],
+        ids=["empty-file", "three-fields", "duplicate-id"],
+    )
+    def test_malformed_file_rejected_with_its_path(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_instance_csv(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "inst.csv"
+        path.write_text("id,arrival,deadline,energy\n\n0,1,4,2.25\n  \n1,3,3,0.5\n\n")
+        assert read_instance_csv(path) == Instance([Job(0, 1, 4, 2.25), Job(1, 3, 3, 0.5)])
+        path.write_text("id,arrival,deadline,energy\n\n0,1,4,2.25\n\n1,5,3,0.5\n")
+        with pytest.raises(ValueError, match="line 5: job 1: arrival 5 exceeds deadline 3"):
             read_instance_csv(path)
