@@ -35,6 +35,9 @@ class TestGenParams:
             GenParams(5, -1.0, 5.0, 1.0, 5.0, seed=1)
         with pytest.raises(ValueError):
             GenParams(5, 5.0, 5.0, 5.0, 1.0, seed=1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
+                GenParams(5, 5.0, 5.0, 1.0, 5.0, seed=seed)
 
     @pytest.mark.parametrize("field", ["mean_interarrival", "mean_allowance", "energy_low", "energy_high"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -55,11 +58,6 @@ class TestGenParams:
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be an integer >= 1"):
             GenParams(n, 5.0, 5.0, 1.0, 5.0, seed=1)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_out_of_range_seed_rejected(self, seed):
-        with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
-            GenParams(5, 5.0, 5.0, 1.0, 5.0, seed=seed)
 
 
 class TestGenerateInstance:
