@@ -39,8 +39,10 @@ from .model import (
     CliquePartition,
     CostModel,
     Instance,
+    _distinct,
     _job_arrays,
     _plan_cost,
+    _ranks,
     apply_attack,
     evaluate_cost,
 )
@@ -102,7 +104,7 @@ def full_attack_dp(instance: Instance, cost: CostModel) -> tuple[AttackPlan, Cli
         return AttackPlan({}), CliquePartition({}), 0.0
 
     ids, arrivals, deadlines, energies = _job_arrays(instance)
-    starts, ends = np.unique(arrivals), np.unique(deadlines)
+    starts, ends = _distinct(arrivals), _distinct(deadlines)
     rows, cols = starts.size, ends.size
     row, col = np.searchsorted(starts, arrivals), np.searchsorted(ends, deadlines)
     first = np.searchsorted(ends, starts)  # each row's first anchor
@@ -204,7 +206,7 @@ def online_edf_attack(instance: Instance, cost: CostModel) -> tuple[AttackPlan, 
         slots[first:stop] = pin  # now each job's block pin
         first = stop
     # each block's first job arrives after the last pin and is due no earlier, so the pins increase
-    labels = np.unique(slots, return_inverse=True)[1]
+    labels = _ranks(slots)[1]
     return *_plan_and_partition(ids, labels, slots), _plan_cost(ids, slots, energies, cost)
 
 
@@ -347,14 +349,14 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     if max_budget < 0:
         raise ValueError("budget must be non-negative")
     job_ids, arrivals, deadlines, energy = _job_arrays(instance)
-    if np.unique(arrivals).size != arrivals.size:
+    if _distinct(arrivals).size != arrivals.size:
         raise ValueError("upper-bound recursion requires at most one arrival per slot")
     n = instance.n
     if n == 0:
         return np.zeros(max_budget + 1)
 
     budget = min(max_budget, n)
-    points = np.unique(np.concatenate((arrivals, deadlines)))  # the sorted endpoint slots
+    points = _distinct(np.concatenate((arrivals, deadlines)))  # the sorted endpoint slots
     a_idx, d_idx = np.searchsorted(points, arrivals), np.searchsorted(points, deadlines)
     q = points.size
     single_cost = np.asarray(cost(energy), dtype=np.float64)
@@ -385,7 +387,7 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     # and last_deadline[j + 1] that end's column, one past its rank among the
     # deadline points; row len(starts) and column 0 stand for none
     starts = np.sort(a_idx)
-    ends = np.unique(d_idx)
+    ends = _distinct(d_idx)
     first_arrival = np.searchsorted(starts, np.arange(q + 1))
     last_deadline = np.searchsorted(ends, np.arange(q + 1))
     is_deadline = np.zeros(q, dtype=bool)

@@ -5,8 +5,8 @@ arrival == deadline == t occupies exactly slot t, and a window [k, l]
 spans l - k + 1 slots.  Energies are real valued; attack slots are
 integers.  All types are immutable values after construction and every
 operation is a pure function, so everything here is safe to share across
-concurrent callers.  Computations read the numpy arrays that an ``Instance``
-keeps of its jobs and a ``Schedule`` of the entries it accepts.
+concurrent callers.  Computations read an ``Instance``'s job arrays and a
+``Schedule``'s entry arrays; set operations go through ``_distinct`` and ``_ranks``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Instance:
 
     def endpoints(self) -> tuple[int, ...]:
         """Sorted set of all arrival and deadline slots."""
-        return tuple(np.union1d(*self._arrays[1:3]).tolist())
+        return tuple(_distinct(np.concatenate(self._arrays[1:3])).tolist())
 
     def allowance_range(self) -> tuple[int, int]:
         """(smallest, largest) allowance over the jobs; rejects empty instances."""
@@ -362,11 +362,12 @@ class CliquePartition:
             job = instance.jobs[where[k]]
             window = f"outside a member's window [{job.arrival}, {job.deadline}]"
             raise ValueError(f"job {ids[k]} does not cover block slot {slots[k]}: {window}")
-        _, first, rank = np.unique(labels, return_index=True, return_inverse=True)
-        clash = at != at[first[rank]]
+        _, rank, order = _ranks(np.asarray(labels), kind="stable")
+        first = order[np.searchsorted(rank[order], rank)]  # each clique's first member in mapping order, as sorted
+        clash = at != at[first]
         if clash.any():
             k = int(clash.argmax())
-            raise ValueError(f"clique {labels[k]} names two slots, {slots[first[rank[k]]]} and {slots[k]}")
+            raise ValueError(f"clique {labels[k]} names two slots, {slots[first[k]]} and {slots[k]}")
         if len(ids) < instance.n:
             raise ValueError(f"blocks do not cover every job: missing ids {sorted(instance.job_ids - set(ids))}")
         back = np.argsort(where)  # the mapped jobs' positions are a permutation of the jobs'
@@ -396,9 +397,30 @@ def _added(terms: Iterable[float]) -> float:
     return reduce(add, terms, 0.0)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array; numpy's ``unique`` costs more and imports ``numpy.ma``."""
+    ordered = values.copy()
+    ordered.sort()
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
+def _ranks(values: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D array, each element's rank among them, and the argsort that ranked them."""
+    order = values.argsort(kind=kind)
+    ordered = values[order]
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = np.empty(ordered.size, dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return ordered[first], rank, order
+
+
 def _slot_loads(slots: np.ndarray, amounts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The occupied slots, ascending, and their loads, each added in input order from 0.0 as a dict loop adds."""
-    occupied, where = np.unique(slots, return_inverse=True)
+    occupied, where, _ = _ranks(slots)
     return occupied, np.bincount(where, weights=amounts, minlength=occupied.size)
 
 

@@ -35,7 +35,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .model import CostModel, Instance, Schedule, _job_arrays
+from .model import CostModel, Instance, Schedule, _distinct, _job_arrays
 from .scheduler import _TABLE_CELLS, _components, _critical_rows
 
 ENUMERATION_GUARD = 10_000_000
@@ -78,7 +78,7 @@ def brute_force_max_cost(instance: Instance, cost: CostModel) -> float:
             f"instance too large for exhaustive enumeration ({assignments} assignments on a {covered}-slot grid"
             f" are {assignments * covered} load cells; {_LOAD_CELLS} at most)"
         )
-    grid = np.unique(np.concatenate([np.arange(a, d + 1) for a, d in zip(arrivals, deadlines)]))
+    grid = _distinct(np.concatenate([np.arange(a, d + 1) for a, d in zip(arrivals, deadlines)]))
     best = 0.0
     everyone = np.arange(instance.n)
     for slots, _ in _altered_windows(arrivals, deadlines, everyone, instance.n, max(1, _TABLE_CELLS // grid.size)):

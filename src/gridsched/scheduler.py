@@ -21,13 +21,13 @@ The EDF fill takes each interval's members as arrays.
 
 Each round maximizes over tables of contained energy and intensity with
 one row per arrival point and one column per deadline point of the jobs
-left: a maximum-intensity interval starts at a release and ends at a
-deadline (Yao, Demers and Shenker, FOCS 1995).  One function,
-``_critical_rows``, rebuilds such tables every round for a batch of whole
-instances at once: the small components of an instance, or the exact
-oracle's enumerated instances.  Each instance's first maximum in
-row-major order is, bit for bit, that of tables over every endpoint pair
-of its own jobs:
+left, sorted by ``model._distinct``: a maximum-intensity interval starts
+at a release and ends at a deadline (Yao, Demers and Shenker, FOCS
+1995).  One function, ``_critical_rows``, rebuilds such tables every
+round for a batch of whole instances at once: the small components of
+an instance, or the exact oracle's enumerated instances.  Each
+instance's first maximum in row-major order is, bit for bit, that of
+tables over every endpoint pair of its own jobs:
 
 - extra rows: a row with no arrival adds only exact +0.0, so it holds the
   next row's sums over a longer span (below 2^52 slots C / span and
@@ -62,15 +62,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import CostModel, Instance, Schedule, _added, _Entries, _job_arrays
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an array; ``np.unique`` costs several times more on a peel's small arrays."""
-    ordered = np.sort(values)
-    first = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
+from .model import CostModel, Instance, Schedule, _added, _distinct, _Entries, _job_arrays
 
 
 def _excise(windows: np.ndarray, start, end) -> np.ndarray:

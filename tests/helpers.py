@@ -340,6 +340,16 @@ def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[At
     return partition.to_plan(instance), partition, value
 
 
+def reference_clique_clash(labels: list, slots: list[int]) -> str | None:
+    """The clash ``CliquePartition.validate`` reports for jobs with these labels and slots, by numpy's ``unique``."""
+    _, first, rank = np.unique(labels, return_index=True, return_inverse=True)
+    clash = np.array(slots, dtype=np.int64) != np.array(slots, dtype=np.int64)[first[rank]]
+    if not clash.any():
+        return None
+    k = int(clash.argmax())
+    return f"clique {labels[k]} names two slots, {slots[first[rank[k]]]} and {slots[k]}"
+
+
 def partition_blocks(partition: CliquePartition) -> list[tuple[int, frozenset[int]]]:
     """The partition's cliques as (slot, members) pairs in label order; a clique's slot is its first member's."""
     blocks: dict[int, tuple[int, set[int]]] = {}

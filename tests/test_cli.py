@@ -1,6 +1,13 @@
 """Command line surface: every subcommand against a temp instance file."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import gridsched
 
 from gridsched.cli import main
 from gridsched.model import CostModel, Instance, Job, write_instance_csv
@@ -252,3 +259,56 @@ def test_experiment_unwritable_out_reports_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: cannot write experiment output to {out_path}" in captured.err
+
+
+# Run in a fresh interpreter: every subcommand through cli.main, then tiny fig2-fig5 runs.
+NO_MASKED_ARRAYS = """
+import sys
+from dataclasses import replace
+
+import numpy
+
+bare = "numpy.ma" in sys.modules
+from gridsched.cli import main
+from gridsched.harness import Experiment, ExperimentConfig, run_experiment
+from gridsched.model import Instance, Job, write_instance_csv
+
+folder = sys.argv[1]
+csv = folder + "/two.csv"
+write_instance_csv(Instance([Job(1, 1, 2, 2.0), Job(2, 2, 3, 2.0)]), csv)
+commands = [
+    ["solve-min", csv],
+    ["attack-full", csv],
+    ["attack-online", csv],
+    ["attack-limited", csv, "--beta", "0.5"],
+    ["bounds", csv],
+    ["oracle", "pmax", csv],
+    ["oracle", "maxmin", csv, "--beta", "0.5"],
+    ["oracle", "verify-min", csv],
+    ["experiment", "fig2", "--seed", "1", "--out", folder + "/fig2.csv"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+tiny = {
+    Experiment.FIG2_BOUND: {},
+    Experiment.FIG3_COSTS: dict(allowance_means=(5.0,), trials=1, fig3_jobs=8),
+    Experiment.FIG4_MAXMIN_BOUNDS: dict(betas=(0.5, 1.0), trials=1, fig4_jobs=8),
+    Experiment.FIG5_ORDERED_RATIO: dict(interarrival_grid=(5,), fig5_betas=(0.5,)),
+}
+for experiment, fields in tiny.items():
+    assert run_experiment(replace(ExperimentConfig.default(experiment, seed=1), **fields)).rows
+print(bare, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_subcommand_or_experiment_imports_numpy_ma(tmp_path):
+    # numpy 2's unique imports numpy.ma on its first call for values alone; the package sorts instead
+    src = str(Path(gridsched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    bare, loaded = run.stdout.split()[-2:]
+    if bare == "True":
+        pytest.skip("a bare import numpy loads numpy.ma")
+    assert loaded == "False"

@@ -1,5 +1,6 @@
 """Metamorphic properties of the attack DP, the peel and the budgeted attacks, and the array paths' references."""
 
+import re
 import sys
 
 import numpy as np
@@ -14,7 +15,19 @@ from gridsched.attacker import (
     online_edf_attack,
     realized_attack_cost,
 )
-from gridsched.model import CostModel, Instance, Job, Schedule, _slot_cost, apply_attack, baseline_cost, evaluate_cost
+from gridsched.model import (
+    CliquePartition,
+    CostModel,
+    Instance,
+    Job,
+    Schedule,
+    _distinct,
+    _ranks,
+    _slot_cost,
+    apply_attack,
+    baseline_cost,
+    evaluate_cost,
+)
 from gridsched.oracle import check_min_optimality, exact_limited_attack_curve
 from gridsched.scheduler import min_cost, schedule_online_even, schedule_optimal_offline
 
@@ -22,6 +35,7 @@ from helpers import (
     baseline_schedule,
     partition_blocks,
     reference_check_min_optimality,
+    reference_clique_clash,
     reference_cost,
     reference_entry_arrays,
     reference_online_edf_attack,
@@ -327,3 +341,42 @@ def test_certifier_equals_slot_by_slot_walk(inst, seed):
         for tol in (0.0, 1e-7, 0.05):
             verdict = check_min_optimality(inst, schedule, cost, tol)
             assert verdict == reference_check_min_optimality(inst, schedule, cost, tol)
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# int64 arrays (empty and single-value among them), all-equal ones and shuffled ones with repeats;
+# then partition labels as a CliquePartition holds them: Python ints past int64 and bools among them
+SET_INPUTS = st.one_of(
+    st.lists(INT64, max_size=20).map(lambda values: np.array(values, dtype=np.int64)),
+    st.tuples(INT64, st.integers(1, 20)).map(lambda pair: np.full(pair[1], pair[0], dtype=np.int64)),
+    st.lists(st.integers(-3, 3), max_size=20).flatmap(st.permutations).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.one_of(st.integers(-(2**70), 2**70), st.booleans()), max_size=12),
+)
+
+
+@settings(max_examples=200)
+@given(SET_INPUTS, st.randoms(use_true_random=False))
+def test_distinct_and_ranks_equal_numpy_unique(values, random):
+    array = np.asarray(values)  # labels are read as numpy's unique reads them: int64, uint64, float64, bool or object
+    expected, first, inverse = np.unique(array, return_index=True, return_inverse=True)
+    for distinct in (_distinct(array), np.unique(array)):
+        assert distinct.dtype == expected.dtype and np.array_equal(distinct, expected)
+    for kind in (None, "stable"):
+        distinct, rank, order = _ranks(array, kind)
+        assert distinct.dtype == expected.dtype and np.array_equal(distinct, expected)
+        assert np.array_equal(rank, inverse)
+        assert np.array_equal(rank[order], np.sort(rank))
+    # a stable sort puts each value's first element in the array first in the sort
+    assert np.array_equal(order[np.searchsorted(rank[order], np.arange(distinct.size))], first)
+
+    # the same errors as the reference's on jobs labelled so: most cliques keep one slot
+    labels = array.tolist() if isinstance(values, np.ndarray) else values
+    slots = [1 + int(r) % 3 if random.random() < 0.8 else random.randint(1, 3) for r in inverse]
+    instance = Instance(Job(j, 1, 3, 1.0) for j in range(len(labels)))
+    partition = CliquePartition({j: (label, slot) for j, (label, slot) in enumerate(zip(labels, slots))})
+    clash = reference_clique_clash(labels, slots)
+    if clash is None:
+        partition.validate(instance)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(clash)}$"):
+            partition.validate(instance)
