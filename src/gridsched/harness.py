@@ -76,8 +76,8 @@ class GenParams:
                 raise ValueError(f"{name} must be a normal float, at least {sys.float_info.min!r}, got {value!r}")
         if self.energy_low > self.energy_high:
             raise ValueError(f"need energy_low <= energy_high, got ({self.energy_low}, {self.energy_high})")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
 # The gaps and the largest allowance each stay below this, so every slot fits int64.
@@ -182,11 +182,11 @@ class ExperimentConfig:
         )
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         CostModel(self.exponent)  # rejects an exponent below 1 or not finite
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.experiment is Experiment.FIG3_COSTS:
             if not self.allowance_means:
                 raise ValueError("fig3 needs an allowance-mean sweep")

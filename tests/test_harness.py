@@ -35,7 +35,7 @@ class TestGenParams:
             GenParams(5, -1.0, 5.0, 1.0, 5.0, seed=1)
         with pytest.raises(ValueError):
             GenParams(5, 5.0, 5.0, 5.0, 1.0, seed=1)
-        for seed in (-1, 2**64):
+        for seed in (-1, 2**64, 1.5, True):
             with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
                 GenParams(5, 5.0, 5.0, 1.0, 5.0, seed=seed)
 
@@ -146,8 +146,9 @@ class TestExperimentConfig:
             ExperimentConfig.default(experiment, seed=1)
 
     def test_bad_trials_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig.default(Experiment.FIG3_COSTS, seed=1, trials=0)
+        for trials in (0, 2.5, True):
+            with pytest.raises(ValueError, match=f"^trials must be an integer >= 1, got {trials}$"):
+                ExperimentConfig.default(Experiment.FIG3_COSTS, seed=1, trials=trials)
 
     @pytest.mark.parametrize("experiment", [Experiment.FIG2_BOUND, Experiment.FIG3_COSTS])
     @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), float("-inf"), 0.5])
@@ -171,7 +172,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             replace(config, betas=(1.5,))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_out_of_range_seed_rejected_at_construction(self, seed):
         # before any run, as Job, GenParams and CostModel reject their bad fields
         with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
