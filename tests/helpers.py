@@ -343,7 +343,8 @@ def reference_online_edf_attack(instance: Instance, cost: CostModel) -> tuple[At
 def reference_clique_clash(labels: list, slots: list[int]) -> str | None:
     """The clash ``CliquePartition.validate`` reports for jobs with these labels and slots, by numpy's ``unique``."""
     _, first, rank = np.unique(labels, return_index=True, return_inverse=True)
-    clash = np.array(slots, dtype=np.int64) != np.array(slots, dtype=np.int64)[first[rank]]
+    at = np.array(slots, dtype=np.int64)
+    clash = at != at[first[rank]]
     if not clash.any():
         return None
     k = int(clash.argmax())

@@ -359,8 +359,8 @@ SET_INPUTS = st.one_of(
 def test_distinct_and_ranks_equal_numpy_unique(values, random):
     array = np.asarray(values)  # labels are read as numpy's unique reads them: int64, uint64, float64, bool or object
     expected, first, inverse = np.unique(array, return_index=True, return_inverse=True)
-    for distinct in (_distinct(array), np.unique(array)):
-        assert distinct.dtype == expected.dtype and np.array_equal(distinct, expected)
+    distinct = _distinct(array)
+    assert distinct.dtype == expected.dtype and np.array_equal(distinct, expected)
     for kind in (None, "stable"):
         distinct, rank, order = _ranks(array, kind)
         assert distinct.dtype == expected.dtype and np.array_equal(distinct, expected)
