@@ -327,6 +327,12 @@ class TestDeterminism:
                 fig4_jobs=12,
                 betas=(0.25, 0.5, 1.0),
             ),
+            # two trials, so fig4's sums across trials are pinned too
+            "d75296442d625cee2f104f607c7e7569c4a443fdd3bf69821ee77318f5955123": replace(
+                ExperimentConfig.default(Experiment.FIG4_MAXMIN_BOUNDS, seed=110, trials=2),
+                fig4_jobs=12,
+                betas=(0.25, 0.5, 1.0),
+            ),
             "57ae2f508da1a147ac70745c947dbb2d844a9a9a4d1b48e1f9d754f1f9febb2e": replace(
                 ExperimentConfig.default(Experiment.FIG5_ORDERED_RATIO, seed=110), interarrival_grid=(1, 5)
             ),
