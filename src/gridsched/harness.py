@@ -36,7 +36,7 @@ from .attacker import (
     limited_greedy_from_partition,
     online_edf_attack,
 )
-from .model import CostModel, Instance, Job, baseline_cost, evaluate_cost
+from .model import CostModel, Instance, Job, _is_int, baseline_cost, evaluate_cost
 from .scheduler import min_cost, schedule_online_even
 
 
@@ -66,7 +66,7 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not _is_int(self.n, 1, math.inf):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         for name in ("mean_interarrival", "mean_allowance", "energy_low", "energy_high"):
             value = getattr(self, name)
@@ -76,7 +76,7 @@ class GenParams:
                 raise ValueError(f"{name} must be a normal float, at least {sys.float_info.min!r}, got {value!r}")
         if self.energy_low > self.energy_high:
             raise ValueError(f"need energy_low <= energy_high, got ({self.energy_low}, {self.energy_high})")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed, 0, 2**64 - 1):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -108,7 +108,7 @@ def generate_instance(params: GenParams) -> Instance:
 def make_identical_instance(n: int, energy: float, allowance: int, interarrival: int) -> Instance:
     """n identical jobs spaced ``interarrival`` slots apart, first arrival at slot 1."""
     for name, value in (("n", n), ("allowance", allowance), ("interarrival", interarrival)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value, 1, math.inf):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     jobs = [
         Job(idx, 1 + idx * interarrival, 1 + idx * interarrival + allowance, float(energy))
@@ -182,10 +182,10 @@ class ExperimentConfig:
         )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+        if not _is_int(self.trials, 1, math.inf):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         CostModel(self.exponent)  # rejects an exponent below 1 or not finite
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed, 0, 2**64 - 1):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.experiment is Experiment.FIG3_COSTS:
             if not self.allowance_means:

@@ -37,8 +37,9 @@ INSTANCE_CSV_HEADER = ("id", "arrival", "deadline", "energy")
 class Job:
     """A single energy demand: serve ``energy`` units within [arrival, deadline].
 
-    Arrival and deadline are slots by ``_is_slot``; the energy is a finite
-    normal float, so no subnormal energy reaches a schedule's tolerances.
+    Arrival and deadline are slots, integers in [1, 2^63 - 1] by
+    ``_is_int``; the energy is a finite normal float, so no subnormal
+    energy reaches a schedule's tolerances.
     """
 
     id: int
@@ -48,11 +49,11 @@ class Job:
 
     def __post_init__(self) -> None:
         # every array path holds ids and slots as int64
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or not 0 <= self.id <= 2**63 - 1:
+        if not _is_int(self.id, 0, 2**63 - 1):
             raise ValueError(f"job id must be an integer in [0, 2^63 - 1], got {self.id!r}")
         for name in ("arrival", "deadline"):
             value = getattr(self, name)
-            if not _is_slot(value):
+            if not _is_int(value, 1, 2**63 - 1):
                 raise ValueError(f"job {self.id}: {name} must be an integer slot in [1, 2^63 - 1], got {value!r}")
         if self.arrival > self.deadline:
             raise ValueError(f"job {self.id}: arrival {self.arrival} exceeds deadline {self.deadline}")
@@ -136,9 +137,9 @@ class Instance:
         return min(allowances), max(allowances)
 
 
-def _is_slot(value) -> bool:
-    """The slot rule of jobs, schedules, plans and partitions: a Python ``int``, not ``bool``, in [1, 2^63 - 1]."""
-    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 2**63 - 1
+def _is_int(value, lo, hi) -> bool:
+    """One integer rule for ids, slots, seeds and counts: a Python ``int``, not ``bool``, in [lo, hi]."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
 
 
 def _job_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +152,7 @@ def _placed(instance: Instance, ids: Iterable, slots: list | np.ndarray) -> tupl
 
     The one placement check of schedules, attack plans and partitions.  An
     unknown id gets position n, whose window holds no slot.  A listed slot
-    that ``_is_slot`` rejects is read as 0, which lies in no window.  Given
+    outside ``_is_int``'s [1, 2^63 - 1] is read as 0, which lies in no window.  Given
     int64 arrays of ids and slots, as a schedule's entries hold them, each
     id is looked up in the instance's sorted ids, with no per-entry object.
     """
@@ -164,7 +165,7 @@ def _placed(instance: Instance, ids: Iterable, slots: list | np.ndarray) -> tupl
         at = slots
     else:
         where = np.fromiter(map(instance._positions.get, ids, repeat(n)), np.intp, size)
-        at = np.fromiter((slot if _is_slot(slot) else 0 for slot in slots), np.int64, size)
+        at = np.fromiter((slot if _is_int(slot, 1, 2**63 - 1) else 0 for slot in slots), np.int64, size)
     inside = (np.append(arrivals, 1)[where] <= at) & (at <= np.append(deadlines, 0)[where])
     return where, at, inside
 
