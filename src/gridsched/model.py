@@ -138,7 +138,7 @@ class Instance:
 
 
 def _is_int(value, lo, hi) -> bool:
-    """One integer rule for ids, slots, seeds and counts: a Python ``int``, not ``bool``, in [lo, hi]."""
+    """One integer rule for ids, slots, clique labels, seeds and counts: a Python ``int``, not ``bool``, in [lo, hi]."""
     return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
 
 
@@ -329,9 +329,10 @@ class CliquePartition:
     """Jobs grouped into cliques, each pinned at one slot that all its members cover.
 
     ``cliques`` maps each job id to its (clique label, clique slot), in
-    instance order.  Jobs that share a label form one clique and share its
-    slot, cliques rank by label, and every job is in exactly one clique, so
-    a clique with no member cannot be written down.
+    instance order, each label an integer in int64's range.  Jobs that share
+    a label form one clique and share its slot, cliques rank by label, and
+    every job is in exactly one clique, so a clique with no member cannot be
+    written down.
     """
 
     cliques: dict[int, tuple[int, int]]
@@ -348,10 +349,15 @@ class CliquePartition:
         """Each job's clique rank (0, 1, ... in label order) and clique slot in instance order.
 
         ``validate``, ``to_plan`` and the greedy share it.  Raises ValueError
-        for the first job, in mapping order, that is unknown or does not
-        cover its slot; then for the first whose slot differs from its
-        clique's first member's; then for the jobs the mapping leaves out.
+        for the first job, in mapping order, whose label is not an integer
+        in int64's range by ``_is_int``; then for the first that is unknown
+        or does not cover its slot; then for the first whose slot differs
+        from its clique's first member's; then for the jobs the mapping
+        leaves out.
         """
+        for jid, (label, _) in self.cliques.items():
+            if not _is_int(label, -(2**63), 2**63 - 1):
+                raise ValueError(f"job {jid}: clique label must be an integer in [-2^63, 2^63 - 1], got {label!r}")
         ids = list(self.cliques)
         labels = [label for label, _ in self.cliques.values()]
         slots = [slot for _, slot in self.cliques.values()]
@@ -363,7 +369,7 @@ class CliquePartition:
             job = instance.jobs[where[k]]
             window = f"outside a member's window [{job.arrival}, {job.deadline}]"
             raise ValueError(f"job {ids[k]} does not cover block slot {slots[k]}: {window}")
-        _, rank, order = _ranks(np.asarray(labels), kind="stable")
+        _, rank, order = _ranks(np.array(labels, dtype=np.int64), kind="stable")
         first = order[np.searchsorted(rank[order], rank)]  # each clique's first member in mapping order, as sorted
         clash = at != at[first]
         if clash.any():

@@ -423,6 +423,20 @@ class TestCliquePartition:
         # a job is in one clique by construction, and a clique has one slot
         with pytest.raises(ValueError, match="clique 0 names two slots, 2 and 3"):
             CliquePartition({1: (0, 2), 2: (0, 3)}).validate(inst)
+        # labels are integers in int64's range, so no two distinct labels read as one
+        three = Instance(Job(j, 1, 3, 1.0) for j in (1, 2, 3))
+        CliquePartition({1: (-(2**63), 1), 2: (2**63 - 1, 2), 3: (0, 3)}).validate(three)
+        refused = [
+            ({1: (2**63, 1), 2: (2**63 + 1, 2), 3: (-1, 3)}, "job 1", "9223372036854775808"),
+            ({1: (0, 1), 2: (-(2**63) - 1, 2), 3: (1, 3)}, "job 2", "-9223372036854775809"),
+            ({1: (1, 1), 2: (True, 2), 3: (2, 3)}, "job 2", "True"),
+            ({1: (1, 1), 2: ("1", 2), 3: (2, 3)}, "job 2", "'1'"),
+            ({1: (1.5, 1), 2: (1, 2), 3: (2, 3)}, "job 1", "1.5"),
+        ]
+        for cliques, job, label in refused:
+            message = f"{job}: clique label must be an integer in [-2^63, 2^63 - 1], got {label}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CliquePartition(cliques).validate(three)
 
     def test_to_plan(self):
         inst = two_job_instance()

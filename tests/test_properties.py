@@ -369,13 +369,18 @@ def test_distinct_and_ranks_equal_numpy_unique(values, random):
     # a stable sort puts each value's first element in the array first in the sort
     assert np.array_equal(order[np.searchsorted(rank[order], np.arange(distinct.size))], first)
 
-    # the same errors as the reference's on jobs labelled so: most cliques keep one slot
+    # the same errors as the reference's on jobs labelled so: most cliques keep one slot;
+    # a label past int64, or a bool, is refused for the first job that has one
     labels = array.tolist() if isinstance(values, np.ndarray) else values
     slots = [1 + int(r) % 3 if random.random() < 0.8 else random.randint(1, 3) for r in inverse]
     instance = Instance(Job(j, 1, 3, 1.0) for j in range(len(labels)))
     partition = CliquePartition({j: (label, slot) for j, (label, slot) in enumerate(zip(labels, slots))})
-    clash = reference_clique_clash(labels, slots)
-    if clash is None:
+    refused = [j for j, label in enumerate(labels) if isinstance(label, bool) or not -(2**63) <= label < 2**63]
+    clash = None if refused else reference_clique_clash(labels, slots)
+    if refused:
+        with pytest.raises(ValueError, match=f"^job {refused[0]}: clique label must be an integer in "):
+            partition.validate(instance)
+    elif clash is None:
         partition.validate(instance)
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(clash)}$"):
