@@ -12,9 +12,10 @@ the CSV.
 Reproducibility: every trial draws from an RNG stream derived from the
 master seed and the trial's position, so reruns with the same
 configuration emit byte-identical CSV regardless of execution order.
-The generator's arrivals strictly increase, as fig4's upper bound
-requires, so fig4 draws each trial's instance once, as fig3 does; its
-preamble keeps the field ``redraws=0``.
+fig3 and fig4 run their trials through one loop (``_trial_means``) on one
+draw (``_draw_params``).  The generator's arrivals strictly increase, as
+fig4's upper bound requires, so no draw is redrawn; fig4's preamble keeps
+the field ``redraws=0`` for its readers, such as perfbench's fig4_draws.
 """
 
 from __future__ import annotations
@@ -141,6 +142,11 @@ _DEFAULT_TRIALS = {
 }
 
 
+def _draw_params(n: int, mean_allowance: float, energy: tuple[float, float], seed: int) -> GenParams:
+    """The generator setup of a fig3 or fig4 trial: arrivals _MEAN_INTERARRIVAL apart on average."""
+    return GenParams(n, _MEAN_INTERARRIVAL, mean_allowance, *energy, seed)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: which study, its sweep grids, and the master seed.
@@ -191,11 +197,11 @@ class ExperimentConfig:
             if not self.allowance_means:
                 raise ValueError("fig3 needs an allowance-mean sweep")
             for mean in self.allowance_means:
-                GenParams(self.fig3_jobs, _MEAN_INTERARRIVAL, mean, *_FIG3_ENERGY, seed=0)
+                _draw_params(self.fig3_jobs, mean, _FIG3_ENERGY, 0)
         elif self.experiment is Experiment.FIG4_MAXMIN_BOUNDS:
             if not self.betas or any(not 0 <= b <= 1 for b in self.betas):
                 raise ValueError("fig4 needs a beta grid inside [0, 1]")
-            GenParams(self.fig4_jobs, _MEAN_INTERARRIVAL, _FIG4_MEAN_ALLOWANCE, *_FIG4_ENERGY, seed=0)
+            _draw_params(self.fig4_jobs, _FIG4_MEAN_ALLOWANCE, _FIG4_ENERGY, 0)
         elif self.experiment is Experiment.FIG5_ORDERED_RATIO:
             if not self.fig5_betas or any(not 0 <= b <= 1 for b in self.fig5_betas):
                 raise ValueError("fig5 needs a beta grid inside [0, 1]")
@@ -275,9 +281,37 @@ def _run_fig2(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(_preamble(config), ("n", "l_min", "lower_bound"), rows)
 
 
+def _trial_means(config: ExperimentConfig, n, mean_allowance, energy, key, context, measure) -> np.ndarray:
+    """The mean of ``measure(instance, cost)`` over a sweep point's trials, as a float64 array.
+
+    Trial t draws ``n`` jobs by ``_draw_params`` at the seed
+    ``_trial_seed(config.seed, *key(t))``, and the sums add the trials in
+    order.  A failing trial raises RuntimeError naming the experiment,
+    ``context``, the trial and its seed.
+    """
+    cost = CostModel(config.exponent)
+    sums = 0.0
+    for trial in range(config.trials):
+        seed = _trial_seed(config.seed, *key(trial))
+        try:
+            sums += np.asarray(measure(generate_instance(_draw_params(n, mean_allowance, energy, seed)), cost))
+        except Exception as exc:
+            raise RuntimeError(
+                f"{config.experiment.value} trial failed ({context}trial={trial}, seed={seed}): {exc}"
+            ) from exc
+    return sums / config.trials
+
+
+def _fig3_costs(instance: Instance, cost: CostModel) -> tuple[float, ...]:
+    """One draw's minimum offline, minimum online, baseline, maximum offline and maximum online costs."""
+    _, _, c_max_offline = full_attack_dp(instance, cost)
+    _, _, c_max_online = online_edf_attack(instance, cost)
+    c_min_online = evaluate_cost(schedule_online_even(instance), cost)
+    return min_cost(instance, cost), c_min_online, baseline_cost(instance, cost), c_max_offline, c_max_online
+
+
 def _run_fig3(config: ExperimentConfig) -> ExperimentResult:
     """Average strategy costs versus the mean job allowance."""
-    cost = CostModel(config.exponent)
     header = (
         "allowance_mean",
         "c_min_offline",
@@ -289,84 +323,31 @@ def _run_fig3(config: ExperimentConfig) -> ExperimentResult:
         "min_offline_over_base",
     )
     rows = []
-    for point, mean_allowance in enumerate(config.allowance_means):
-        sums = np.zeros(5)
-        for trial in range(config.trials):
-            seed = _trial_seed(config.seed, point, trial)
-            try:
-                instance = generate_instance(
-                    GenParams(
-                        n=config.fig3_jobs,
-                        mean_interarrival=_MEAN_INTERARRIVAL,
-                        mean_allowance=mean_allowance,
-                        energy_low=_FIG3_ENERGY[0],
-                        energy_high=_FIG3_ENERGY[1],
-                        seed=seed,
-                    )
-                )
-                _, _, c_max_offline = full_attack_dp(instance, cost)
-                _, _, c_max_online = online_edf_attack(instance, cost)
-                sums += (
-                    min_cost(instance, cost),
-                    evaluate_cost(schedule_online_even(instance), cost),
-                    baseline_cost(instance, cost),
-                    c_max_offline,
-                    c_max_online,
-                )
-            except Exception as exc:
-                raise RuntimeError(
-                    f"fig3 trial failed (allowance_mean={mean_allowance}, trial={trial}, seed={seed}): {exc}"
-                ) from exc
-        means = sums / config.trials
-        rows.append(
-            (
-                mean_allowance,
-                means[0],
-                means[1],
-                means[2],
-                means[3],
-                means[4],
-                means[3] / means[2],
-                means[0] / means[2],
-            )
-        )
+    for point, mean in enumerate(config.allowance_means):
+        key, context = (lambda trial: (point, trial)), f"allowance_mean={mean}, "
+        means = _trial_means(config, config.fig3_jobs, mean, _FIG3_ENERGY, key, context, _fig3_costs)
+        rows.append((mean, *means, means[3] / means[2], means[0] / means[2]))
     return ExperimentResult(_preamble(config), header, rows)
 
 
 def _run_fig4(config: ExperimentConfig) -> ExperimentResult:
     """Budgeted-attack lower and upper bounds versus the alteration fraction."""
-    cost = CostModel(config.exponent)
     budgets = [attack_budget(beta, config.fig4_jobs) for beta in config.betas]
-    max_budget = max(budgets)
-    sums = np.zeros((len(config.betas), 4))
-    for trial in range(config.trials):
-        seed = _trial_seed(config.seed, trial, 0)
-        try:
-            instance = generate_instance(
-                GenParams(
-                    n=config.fig4_jobs,
-                    mean_interarrival=_MEAN_INTERARRIVAL,
-                    mean_allowance=_FIG4_MEAN_ALLOWANCE,
-                    energy_low=_FIG4_ENERGY[0],
-                    energy_high=_FIG4_ENERGY[1],
-                    seed=seed,
-                )
-            )
-            _, partition, c_max = full_attack_dp(instance, cost)
-            c_base = baseline_cost(instance, cost)
-            upper = limited_attack_curve(instance, cost, max_budget)
-            for idx, beta in enumerate(config.betas):
-                _, lower = limited_greedy_from_partition(instance, partition, beta, cost)
-                sums[idx] += (lower, float(upper[budgets[idx]]), c_base, c_max)
-        except Exception as exc:
-            raise RuntimeError(f"fig4 trial failed (trial={trial}, seed={seed}): {exc}") from exc
+
+    def bounds(instance: Instance, cost: CostModel) -> list[tuple[float, float, float, float]]:
+        _, partition, c_max = full_attack_dp(instance, cost)
+        c_base = baseline_cost(instance, cost)
+        upper = limited_attack_curve(instance, cost, max(budgets))
+        return [
+            (limited_greedy_from_partition(instance, partition, beta, cost)[1], float(upper[budget]), c_base, c_max)
+            for beta, budget in zip(config.betas, budgets)
+        ]
+
+    means = _trial_means(
+        config, config.fig4_jobs, _FIG4_MEAN_ALLOWANCE, _FIG4_ENERGY, lambda trial: (trial, 0), "", bounds
+    )
     header = ("beta", "budget", "c_maxmin_lower", "c_maxmin_upper", "c_base", "c_max")
-    rows = []
-    for idx, beta in enumerate(config.betas):
-        means = sums[idx] / config.trials
-        rows.append((beta, budgets[idx], means[0], means[1], means[2], means[3]))
-    # generate_instance's arrivals strictly increase, so no draw is ever redrawn; the
-    # field stays for readers of the preamble, such as perfbench's fig4_draws
+    rows = [(beta, budget, *row) for beta, budget, row in zip(config.betas, budgets, means)]
     return ExperimentResult(_preamble(config, "redraws=0"), header, rows)
 
 
@@ -380,14 +361,5 @@ def _run_fig5(config: ExperimentConfig) -> ExperimentResult:
         _, partition, c_max = full_attack_dp(instance, cost)
         for beta in config.fig5_betas:
             _, value = limited_greedy_from_partition(instance, partition, beta, cost)
-            rows.append(
-                (
-                    interarrival,
-                    beta,
-                    attack_budget(beta, _FIG5_JOBS),
-                    value / c_max,
-                    value,
-                    c_max,
-                )
-            )
+            rows.append((interarrival, beta, attack_budget(beta, _FIG5_JOBS), value / c_max, value, c_max))
     return ExperimentResult(_preamble(config), header, rows)
