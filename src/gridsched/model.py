@@ -94,11 +94,6 @@ class Instance:
     def n(self) -> int:
         return len(self.jobs)
 
-    @property
-    def horizon(self) -> int:
-        """Largest deadline over all jobs; 0 for an empty instance."""
-        return max((j.deadline for j in self.jobs), default=0)
-
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         arrays = (

@@ -82,10 +82,9 @@ class TestJob:
 
 
 class TestInstance:
-    def test_sorted_by_arrival_and_horizon(self):
+    def test_sorted_by_arrival(self):
         inst = Instance([Job(2, 5, 6, 1.0), Job(1, 1, 3, 1.0)])
         assert [j.id for j in inst.jobs] == [1, 2]
-        assert inst.horizon == 6
         assert inst.n == 2
 
     def test_duplicate_ids_rejected(self):
@@ -94,7 +93,6 @@ class TestInstance:
 
     def test_empty_instance_is_legal(self):
         inst = Instance([])
-        assert inst.horizon == 0
         assert inst.total_energy == 0.0
         assert inst.endpoints() == ()
 
