@@ -376,11 +376,10 @@ def test_distinct_and_ranks_equal_numpy_unique(values, random):
     instance = Instance(Job(j, 1, 3, 1.0) for j in range(len(labels)))
     partition = CliquePartition({j: (label, slot) for j, (label, slot) in enumerate(zip(labels, slots))})
     refused = [j for j, label in enumerate(labels) if isinstance(label, bool) or not -(2**63) <= label < 2**63]
-    clash = None if refused else reference_clique_clash(labels, slots)
     if refused:
         with pytest.raises(ValueError, match=f"^job {refused[0]}: clique label must be an integer in "):
             partition.validate(instance)
-    elif clash is None:
+    elif (clash := reference_clique_clash(labels, slots)) is None:
         partition.validate(instance)
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(clash)}$"):
