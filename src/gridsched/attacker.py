@@ -333,8 +333,10 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     z - 1], and [z + 1, j] at [first arrival point >= z + 1, j]; an empty
     one reads a zero cell.  Point 0 is an arrival and point q - 1 a
     deadline, so the whole instance is one of the evaluated intervals.
-    The table therefore holds one row per arrival point and one column
-    per deadline point, plus a zero row and column that stand for none.
+    The table therefore holds one budget vector per pair of an arrival
+    point and a deadline point at or after it, plus one shared zero
+    vector; a map over (arrival point, deadline point) pairs sends every
+    other pair, and the row and column that stand for none, to that one.
 
     The DP runs width by width.  Each width is evaluated in a few array
     operations over every evaluated interval and every anchor of it, as one
@@ -393,12 +395,16 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     is_deadline = np.zeros(q, dtype=bool)
     is_deadline[d_idx] = True
 
-    # table[first_arrival[i], last_deadline[j + 1]] is the budget vector of [i, j]
+    # table[pair[first_arrival[i], last_deadline[j + 1]]] is the budget vector of [i, j]
     # for i an arrival point and j a deadline point, zero when [i, j] contains no
-    # job.  Every vector is exactly non-decreasing and constant beyond its own cap,
-    # and a gains column is constant beyond its member count, which is what lets
-    # _maxplus_columns skip shifts.
-    table = np.zeros((starts.size + 1, ends.size + 1, budget + 1))
+    # job.  Only the pairs with j >= i get a row of their own; every other pair, and
+    # row len(starts) and column 0, read row 0, which stays zero.  Every vector is
+    # exactly non-decreasing and constant beyond its own cap, and a gains column is
+    # constant beyond its member count, which is what lets _maxplus_columns skip shifts.
+    evaluated = starts[:, None] <= ends
+    pair = np.zeros((starts.size + 1, ends.size + 1), dtype=np.intp)
+    pair[:-1, 1:][evaluated] = np.arange(1, np.count_nonzero(evaluated) + 1)
+    table = np.zeros((pair.max() + 1, budget + 1))
     for width in range(q):
         i = starts[: np.searchsorted(starts, q - width)]
         i = i[is_deadline[i + width]]
@@ -422,7 +428,7 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         left_end, right_start = last_deadline[cz], first_arrival[cz + 1]
         lx, ly = np.where(swap, right_start, row)[by_reach], np.where(swap, column, left_end)[by_reach]
         rx, ry = np.where(swap, row, right_start)[by_reach], np.where(swap, left_end, column)[by_reach]
-        split = _maxplus_columns(table[lx, ly, :cols].T, table[rx, ry, :cols].T.copy(), reach[by_reach])
+        split = _maxplus_columns(table[pair[lx, ly], :cols].T, table[pair[rx, ry], :cols].T.copy(), reach[by_reach])
 
         # gains: the clique anchored at z with its first m members, by member count
         anchored = arrival_deadline[cz] <= cj
@@ -437,8 +443,8 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         listed = np.arange(width_k) < count[:, None]
         span = max(width_k, cols - 1) + 1
         anchor_energy = np.where(anchored[by_count], arrival_energy[gz], 0.0)[:, None]
-        picked = _flat_prefix(energy_ext[members], listed, span)[:, :cols] + anchor_energy
-        gains = np.asarray(cost(picked), dtype=np.float64)
+        gains = _flat_prefix(energy_ext[members], listed, span)[:, :cols] + anchor_energy
+        np.power(gains, cost.exponent, out=gains)  # bit for bit cost(gains)
         # members covering z but left out are charged as singletons
         picked = _flat_prefix(single_ext[members], listed, span)
         gains += picked[:, -1:] - picked[:, :cols]
@@ -450,9 +456,10 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
         # back to rows grouped by interval, then the best anchor of each
         best = value[:, np.argsort(by_count)].reshape(cols, i.size, width + 1).max(axis=2)
         saturate = np.minimum(np.arange(budget + 1)[:, None], caps)
-        table[first_arrival[i], last_deadline[j + 1]] = np.take_along_axis(best, saturate, axis=0).T
+        table[pair[first_arrival[i], last_deadline[j + 1]]] = np.take_along_axis(best, saturate, axis=0).T
+        del value, best  # before the next width's split
 
-    curve = table[0, ends.size].copy()
+    curve = table[pair[0, ends.size]].copy()
     if max_budget > budget:
         curve = np.concatenate([curve, np.full(max_budget - budget, curve[-1])])
     return curve
