@@ -22,6 +22,12 @@ import math
 from .model import CostModel, Instance
 
 
+def _check_non_negative(name: str, value: float) -> None:
+    """Raise ValueError naming the argument unless ``value`` is >= 0 (NaN is not)."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
 def allowance_ratio(l_min: int, l_max: int) -> int:
     """ceil(l_max / l_min) + 1, computed in exact integer arithmetic.
 
@@ -64,8 +70,13 @@ def online_attack_factor(instance: Instance, exponent: float) -> float:
 
 
 def max_cost_bound_value(l_min: int, total_energy: float, arrival_span: int, exponent: float) -> float:
-    """(l_min * total_energy / (2 * l_min + arrival_span)) ** exponent."""
+    """(l_min * total_energy / (2 * l_min + arrival_span)) ** exponent.
+
+    Raises ValueError if ``total_energy`` or ``arrival_span`` is NaN or negative.
+    """
     CostModel(exponent)  # rejects an exponent below 1 or not finite
+    _check_non_negative("total_energy", total_energy)
+    _check_non_negative("arrival_span", arrival_span)
     if l_min < 1:
         return 0.0
     return float((l_min * total_energy / (2 * l_min + arrival_span)) ** exponent)
@@ -83,8 +94,7 @@ def max_cost_lower_bound(instance: Instance, exponent: float) -> float:
 def limited_attack_lower_bound(c_max: float, beta: float, exponent: float) -> float:
     """Guaranteed value of the budgeted greedy attack: beta**exponent * c_max / 2."""
     CostModel(exponent)  # rejects an exponent below 1 or not finite
-    if c_max < 0.0:
-        raise ValueError(f"c_max must be non-negative, got {c_max!r}")
+    _check_non_negative("c_max", c_max)
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
     return beta**exponent * c_max / 2.0

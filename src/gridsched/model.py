@@ -460,11 +460,12 @@ def read_instance_csv(path: str | Path) -> Instance:
     """Parse an instance file: header ``id,arrival,deadline,energy``, one job per line.
 
     Violations of the job invariants are rejected with the offending line
-    number in the error message.
+    number in the error message.  A UTF-8 byte-order mark, as spreadsheet
+    exports write it, is skipped.
     """
     path = Path(path)
     jobs: list[Job] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -200,7 +200,9 @@ def check_min_optimality(
     ``tol``, a job holding 0.1 or less at a slot is no mover.  Single swaps
     are not enough: improving moves may need chains of transfers, hence the
     path search.  Linear costs (exponent 1) make every admissible schedule
-    optimal.  Raises ValueError unless ``tol`` is finite and >= 0.
+    optimal.  Raises ValueError unless ``tol`` is finite and >= 0, and
+    unless ``schedule`` was built for ``instance``: for another instance its
+    entries may lie outside the windows searched, or name jobs it lacks.
 
     The search from a slot visits, in each mover's window, only the
     occupied slots, in ascending order, so a window costs its occupied
@@ -226,6 +228,8 @@ def check_min_optimality(
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    if schedule.instance != instance:
+        raise ValueError("the schedule was built for another instance")
     if cost.exponent == 1.0:
         return MinOptimalityResult(True)
     loads = schedule.slot_loads()

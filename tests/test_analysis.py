@@ -113,8 +113,25 @@ class TestLimitedAttackLowerBound:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             limited_attack_lower_bound(-1.0, 0.5, 2.0)
+        with pytest.raises(ValueError, match="^c_max must be non-negative, got nan$"):
+            limited_attack_lower_bound(float("nan"), 0.5, 2.0)
         with pytest.raises(ValueError):
             limited_attack_lower_bound(1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "total_energy, arrival_span, name",
+    [
+        (float("nan"), 10, "total_energy"),
+        (-10.0, 10, "total_energy"),
+        (10.0, -10, "arrival_span"),
+        (10.0, float("nan"), "arrival_span"),
+    ],
+)
+@pytest.mark.parametrize("l_min", [5, 0])
+def test_max_cost_bound_value_rejects_nan_or_negative(total_energy, arrival_span, name, l_min):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got "):
+        max_cost_bound_value(l_min, total_energy, arrival_span, 2.0)
 
 
 @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), 0.5])

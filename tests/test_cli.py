@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import gridsched
-
+import gridsched.cli as cli
 from gridsched.cli import main
 from gridsched.model import CostModel, Instance, Job, write_instance_csv
 
-from helpers import reference_exact_limited_attack_curve, within_seconds
+from helpers import baseline_schedule, reference_exact_limited_attack_curve, within_seconds
 
 
 @pytest.fixture()
@@ -111,6 +111,16 @@ def test_oracle_verify_min(instance_file, capsys):
     assert main(["oracle", "verify-min", instance_file]) == 0
     out = capsys.readouterr().out
     assert "optimal = true" in out
+
+
+def test_oracle_verify_min_reports_a_transfer_and_exits_1(instance_file, capsys, monkeypatch):
+    # certify the inelastic schedule instead: slot 1's mass moves to slot 2 through job 1, and on to empty slot 3
+    # through job 2
+    monkeypatch.setattr(cli, "schedule_optimal_offline", lambda instance, cost: baseline_schedule(instance))
+    assert main(["oracle", "verify-min", instance_file]) == 1
+    assert capsys.readouterr().out == (
+        "c_min = 8\noptimal = false\n  transfer slot 1 -> slot 2 via job 1\n  transfer slot 2 -> slot 3 via job 2\n"
+    )
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

@@ -458,6 +458,15 @@ class TestInstanceCsv:
         with pytest.raises(ValueError, match="line 1"):
             read_instance_csv(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # as a spreadsheet writes a UTF-8 CSV: a byte-order mark, then CRLF line ends
+        path = tmp_path / "export.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,arrival,deadline,energy\r\n0,1,4,2.25\r\n1,3,3,0.5\r\n")
+        assert read_instance_csv(path) == Instance([Job(0, 1, 4, 2.25), Job(1, 3, 3, 0.5)])
+        path.write_bytes(b"\xef\xbb\xbfid,arrival,deadline,energy\r\n0,1,4,2.25\r\n1,5,3,0.5\r\n")
+        with pytest.raises(ValueError, match="line 3: job 1: arrival 5 exceeds deadline 3"):
+            read_instance_csv(path)
+
     def test_line_numbered_invariant_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,arrival,deadline,energy\n0,1,2,1.0\n1,5,4,1.0\n")

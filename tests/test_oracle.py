@@ -303,6 +303,17 @@ class TestCheckMinOptimality:
         with pytest.raises(ValueError, match=f"got {tol!r}"):
             check_min_optimality(inst, Schedule(inst, {(1, 1): 6.0}), QUAD, tol=tol)
 
+    def test_a_schedule_for_another_instance_is_refused(self):
+        wide = Instance([Job(1, 1, 3, 3.0)])
+        spread = schedule_optimal_offline(wide, QUAD)  # two of its entries lie outside [1, 1]
+        for other in (Instance([Job(1, 1, 1, 3.0)]), Instance([Job(2, 1, 3, 3.0)])):
+            with pytest.raises(ValueError, match="^the schedule was built for another instance$"):
+                check_min_optimality(other, spread, QUAD)
+            with pytest.raises(ValueError, match="^the schedule was built for another instance$"):
+                check_min_optimality(other, spread, CostModel(1.0))
+        # the same jobs make an equal instance, whichever object holds them
+        assert check_min_optimality(Instance([Job(1, 1, 3, 3.0)]), spread, QUAD).optimal
+
     def test_widest_window_costs_its_occupied_slots(self):
         # a slot-by-slot walk of this window would visit 2^62 slots
         width = 2**62 - 10

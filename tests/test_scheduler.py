@@ -147,8 +147,24 @@ class TestEdfFill:
 
     def test_infeasible_input_reported(self):
         # level is consistent but the first slot cannot be filled
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="^EDF fill cannot raise slot 1 to level 1.0; infeasible input$"):
             edf_fill(*_job_arrays(Instance([Job(1, 3, 3, 3.0)])), 1, 3, 1.0)
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="^empty interval: start 3 > end 2$"):
+            edf_fill(*_job_arrays(Instance([])), 3, 2, 1.0)
+
+    def test_missed_deadline_reported(self):
+        # job 1 must put 1.5 into slot 1, which takes only the level 1.0
+        ids = arrivals = deadlines = np.array([1, 2], np.int64)
+        with pytest.raises(RuntimeError, match="^EDF fill missed the deadline of job 1; infeasible input$"):
+            edf_fill(ids, arrivals, deadlines, np.array([1.5, 0.5]), 1, 2, 1.0)
+
+    def test_unserved_energy_reported(self):
+        # within the level check's 1e-9 relative bound, but 1.8e-9 over what two slots at level 1.0 take
+        energy = 2 * (1 + 9e-10)
+        with pytest.raises(RuntimeError, match="^EDF fill left energy unserved: \\{1: "):
+            edf_fill(*_job_arrays(Instance([Job(1, 1, 2, energy)])), 1, 2, 1.0)
 
 
 class TestScheduleOptimalOffline:
