@@ -385,8 +385,8 @@ def limited_attack_curve(instance: Instance, cost: CostModel, max_budget: int) -
     arrival_deadline = np.full(q, q, dtype=np.int64)
     arrival_deadline[a_idx] = d_idx
     # [i, j] holds the jobs of [first arrival point >= i, last deadline point <= j]:
-    # first_arrival[i] is that start's table row, its rank among the arrival points,
-    # and last_deadline[j + 1] that end's column, one past its rank among the
+    # first_arrival[i] is that start's row of the pair map, its rank among the arrival
+    # points, and last_deadline[j + 1] that end's column, one past its rank among the
     # deadline points; row len(starts) and column 0 stand for none
     starts = np.sort(a_idx)
     ends = _distinct(d_idx)
